@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/arc_cache.hpp"
 #include "cache/flat_lru_map.hpp"
 #include "cache/index_cache.hpp"
 #include "cache/lru_cache.hpp"
@@ -178,11 +177,9 @@ void BM_FingerprintIndexProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintIndexProbe)->Arg(65536)->Arg(1 << 20);
 
-// Scalar vs two-phase batched probing of the flat fingerprint table, 16
-// keys (one request's worth) per iteration, half hits / half misses. The
-// batch form's win grows with table size: at 1K entries the table is
-// cache-resident and the prefetches are pure overhead; at 1M entries every
-// probe is a DRAM miss and the batch overlaps 16 of them.
+// Per-key probing of the flat fingerprint table, 16 keys (one request's
+// worth) per iteration, half hits / half misses: at 1K entries the table
+// is cache-resident, at 1M entries every probe is a DRAM miss.
 void BM_IndexProbe_Scalar(benchmark::State& state) {
   FlatHashMap<Fingerprint, Pba, FingerprintHash> table;
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
@@ -201,25 +198,6 @@ void BM_IndexProbe_Scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexProbe_Scalar)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
-void BM_IndexProbe_Batch(benchmark::State& state) {
-  FlatHashMap<Fingerprint, Pba, FingerprintHash> table;
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t i = 0; i < n; ++i)
-    table.insert_or_assign(Fingerprint::of_content_id(i), i);
-  Rng rng(12);
-  std::vector<Fingerprint> keys(1 << 16);
-  for (auto& k : keys) k = Fingerprint::of_content_id(rng.uniform(0, 2 * n));
-  std::size_t pos = 0;
-  const Pba* out[16];
-  for (auto _ : state) {
-    table.lookup_batch(keys.data() + pos, 16, out);
-    benchmark::DoNotOptimize(out);
-    pos = (pos + 16) & (keys.size() - 1);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
-}
-BENCHMARK(BM_IndexProbe_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20);
-
 void BM_IndexCacheLookup(benchmark::State& state) {
   IndexCache cache(static_cast<std::uint64_t>(state.range(0)) *
                        IndexCache::kEntryBytes,
@@ -234,10 +212,9 @@ void BM_IndexCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexCacheLookup)->Arg(65536);
 
-// The classify hot path, all three probe modes over one 16-chunk request
-// span against an at-capacity IndexCache (~half the keys miss; misses
-// ghost-probe, like the engine loop). Scalar = per-chunk reference, Batch
-// = two-phase lookup_batch (hashes every key twice: entry map, then ghost),
+// The classify hot path, both probe modes over one 16-chunk request span
+// against an at-capacity IndexCache (~half the keys miss; misses
+// ghost-probe, like the engine loop). Scalar = per-chunk reference,
 // Fused = single-pass lookup_fused (one hash, bounded-lookahead prefetch
 // pipeline over both maps). The interesting args are the oversubscribed
 // sizes (1<<20 and up), where the table no longer fits in LLC and the
@@ -245,7 +222,7 @@ BENCHMARK(BM_IndexCacheLookup)->Arg(65536);
 // DRAM-resident even on hosts with triple-digit-MB LLCs.
 namespace {
 IndexCache& lookup_bench_cache(std::uint64_t entries) {
-  // Shared across the three variants at each size: building a 4M-entry
+  // Shared across the two variants at each size: building a 4M-entry
   // cache dominates setup time, and the probes below don't perturb each
   // other beyond LRU order (identical key streams).
   static std::map<std::uint64_t, std::unique_ptr<IndexCache>> caches;
@@ -293,21 +270,6 @@ void BM_IndexLookup_Scalar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_IndexLookup_Scalar)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22)->Arg(1 << 23);
-
-void BM_IndexLookup_Batch(benchmark::State& state) {
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  IndexCache& cache = lookup_bench_cache(n);
-  const std::vector<Fingerprint>& keys = lookup_bench_keys(n);
-  std::size_t pos = 0;
-  const IndexEntry* out[16];
-  for (auto _ : state) {
-    cache.lookup_batch({keys.data() + pos, 16}, out);
-    benchmark::DoNotOptimize(out);
-    pos = (pos + 16) & (keys.size() - 1);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
-}
-BENCHMARK(BM_IndexLookup_Batch)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22)->Arg(1 << 23);
 
 void BM_IndexLookup_Fused(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
@@ -375,18 +337,6 @@ void BM_IndexInsert_Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexInsert_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22);
 
-void BM_ArcCacheZipf(benchmark::State& state) {
-  ArcCache cache(static_cast<std::size_t>(state.range(0)));
-  Rng rng(9);
-  ZipfSampler zipf(1 << 16, 0.9);
-  for (auto _ : state) {
-    const Pba b = zipf.sample(rng);
-    if (!cache.lookup(b)) cache.insert(b);
-  }
-  state.counters["hit_rate"] = cache.hit_rate();
-}
-BENCHMARK(BM_ArcCacheZipf)->Arg(1024)->Arg(8192);
-
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.9);
   Rng rng(3);
@@ -440,7 +390,7 @@ BENCHMARK(BM_Categorize);
 // The whole Select-Dedupe host-side write path — probe, categorise,
 // metadata spans, plan building — via warm() (functional execution, no
 // event simulation), replaying a synthetic trace's writes in a loop.
-// Arg: 0 = batched probes (default), 1 = scalar_probes (the retained
+// Arg: 0 = fused probes (default), 1 = scalar_probes (the retained
 // per-chunk reference path); the pair's ratio is the hot-path speedup.
 void BM_SelectDedupeWrite(benchmark::State& state) {
   WorkloadProfile p = tiny_test_profile();

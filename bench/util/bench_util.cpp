@@ -262,19 +262,11 @@ void emit_replay_counters_json(
         static_cast<unsigned long long>(r.batch_probes),
         static_cast<unsigned long long>(r.scratch_bytes));
     // Host execution context: makes a JSON line interpretable on its own
-    // (which SIMD tier the kernels dispatched to, whether the intra-replay
-    // pipeline could run — on a 1-core host it auto-disables and the run
-    // is the honest single-threaded baseline).
+    // (how many hardware threads the host had, which SIMD tier the kernels
+    // dispatched to).
     const unsigned hw = std::thread::hardware_concurrency();
-    std::fprintf(
-        f,
-        ",\"host\":{\"hw_threads\":%u,\"simd_tier\":\"%s\","
-        "\"pipeline_enabled\":%s,\"pipeline_depth\":%llu,"
-        "\"pipeline_batches\":%llu}",
-        hw > 0 ? hw : 1, to_string(active_simd_tier()),
-        r.pipeline.enabled ? "true" : "false",
-        static_cast<unsigned long long>(r.pipeline.depth),
-        static_cast<unsigned long long>(r.pipeline.batches));
+    std::fprintf(f, ",\"host\":{\"hw_threads\":%u,\"simd_tier\":\"%s\"}",
+                 hw > 0 ? hw : 1, to_string(active_simd_tier()));
     std::fprintf(
         f,
         ",\"full_stripe_writes\":%llu,\"rmw_writes\":%llu,"

@@ -16,7 +16,7 @@
 //   POD_BENCH_JSON  — file to append per-run replay counters to, one JSON
 //                object per line (mean latency, events scheduled, peak
 //                event-heap depth, peak RSS, plus host execution context
-//                (hardware threads, active SIMD tier, pipeline state),
+//                (hardware threads, active SIMD tier),
 //                per-disk breakdowns, RAID5 parity write modes, iCache
 //                adaptation state, and — when telemetry is on — the
 //                metrics-registry snapshot; when latency anatomy is on,

@@ -44,7 +44,6 @@
 // for the cold/irregular callers.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -158,10 +157,9 @@ class FlatLruMap {
   };
 
   /// get() with a precomputed tag, collecting the promotion onto `chain`
-  /// instead of touching the LRU head — the fused-pass equivalent of
-  /// get_batch's phase 3. The caller publishes all promotions with one
-  /// splice(chain) after its last probe; until then the chained entries
-  /// are off the main list, so eviction-free probe sequences stay
+  /// instead of touching the LRU head. The caller publishes all promotions
+  /// with one splice(chain) after its last probe; until then the chained
+  /// entries are off the main list, so eviction-free probe sequences stay
   /// identical to the scalar loop's.
   V* get_chained(Tag tag, const K& key, Chain& chain) {
     if (table_.empty()) return nullptr;
@@ -176,65 +174,6 @@ class FlatLruMap {
   void splice(Chain& chain) {
     splice_chain_front(chain.front, chain.back);
     chain = Chain{};
-  }
-
-  /// Two-phase batched lookup: equivalent to `out[i] = get(keys[i])` for
-  /// every i in order (same promotions, same LRU end state). Keys are
-  /// processed in fixed windows: phase 1 hashes the window and prefetches
-  /// every home bucket of the index table, phase 2 prefetches the slot
-  /// entries those buckets name, phase 3 resolves the probes and collects
-  /// hits onto a detached recency chain. One splice publishes the chain at
-  /// MRU after the last window — a request's worth of promotions costs one
-  /// head update instead of one per hit. Lookups never mutate the index
-  /// table (only the intrusive LRU list), so the precomputed homes stay
-  /// valid across the window even with duplicate keys. Returned pointers
-  /// follow the same vector rules as get().
-  void get_batch(const K* keys, std::size_t n, V** out) {
-    if (table_.empty()) {
-      std::fill(out, out + n, nullptr);
-      return;
-    }
-    std::uint32_t chain_front = kNil;
-    std::uint32_t chain_back = kNil;
-    std::uint32_t tags[kBatchWindow];
-    for (std::size_t done = 0; done < n; done += kBatchWindow) {
-      const std::size_t m = std::min(kBatchWindow, n - done);
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint32_t tag = tag_of(keys[done + j]);
-        tags[j] = tag;
-        prefetch_read(&ctrl_[tag & mask_]);
-        prefetch_read(&table_[tag & mask_]);
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const Bucket b = table_[tags[j] & mask_];
-        if (b.slot != kEmpty && b.tag == tags[j]) prefetch_read(&slots_[b.slot]);
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint32_t s =
-            find_slot_tagged(tags[j], keys[done + j]);
-        if (s == kNil) {
-          out[done + j] = nullptr;
-        } else {
-          chain_promote(s, chain_front, chain_back);
-          out[done + j] = &slots_[s].value;
-        }
-      }
-    }
-    splice_chain_front(chain_front, chain_back);
-  }
-
-  /// Promotes every present key to MRU — equivalent to calling get() on
-  /// each key in order and discarding the results, but with the grouped
-  /// single-splice recency update of get_batch. Absent keys are ignored.
-  void promote_batch(const K* keys, std::size_t n) {
-    if (table_.empty() || n == 0) return;
-    std::uint32_t chain_front = kNil;
-    std::uint32_t chain_back = kNil;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t s = find_slot(keys[i]);
-      if (s != kNil) chain_promote(s, chain_front, chain_back);
-    }
-    splice_chain_front(chain_front, chain_back);
   }
 
   /// Inserts or overwrites; promotes to MRU. Evictions (if over capacity)
@@ -421,8 +360,6 @@ class FlatLruMap {
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-  /// Batch window for get_batch (see FlatHashMap::kBatchWindow).
-  static constexpr std::size_t kBatchWindow = 16;
 
   struct Slot {
     K key;

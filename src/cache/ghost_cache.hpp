@@ -84,19 +84,6 @@ class GhostCache {
     return true;
   }
 
-  /// Batched probe_and_consume: equivalent to calling it for every key in
-  /// order. Phase 1 prefetches every home bucket; phase 2 consumes
-  /// sequentially — a consume erases (backward-shift) and may displace
-  /// later keys' exact slots, so only the homes are precomputed, never the
-  /// probe results. Returns the number of hits.
-  std::size_t probe_and_consume_batch(const K* keys, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) entries_.prefetch(keys[i]);
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (probe_and_consume(keys[i])) ++hits;
-    return hits;
-  }
-
   /// Sets the "would a one-step-larger cache have kept it" horizon.
   void set_near_threshold(std::uint64_t entries) { near_threshold_ = entries; }
   std::uint64_t near_threshold() const { return near_threshold_; }

@@ -1,5 +1,7 @@
 #include "cache/index_cache.hpp"
 
+#include <algorithm>
+
 namespace pod {
 
 IndexCache::IndexCache(std::uint64_t capacity_bytes,
@@ -27,29 +29,6 @@ const IndexEntry* IndexCache::peek(const Fingerprint& fp) const {
   return entries_.peek(fp);
 }
 
-void IndexCache::lookup_batch(std::span<const Fingerprint> fps,
-                              const IndexEntry** out) {
-  const std::size_t n = fps.size();
-  batch_probes_ += n;
-  if (probe_scratch_.size() < n) probe_scratch_.resize(n);
-  entries_.get_batch(fps.data(), n, probe_scratch_.data());
-
-  miss_scratch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    IndexEntry* e = probe_scratch_[i];
-    out[i] = e;
-    if (e != nullptr) {
-      ++hits_;
-      ++e->count;
-    } else {
-      ++misses_;
-      miss_scratch_.push_back(fps[i]);
-    }
-  }
-  if (!miss_scratch_.empty())
-    ghost_.probe_and_consume_batch(miss_scratch_.data(), miss_scratch_.size());
-}
-
 void IndexCache::lookup_fused(std::span<const Fingerprint> fps,
                               const IndexEntry** out) {
   const std::size_t n = fps.size();
@@ -64,11 +43,9 @@ void IndexCache::lookup_fused(std::span<const Fingerprint> fps,
   //     and ghost home groups (one tag serves both maps — identical Hash
   //     functor, identical scramble);
   //   stage B (i + kD): prefetch the slot entries the (now warm) home
-  //     buckets name, on BOTH maps. Prefetching the ghost slot is the
-  //     structural win over lookup_batch: its ghost pass warms only home
-  //     buckets, so every consumed miss eats the slot's memory latency
-  //     serially. (Ghost erasures during resolve can shift slots; a stale
-  //     hint costs one line, never correctness.)
+  //     buckets name, on BOTH maps, so a consumed ghost miss does not eat
+  //     the slot's memory latency serially. (Ghost erasures during resolve
+  //     can shift slots; a stale hint costs one line, never correctness.)
   //   stage C (i): resolve with the already-computed tag. Entry probe,
   //     then ghost probe_and_consume on miss — the scalar engine's exact
   //     per-chunk interleaving; promotions collect on a detached chain

@@ -40,31 +40,18 @@ class IndexCache {
   /// Looks up without counting a request hit (administrative reads).
   const IndexEntry* peek(const Fingerprint& fp) const;
 
-  /// Batched two-phase lookup over a request's fingerprint span.
+  /// Fused single-pass lookup over a request's fingerprint span.
   /// Equivalent to, for every i in order: `out[i] = lookup(fps[i])`, then
-  /// `ghost_probe(fps[i])` for every miss in order — the exact per-chunk
-  /// sequence of the scalar engine probe loop. The reorder is
-  /// state-identical because lookups touch only the entry map (no ghost
-  /// state) and ghost probes touch only the ghost list (whose eviction
-  /// sequence number cannot advance during lookups). What it buys: the
-  /// per-chunk dependent cache misses of both probe passes are pipelined
-  /// behind software prefetches. Returned pointers are valid until the
-  /// next insert.
-  void lookup_batch(std::span<const Fingerprint> fps, const IndexEntry** out);
-
-  /// Fused single-pass variant of lookup_batch: state- and counter-
-  /// identical (same dups, same hit/miss/ghost accounting, same entry-map
-  /// LRU order and ghost consumption order), but each fingerprint is
-  /// hashed ONCE — the entry map and the ghost list share FingerprintHash,
-  /// so one tag serves both — and the span runs as a bounded-lookahead
-  /// software pipeline: home-group prefetch (entry map AND ghost) a fixed
-  /// distance ahead of slot prefetch, itself ahead of the resolve point,
-  /// which runs entry probe → miss → ghost probe_and_consume per
-  /// fingerprint (the scalar engine interleaving; equivalent to
-  /// lookup_batch's phase-separated order because lookups touch only the
-  /// entry map and ghost consumes touch only the ghost list). Recency
-  /// updates collect on a detached chain published with one splice.
-  /// Returned pointers are valid until the next insert.
+  /// `ghost_probe(fps[i])` on a miss — the exact per-chunk sequence of the
+  /// scalar engine probe loop, with the same dups, hit/miss/ghost
+  /// accounting, entry-map LRU order and ghost consumption order. What it
+  /// buys: each fingerprint is hashed ONCE — the entry map and the ghost
+  /// list share FingerprintHash, so one tag serves both — and the span
+  /// runs as a bounded-lookahead software pipeline: home-group prefetch
+  /// (entry map AND ghost) a fixed distance ahead of slot prefetch, itself
+  /// ahead of the resolve point. Recency updates collect on a detached
+  /// chain published with one splice. Returned pointers are valid until
+  /// the next insert.
   void lookup_fused(std::span<const Fingerprint> fps, const IndexEntry** out);
 
   // --- tagged API (sequential fused loops) ---
@@ -97,17 +84,7 @@ class IndexCache {
   /// insert() with a precomputed tag.
   void insert_tagged(Tag tag, const Fingerprint& fp, Pba pba);
 
-  /// Prefetches the home buckets `fp` would probe (entry map and ghost
-  /// list). For callers whose probe loop interleaves inserts with lookups
-  /// (Full-Dedupe promotes on-disk hits mid-request) and therefore cannot
-  /// reorder into lookup_batch: issue prefetches for the whole span up
-  /// front, then run the scalar loop against warmed lines.
-  void prefetch(const Fingerprint& fp) const {
-    entries_.prefetch(fp);
-    ghost_.prefetch(fp);
-  }
-
-  /// Fingerprints probed through lookup_batch (host-side counter).
+  /// Fingerprints probed through lookup_fused (host-side counter).
   std::uint64_t batch_probes() const { return batch_probes_; }
 
   /// Probes the ghost list (consuming the entry on hit).
@@ -165,10 +142,8 @@ class IndexCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t batch_probes_ = 0;
-  // lookup_batch scratch (capacity reaches the largest request and stays).
-  std::vector<IndexEntry*> probe_scratch_;
-  std::vector<Fingerprint> miss_scratch_;
-  // lookup_fused scratch: one tag per fingerprint of the span.
+  // lookup_fused scratch: one tag per fingerprint of the span (capacity
+  // reaches the largest request and stays).
   std::vector<Tag> tag_scratch_;
   // insert_batch staging (evictions deferred past the put_batch).
   std::vector<IndexEntry> value_scratch_;

@@ -28,12 +28,6 @@ class ReadCache {
   /// Probes the ghost list without touching the actual cache.
   bool ghost_probe(Pba block) { return ghost_.probe_and_consume(block); }
 
-  /// Prefetches the home buckets `block` would probe (cache and ghost).
-  void prefetch(Pba block) const {
-    entries_.prefetch(block);
-    ghost_.prefetch(block);
-  }
-
   // --- tagged API (fused read plans; see FlatLruMap) ---
   //
   // The cache and its ghost list share std::hash<Pba>, so the fused read

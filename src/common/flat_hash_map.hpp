@@ -13,13 +13,11 @@
 // scrambled with a Fibonacci multiplier so identity hashes do not cluster.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/ctrl_group.hpp"
-#include "common/prefetch.hpp"
 
 namespace pod {
 
@@ -42,43 +40,6 @@ class FlatHashMap {
   }
 
   bool contains(const K& key) const { return find_index(key) != kNpos; }
-
-  /// Issues a software prefetch for `key`'s home bucket (control-byte
-  /// group and slot line). Purely a hint; see lookup_batch.
-  void prefetch(const K& key) const {
-    if (state_.empty()) return;
-    const std::size_t h = home_of(key);
-    prefetch_read(&state_[h]);
-    prefetch_read(&slots_[h]);
-  }
-
-  /// Two-phase batched lookup: equivalent to `out[i] = find(keys[i])` for
-  /// every i in order, but probes resolve against prefetched buckets. Keys
-  /// are processed in fixed windows: phase 1 hashes the window and issues
-  /// prefetches for every home bucket, phase 2 resolves the probes — so a
-  /// request's worth of dependent cache misses overlaps instead of
-  /// serializing. Duplicate keys in one batch are fine (the table is not
-  /// mutated).
-  void lookup_batch(const K* keys, std::size_t n, const V** out) const {
-    if (state_.empty()) {
-      std::fill(out, out + n, nullptr);
-      return;
-    }
-    std::size_t homes[kBatchWindow];
-    for (std::size_t done = 0; done < n; done += kBatchWindow) {
-      const std::size_t m = std::min(kBatchWindow, n - done);
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t h = home_of(keys[done + j]);
-        homes[j] = h;
-        prefetch_read(&state_[h]);
-        prefetch_read(&slots_[h]);
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t i = find_index_from(homes[j], keys[done + j]);
-        out[done + j] = i == kNpos ? nullptr : &slots_[i].second;
-      }
-    }
-  }
 
   /// Pre-sizes the table for `expected` entries so steady growth to that
   /// size pays no incremental rebuilds.
@@ -147,9 +108,6 @@ class FlatHashMap {
  private:
   static constexpr std::size_t kNpos = ~std::size_t{0};
   static constexpr std::uint8_t kEmpty = 0;
-  /// Batch window: enough probes in flight to cover DRAM latency, small
-  /// enough for the home array to live on the stack.
-  static constexpr std::size_t kBatchWindow = 16;
 
   /// Bucket count; state_ additionally carries kCtrlPad mirror bytes so
   /// group loads starting at any bucket stay in bounds.
@@ -179,12 +137,8 @@ class FlatHashMap {
 
   std::size_t find_index(const K& key) const {
     if (state_.empty()) return kNpos;
-    return find_index_from(home_of(key), key);
-  }
-
-  std::size_t find_index_from(std::size_t home, const K& key) const {
     const CtrlProbeResult r =
-        ctrl_probe(state_.data(), mask_, home, tag_of(key), wide_,
+        ctrl_probe(state_.data(), mask_, home_of(key), tag_of(key), wide_,
                    [&](std::size_t j) { return slots_[j].first == key; });
     return r.found ? r.pos : kNpos;
   }

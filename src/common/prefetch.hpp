@@ -1,8 +1,8 @@
-// Software-prefetch shim for the two-phase batched probe paths.
+// Software-prefetch shim for the prefetch-pipelined table paths.
 //
-// The batched index probes (FlatHashMap::lookup_batch, FlatLruMap::get_batch)
-// precompute every key's home bucket and issue prefetches before any probe
-// resolves, turning a chain of dependent cache misses into a pipelined pass.
+// The fused index lookup (IndexCache::lookup_fused) and the bulk inserts
+// (FlatLruMap::put_batch) warm home buckets before the probes that need
+// them, turning a chain of dependent cache misses into a pipelined pass.
 // Prefetching is purely a hint: correctness never depends on it, so the shim
 // degrades to a no-op on compilers without __builtin_prefetch.
 #pragma once

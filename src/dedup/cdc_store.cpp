@@ -42,14 +42,11 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
   // same lookup + miss-ghost-probe sequence one chunk at a time.
   if (!cfg_.scalar_probes) {
     hit_scratch_.resize(n);
-    if (cfg_.fused_probes)
-      index_.lookup_fused({fp_scratch_.data(), n}, hit_scratch_.data());
-    else
-      index_.lookup_batch({fp_scratch_.data(), n}, hit_scratch_.data());
+    index_.lookup_fused({fp_scratch_.data(), n}, hit_scratch_.data());
   }
 
   // Phase 2: place or dedup every chunk. No index mutations happen here,
-  // so lookup_batch's returned pointers stay valid throughout.
+  // so lookup_fused's returned pointers stay valid throughout.
   pending_.clear();
   stage_fps_.clear();
   stage_pbas_.clear();

@@ -11,7 +11,7 @@
 // consume Map entries.
 //
 // Probe/insert scheduling mirrors the engines: all index lookups happen up
-// front (lookup_batch: one prefetch-pipelined pass), all index inserts are
+// front (lookup_fused: one prefetch-pipelined pass), all index inserts are
 // the object's final metadata action (one insert_batch: one LRU splice,
 // one eviction sweep). `scalar_probes` selects the per-chunk reference
 // path, which performs the same lookups-then-inserts sequence through the
@@ -38,12 +38,9 @@ struct CdcConfig {
   std::uint64_t logical_blocks = 0;
   std::uint64_t index_cache_bytes = 4 * kMiB;
   std::uint64_t ghost_bytes = 1 * kMiB;
-  /// Use the per-chunk scalar cache API instead of the bulk ops.
+  /// Use the per-chunk scalar cache API instead of the fused lookup and
+  /// bulk insert (state-identical; see IndexCache::lookup_fused).
   bool scalar_probes = false;
-  /// Bulk path flavor: fused single-pass lookup (default) vs the two-phase
-  /// batch pass. Ignored when scalar_probes is set. All three modes are
-  /// state-identical (see IndexCache::lookup_fused).
-  bool fused_probes = true;
 };
 
 /// Point-in-time ingest accounting (all byte figures are payload bytes

@@ -14,11 +14,6 @@ bool scalar_probes_from_env() {
   return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-bool fused_probes_from_env() {
-  const char* env = std::getenv("POD_FUSED_PROBES");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 std::uint64_t required_volume_blocks(const EngineConfig& cfg) {
   const std::uint64_t pool = std::max<std::uint64_t>(
       1024, static_cast<std::uint64_t>(static_cast<double>(cfg.logical_blocks) *
@@ -135,13 +130,14 @@ void DedupEngine::coalesce_into(std::vector<std::pair<Pba, std::uint64_t>>& runs
 DedupEngine::IoPlan DedupEngine::build_read_plan(const IoRequest& req) {
   IoPlan plan;
   WriteScratch& s = scratch_;
-  // Pass 1: resolve the whole request in one run call, then prefetch the
-  // read-cache buckets each target will probe. Resolution touches only the
-  // store; the cache probes below touch only the cache — so hoisting
-  // resolution ahead of the probe loop cannot change either one's outcome.
+  // Pass 1: resolve the whole request in one run call; on the fused path
+  // also hash each target once and prefetch the read-cache buckets it will
+  // probe. Resolution touches only the store; the cache probes below touch
+  // only the cache — so hoisting resolution ahead of the probe loop cannot
+  // change either one's outcome.
   s.read_pbas.resize(req.nblocks);
   store_.resolve_run(req.lba, req.nblocks, s.read_pbas.data());
-  const bool fused = !cfg_.scalar_probes && cfg_.fused_probes;
+  const bool fused = !cfg_.scalar_probes;
   if (fused) s.pba_tags.resize(req.nblocks);
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {
     if (s.read_pbas[i] == kInvalidPba) {
@@ -150,13 +146,11 @@ DedupEngine::IoPlan DedupEngine::build_read_plan(const IoRequest& req) {
       s.read_pbas[i] = static_cast<Pba>(req.lba + i);
     }
     if (fused) {
-      // Fused variant: hash each resolved PBA once, prefetch cache + ghost
-      // home groups, and carry the tag into the probe loop.
+      // Hash each resolved PBA once, prefetch cache + ghost home groups,
+      // and carry the tag into the probe loop.
       const ReadCache::Tag tag = read_cache_.hash_tag(s.read_pbas[i]);
       s.pba_tags[i] = tag;
       read_cache_.prefetch_tag(tag);
-    } else {
-      read_cache_.prefetch(s.read_pbas[i]);
     }
   }
   // Pass 2: per-block cache probes, in request order (inserts must be
@@ -242,10 +236,7 @@ void DedupEngine::probe_dups(const IoRequest& req, WriteScratch& s) {
     return;
   }
   if (s.probes.size() < req.nblocks) s.probes.resize(req.nblocks);
-  if (cfg_.fused_probes)
-    index_cache_->lookup_fused(req.chunks, s.probes.data());
-  else
-    index_cache_->lookup_batch(req.chunks, s.probes.data());
+  index_cache_->lookup_fused(req.chunks, s.probes.data());
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {
     const IndexEntry* e = s.probes[i];
     if (e != nullptr && candidate_valid(req.chunks[i], e->pba))

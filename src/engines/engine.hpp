@@ -51,10 +51,6 @@ class MetricCounter;
 /// "0" → false, anything else → true.
 bool scalar_probes_from_env();
 
-/// POD_FUSED_PROBES env default for EngineConfig::fused_probes: unset or
-/// anything but "0" → true, "0" → false (selects the two-phase batch path).
-bool fused_probes_from_env();
-
 struct EngineConfig {
   /// Total DRAM budget split between index cache and read cache.
   std::uint64_t memory_bytes = 64 * kMiB;
@@ -88,22 +84,15 @@ struct EngineConfig {
   /// Reserved swap region for iCache, in blocks.
   std::uint64_t swap_region_blocks = 1 << 15;
 
-  /// Test-only: route index probes AND index inserts through the scalar
-  /// per-chunk path instead of the batched two-phase / request-scoped bulk
-  /// path. Replay output is asserted byte-identical between the two
-  /// (batch_equivalence_test); this switch exists so that assertion has a
-  /// reference to compare against. Defaults to POD_SCALAR_PROBES when set
-  /// (so CI can force whole suites onto the reference path), else false.
+  /// Test-only: route index and read-cache probes AND index inserts
+  /// through the scalar per-chunk path instead of the fused single-pass
+  /// lookup (IndexCache::lookup_fused and the tagged read-plan loop) and
+  /// the request-scoped bulk inserts. Replay output is asserted
+  /// byte-identical between the two (batch_equivalence_test); this switch
+  /// exists so that assertion has a reference to compare against. Defaults
+  /// to POD_SCALAR_PROBES when set (so CI can force whole suites onto the
+  /// reference path), else false.
   bool scalar_probes = scalar_probes_from_env();
-
-  /// Selects the fused single-pass lookup (IndexCache::lookup_fused and the
-  /// tagged read-plan loop) over the PR7 two-phase batch path. All three
-  /// probe modes — scalar (scalar_probes), batch (fused_probes = false) and
-  /// fused (default) — produce byte-identical replay output
-  /// (batch_equivalence_test asserts it per engine). Defaults to off when
-  /// POD_FUSED_PROBES=0 so CI can A/B whole suites. Ignored while
-  /// scalar_probes is set.
-  bool fused_probes = fused_probes_from_env();
 
   /// Record every dedup-metadata mutation (Map-table binds/unbinds, index
   /// puts/dels) in a write-ahead journal for crash-recovery simulation.
@@ -254,7 +243,7 @@ class DedupEngine {
   struct WriteScratch {
     std::vector<ChunkDup> dups;         // per-chunk dedup candidates
     std::vector<std::uint64_t> mask;    // dedup decision bitmask
-    std::vector<const IndexEntry*> probes;  // batched index-probe results
+    std::vector<const IndexEntry*> probes;  // fused index-probe results
     std::vector<Pba> written;           // PBAs placed by write_remaining_chunks
     std::vector<DupRun> dedup_runs;     // runs selected for deduplication
     std::vector<std::pair<Pba, std::uint64_t>> write_runs;  // stage2 coalescing
@@ -319,15 +308,16 @@ class DedupEngine {
   // ---- shared helpers -------------------------------------------------
 
   /// Default read path: resolve the whole request through the store
-  /// (prefetching read-cache buckets along the way), then consult the read
-  /// cache per block and coalesce misses into contiguous volume reads.
+  /// (prefetching read-cache buckets along the way on the fused path), then
+  /// consult the read cache per block and coalesce misses into contiguous
+  /// volume reads.
   IoPlan build_read_plan(const IoRequest& req);
 
   /// Fills s.dups with the request's index-probe results: one fused
   /// single-pass IndexCache::lookup_fused over the fingerprint span (the
-  /// default), the two-phase lookup_batch when cfg_.fused_probes is off, or
-  /// the scalar per-chunk loop when cfg_.scalar_probes is set. All three
-  /// produce identical dups, cache state and counters (see lookup_fused).
+  /// default), or the scalar per-chunk loop when cfg_.scalar_probes is set.
+  /// Both produce identical dups, cache state and counters (see
+  /// lookup_fused).
   void probe_dups(const IoRequest& req, WriteScratch& s);
 
   /// Writes the non-deduplicated chunks of a request: walks the maximal

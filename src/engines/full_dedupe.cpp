@@ -53,11 +53,11 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
   // Full-Dedupe's probe loop interleaves inserts with lookups (on-disk
   // hits promote into the index cache mid-request), so intra-request
   // duplicate fingerprints must see earlier promotions — the loop cannot
-  // reorder into lookup_fused/lookup_batch. Instead, hash every
-  // fingerprint once up front (tags survive the mid-loop inserts: they are
-  // pure functions of the key), warm every home group the loop will probe,
-  // and keep the resolution strictly sequential on the tagged API.
-  const bool fused = !cfg_.scalar_probes && cfg_.fused_probes;
+  // reorder into lookup_fused. Instead, hash every fingerprint once up
+  // front (tags survive the mid-loop inserts: they are pure functions of
+  // the key), warm every home group the loop will probe, and keep the
+  // resolution strictly sequential on the tagged API.
+  const bool fused = !cfg_.scalar_probes;
   if (fused) {
     s.fp_tags.resize(req.nblocks);
     for (std::uint32_t i = 0; i < req.nblocks; ++i) {
@@ -65,9 +65,6 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
       s.fp_tags[i] = tag;
       index_cache_->prefetch_tag(tag);
     }
-  } else if (!cfg_.scalar_probes) {
-    for (std::uint32_t i = 0; i < req.nblocks; ++i)
-      index_cache_->prefetch(req.chunks[i]);
   }
 
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {

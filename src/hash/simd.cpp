@@ -151,8 +151,8 @@ SimdTier resolve_simd_tier_from_env() {
     else if (v == "sse") tier = clamp_to_hw(SimdTier::kSse42);
     else if (v == "avx2") tier = clamp_to_hw(SimdTier::kAvx2);
     else
-      // Same contract as the POD_PIPELINE_DEPTH clamp: a malformed override
-      // is reported, then ignored — auto-detection proceeds.
+      // A malformed override is reported, then ignored — auto-detection
+      // proceeds.
       POD_LOG_WARN(
           "simd: ignoring unrecognized POD_SIMD=\"%s\" "
           "(want scalar | sse | avx2), using hardware default %s",

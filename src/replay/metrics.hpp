@@ -97,32 +97,13 @@ struct ReplayResult {
   /// the end of the run. 0 when unavailable.
   std::uint64_t peak_rss_bytes = 0;
 
-  /// Fingerprints probed through the batched two-phase index path (0 when
-  /// the engine has no index cache or runs with scalar_probes).
+  /// Fingerprints probed through the fused index pass (0 when the engine
+  /// has no index cache or runs with scalar_probes).
   std::uint64_t batch_probes = 0;
   /// Heap bytes held by the engine's request scratch arena at the end of
   /// the run — flat across request counts once the largest request has
   /// been seen (the zero-steady-state-allocation tripwire).
   std::uint64_t scratch_bytes = 0;
-
-  /// Intra-replay pipeline tripwires (all zero when the pipeline is off).
-  struct PipelineStats {
-    bool enabled = false;
-    /// Ring capacity in batches the run used.
-    std::uint64_t depth = 0;
-    /// Prepared batches handed from the prepare thread to the DES thread.
-    std::uint64_t batches = 0;
-    /// Failed push attempts: the prepare thread ran ahead of the DES by a
-    /// full ring (back-pressure working as intended).
-    std::uint64_t producer_stalls = 0;
-    /// Failed pop attempts: the DES caught up with the prepare thread (a
-    /// high count relative to `batches` means the prepare stage is the
-    /// bottleneck).
-    std::uint64_t consumer_stalls = 0;
-    /// Mean ring occupancy sampled at each successful pop.
-    double mean_occupancy = 0.0;
-  };
-  PipelineStats pipeline;
 
   double mean_ms() const { return all.mean_ms(); }
   double read_mean_ms() const { return reads.mean_ms(); }

@@ -58,11 +58,7 @@ std::vector<ReplayResult> ParallelRunner::run(
   for (std::size_t i = 0; i < items.size(); ++i) {
     pool.submit([&, i] {
       try {
-        results[i] =
-            pipeline_.has_value()
-                ? run_replay(items[i].spec, *items[i].trace,
-                             AdmissionMode::kStreaming, *pipeline_)
-                : run_replay(items[i].spec, *items[i].trace);
+        results[i] = run_replay(items[i].spec, *items[i].trace);
       } catch (...) {
         errors[i] = std::current_exception();
       }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,10 +31,6 @@ class ParallelRunner {
   /// @param jobs  worker threads; <= 1 executes serially on this thread.
   explicit ParallelRunner(std::size_t jobs) : jobs_(jobs) {}
 
-  /// Forces every run's intra-replay pipeline setting (tests exercise both
-  /// paths deterministically); unset keeps the environment default.
-  void set_pipeline(const PipelineConfig& p) { pipeline_ = p; }
-
   /// Executes every item and returns results in input order. The first
   /// exception thrown by any run (in input order) is rethrown as a
   /// std::runtime_error prefixed with that run's label and fault seed, so a
@@ -47,7 +42,6 @@ class ParallelRunner {
 
  private:
   std::size_t jobs_;
-  std::optional<PipelineConfig> pipeline_;
 };
 
 }  // namespace pod

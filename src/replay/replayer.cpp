@@ -1,16 +1,10 @@
 #include "replay/replayer.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
 #include "common/resource.hpp"
-#include "common/spsc_ring.hpp"
 #include "engines/full_dedupe.hpp"
 #include "engines/idedup.hpp"
 #include "engines/io_dedup.hpp"
@@ -21,48 +15,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace pod {
-
-PipelineConfig PipelineConfig::from_env() {
-  PipelineConfig cfg;
-  // Default: on when a second hardware thread exists to host the prepare
-  // stage; on a single-core host the pipeline only adds context switches.
-  cfg.enabled = std::thread::hardware_concurrency() >= 2;
-  if (const char* env = std::getenv("POD_PIPELINE"))
-    cfg.enabled = env[0] != '0';
-  if (const char* env = std::getenv("POD_PIPELINE_DEPTH")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0') {
-      POD_LOG_WARN("replay: ignoring malformed POD_PIPELINE_DEPTH=\"%s\" "
-                   "(want an integer in [1, 1024]); keeping depth %zu",
-                   env, cfg.depth);
-    } else {
-      const long clamped = std::clamp(v, 1L, 1024L);
-      if (clamped != v)
-        POD_LOG_WARN("replay: POD_PIPELINE_DEPTH=%ld out of [1, 1024], "
-                     "clamping to %ld", v, clamped);
-      cfg.depth = static_cast<std::size_t>(clamped);
-    }
-  }
-  return cfg;
-}
-
-namespace {
-
-/// One prepared arrival: the trace request plus its rebased admission time.
-struct PreparedEntry {
-  const IoRequest* req = nullptr;
-  SimTime arrival = 0;
-};
-
-/// The ring's unit of transfer. Batching amortizes the atomic hand-off and
-/// keeps the prepare thread a coarse step ahead of the DES.
-struct PreparedBatch {
-  std::array<PreparedEntry, 64> entries;
-  std::uint32_t count = 0;
-};
-
-}  // namespace
 
 const char* to_string(EngineKind kind) {
   switch (kind) {
@@ -144,7 +96,7 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
       });
     }
     sim.run();
-  } else if (!pipeline_.enabled) {
+  } else {
     // Streaming admission: the next arrival is submitted as soon as it is
     // not later than every pending simulation event (ties admit the
     // arrival first — see AdmissionMode::kStreaming for why this matches
@@ -169,134 +121,6 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
         }
       }
       if (!sim.step()) break;
-    }
-  } else {
-    // Pipelined streaming admission: a prepare thread walks the trace ahead
-    // of the DES — rebasing arrivals, validating time order, prefetching
-    // each write's fingerprint cache lines — and hands PreparedBatches over
-    // the SPSC ring. The DES thread below consumes them with admission
-    // logic identical to the serial loop above, so event order (and every
-    // result byte) is unchanged; only who touches the trace memory first
-    // differs.
-    SpscRing<PreparedBatch> ring(pipeline_.depth);
-    std::atomic<bool> producer_done{false};
-    std::atomic<bool> cancel{false};
-    std::atomic<bool> order_error{false};
-    std::atomic<std::uint64_t> producer_stalls{0};
-
-    std::thread producer([&] {
-      PreparedBatch batch;
-      SimTime last = 0;
-      auto push = [&](PreparedBatch&& b) {
-        while (!ring.try_push(std::move(b))) {
-          producer_stalls.fetch_add(1, std::memory_order_relaxed);
-          if (cancel.load(std::memory_order_acquire)) return false;
-          std::this_thread::yield();
-        }
-        return true;
-      };
-      for (std::size_t i = first; i < total; ++i) {
-        const IoRequest& req = trace.requests[i];
-        const SimTime arrival = req.arrival - t0;
-        if (arrival < last) {
-          order_error.store(true, std::memory_order_release);
-          break;
-        }
-        last = arrival;
-        // Pull the write's fingerprints toward the cache before the DES
-        // hashes them (4 fingerprints per 64-byte line; the arena is far
-        // larger than LLC on real traces).
-        const Fingerprint* fp = req.chunks.data();
-        for (std::size_t c = 0; c < req.chunks.size(); c += 4)
-          __builtin_prefetch(fp + c, 0, 1);
-        batch.entries[batch.count++] = {&req, arrival};
-        if (batch.count == batch.entries.size()) {
-          if (!push(std::move(batch))) return;
-          batch.count = 0;
-        }
-      }
-      if (batch.count > 0) push(std::move(batch));
-      producer_done.store(true, std::memory_order_release);
-    });
-
-    // Join (after cancelling) on every exit path, including exceptions
-    // thrown by the engine mid-replay.
-    struct Joiner {
-      std::thread& t;
-      std::atomic<bool>& cancel;
-      ~Joiner() {
-        cancel.store(true, std::memory_order_release);
-        if (t.joinable()) t.join();
-      }
-    } joiner{producer, cancel};
-
-    PreparedBatch cur;
-    std::uint32_t ci = 0;
-    bool exhausted = false;
-    std::uint64_t batches = 0;
-    std::uint64_t consumer_stalls = 0;
-    std::uint64_t occupancy_sum = 0;
-
-    // Blocks until the next batch arrives; false once the producer finished
-    // and the ring is drained.
-    auto refill = [&]() {
-      for (;;) {
-        if (ring.try_pop(cur)) {
-          occupancy_sum += ring.occupancy() + 1;
-          ++batches;
-          ci = 0;
-          return true;
-        }
-        if (producer_done.load(std::memory_order_acquire)) {
-          if (!ring.try_pop(cur)) return false;
-          occupancy_sum += ring.occupancy() + 1;
-          ++batches;
-          ci = 0;
-          return true;
-        }
-        ++consumer_stalls;
-        std::this_thread::yield();
-      }
-    };
-
-    while (true) {
-      if (ci >= cur.count && !exhausted && !refill()) exhausted = true;
-      if (ci < cur.count) {
-        const PreparedEntry& e = cur.entries[ci];
-        if (sim.idle() || e.arrival <= sim.next_event_time()) {
-          sim.advance_to(e.arrival);
-          admit(*e.req, e.arrival);
-          engine.submit(*e.req, record(e.arrival, e.req->type, e.req->id));
-          ++ci;
-          continue;
-        }
-      }
-      if (!sim.step()) break;
-    }
-    if (order_error.load(std::memory_order_acquire))
-      throw std::runtime_error("streaming replay: trace \"" + trace.name +
-                               "\" is not time-ordered");
-
-    result.pipeline.enabled = true;
-    result.pipeline.depth = ring.capacity();
-    result.pipeline.batches = batches;
-    result.pipeline.producer_stalls =
-        producer_stalls.load(std::memory_order_relaxed);
-    result.pipeline.consumer_stalls = consumer_stalls;
-    result.pipeline.mean_occupancy =
-        batches > 0 ? static_cast<double>(occupancy_sum) /
-                          static_cast<double>(batches)
-                    : 0.0;
-    if (telem != nullptr) {
-      MetricsRegistry& m = telem->metrics();
-      m.counter("replay.pipeline.batches").inc(batches);
-      m.counter("replay.pipeline.producer_stalls")
-          .inc(result.pipeline.producer_stalls);
-      m.counter("replay.pipeline.consumer_stalls").inc(consumer_stalls);
-      m.gauge("replay.pipeline.depth")
-          .set(static_cast<double>(ring.capacity()));
-      m.gauge("replay.pipeline.mean_occupancy")
-          .set(result.pipeline.mean_occupancy);
     }
   }
 
@@ -400,11 +224,6 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
 
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
                         AdmissionMode mode) {
-  return run_replay(spec, trace, mode, PipelineConfig::from_env());
-}
-
-ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode, const PipelineConfig& pipeline) {
   Simulator sim;
   // Built (or skipped) from POD_TRACE_EVENTS / POD_TELEMETRY_CSV; attached
   // before the volume so member disks observe it from their first op.
@@ -421,7 +240,6 @@ ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
     register_sampler_probes(*telemetry->sampler(), *volume, *engine);
 
   Replayer replayer(mode);
-  replayer.set_pipeline(pipeline);
   ReplayResult result = replayer.replay(sim, *engine, trace);
   result.peak_rss_bytes = current_peak_rss_bytes();
 

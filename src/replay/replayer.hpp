@@ -32,32 +32,10 @@ enum class AdmissionMode {
   kPrescheduled,
 };
 
-/// Two-stage intra-replay pipeline (streaming admission only): a prepare
-/// thread walks the measured suffix ahead of the DES — rebasing arrivals,
-/// validating time order, and prefetching each write's fingerprint cache
-/// lines out of the trace arena — and hands prepared batches to the DES
-/// thread over a bounded SPSC ring. All stateful work (engine probes, cache
-/// updates, the event loop) stays on the DES thread in admission order, so
-/// every result byte is identical with the pipeline on or off.
-struct PipelineConfig {
-  bool enabled = false;
-  /// Ring capacity in prepared batches (POD_PIPELINE_DEPTH).
-  std::size_t depth = 8;
-
-  /// POD_PIPELINE=0/1 forces the pipeline off/on; unset enables it when
-  /// the host has a second hardware thread to run the prepare stage on.
-  /// POD_PIPELINE_DEPTH overrides the ring depth (clamped to [1, 1024]).
-  static PipelineConfig from_env();
-};
-
 class Replayer {
  public:
   explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming)
-      : mode_(mode), pipeline_(PipelineConfig::from_env()) {}
-
-  /// Overrides the env-derived pipeline setting (tests force both paths).
-  void set_pipeline(const PipelineConfig& p) { pipeline_ = p; }
-  const PipelineConfig& pipeline() const { return pipeline_; }
+      : mode_(mode) {}
 
   /// Replays `trace` against `engine`:
   ///  1. the warm-up prefix runs functionally (state only, no timing) —
@@ -68,7 +46,6 @@ class Replayer {
 
  private:
   AdmissionMode mode_;
-  PipelineConfig pipeline_;
 };
 
 /// Which engine to build for a run.
@@ -105,11 +82,7 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
                                          const RunSpec& spec);
 
 /// One-stop: fresh simulator + volume + engine, replay, return results.
-/// The pipeline setting comes from the environment (PipelineConfig::
-/// from_env) unless the explicit-override form is used.
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
                         AdmissionMode mode = AdmissionMode::kStreaming);
-ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode, const PipelineConfig& pipeline);
 
 }  // namespace pod

@@ -1,7 +1,7 @@
-// Request-scoped bulk mutation ops (put_batch / promote_batch /
-// remember_batch / insert_batch) must be observationally identical to the
-// scalar loops they replace: same final contents, same recency order, same
-// eviction sequence, same ghost-list state. These tests drive a bulk map
+// Request-scoped bulk mutation ops (put_batch / remember_batch /
+// insert_batch) must be observationally identical to the scalar loops they
+// replace: same final contents, same recency order, same eviction
+// sequence, same ghost-list state. These tests drive a bulk map
 // and a scalar map through identical operation streams — including the
 // edge cases that stress the deferred machinery (evictions landing mid-
 // batch, duplicate keys within one batch, batches straddling the index
@@ -132,18 +132,6 @@ TEST(BulkOps, RandomizedPutBatchEquivalence) {
     }
     check_batch(scalar, bulk, keys, values);
   }
-}
-
-TEST(BulkOps, PromoteBatchMatchesScalarGets) {
-  Map scalar(16), bulk(16);
-  for (std::uint64_t k = 0; k < 16; ++k) {
-    scalar.put(k, k);
-    bulk.put(k, k);
-  }
-  const std::vector<std::uint64_t> keys = {3, 11, 3, 99, 0, 15};
-  for (const std::uint64_t k : keys) scalar.get(k);
-  bulk.promote_batch(keys.data(), keys.size());
-  EXPECT_EQ(snapshot(scalar), snapshot(bulk));
 }
 
 TEST(BulkOps, GhostRememberBatchMatchesScalar) {

@@ -1,11 +1,11 @@
 // The fused single-pass probe paths must be observationally identical to
 // the scalar per-chunk loops they replace: IndexCache::lookup_fused ≡
-// lookup-then-ghost_probe per chunk (the batch_probe_test contract, one
-// pass instead of two), the tagged sequential API ≡ its untagged twins
-// (same promotions, same ghost consumption, same mid-request insert
-// visibility), and ReadCache's tagged loop ≡ the per-block original. The
-// fused forms may only differ in memory-latency behaviour (one hash per
-// key, span-wide prefetching), never in results or cache state.
+// lookup-then-ghost_probe per chunk, the tagged sequential API ≡ its
+// untagged twins (same promotions, same ghost consumption, same
+// mid-request insert visibility), and ReadCache's tagged loop ≡ the
+// per-block original. The fused forms may only differ in memory-latency
+// behaviour (one hash per key, span-wide prefetching), never in results or
+// cache state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,7 @@ Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
 
 // Scalar reference for lookup_fused: the per-chunk engine probe loop
 // (lookup each chunk in order; ghost-probe immediately on each miss — the
-// fused pass keeps this interleaving, unlike lookup_batch's two phases).
+// fused pass keeps this interleaving).
 void scalar_probe(IndexCache& c, const std::vector<Fingerprint>& fps,
                   std::vector<const IndexEntry*>& out) {
   out.assign(fps.size(), nullptr);
@@ -132,19 +132,16 @@ TEST(IndexCacheFused, DuplicateFingerprintsConsumeGhostOnce) {
   EXPECT_EQ(fused.ghost_hits(), 1u);  // fp(2)'s entry consumed exactly once
 }
 
-TEST(IndexCacheFused, LongRandomSequenceMatchesScalarAndBatch) {
+TEST(IndexCacheFused, LongRandomSequenceMatchesScalar) {
   constexpr std::uint64_t kEntries = 32;
   IndexCache fused(kEntries * IndexCache::kEntryBytes,
                    kEntries * IndexCache::kEntryBytes);
-  IndexCache batched(kEntries * IndexCache::kEntryBytes,
-                     kEntries * IndexCache::kEntryBytes);
   IndexCache scalar(kEntries * IndexCache::kEntryBytes,
                     kEntries * IndexCache::kEntryBytes);
   Rng rng(42);
   for (int round = 0; round < 60; ++round) {
     const std::uint64_t k = rng.next() % 128;
     fused.insert(fp(k), k);
-    batched.insert(fp(k), k);
     scalar.insert(fp(k), k);
 
     std::vector<Fingerprint> request;
@@ -154,17 +151,12 @@ TEST(IndexCacheFused, LongRandomSequenceMatchesScalarAndBatch) {
 
     std::vector<const IndexEntry*> out_f(request.size());
     fused.lookup_fused(request, out_f.data());
-    std::vector<const IndexEntry*> out_b(request.size());
-    batched.lookup_batch(request, out_b.data());
     std::vector<const IndexEntry*> out_s;
     scalar_probe(scalar, request, out_s);
-    for (std::size_t i = 0; i < request.size(); ++i) {
+    for (std::size_t i = 0; i < request.size(); ++i)
       ASSERT_EQ(out_f[i] == nullptr, out_s[i] == nullptr);
-      ASSERT_EQ(out_b[i] == nullptr, out_s[i] == nullptr);
-    }
   }
   expect_same_state(fused, scalar, 128);
-  expect_same_state(batched, scalar, 128);
   expect_same_eviction_order(fused, scalar, 2000, kEntries);
 }
 

@@ -111,26 +111,17 @@ TEST(CdcStore, ScalarAndBulkCachePathsAgree) {
 
   for (const ChunkingMode mode : {ChunkingMode::kFixed, ChunkingMode::kCdc}) {
     SCOPED_TRACE(to_string(mode));
-    CdcConfig bulk_cfg = small_config(mode);  // fused_probes default: fused
+    CdcConfig bulk_cfg = small_config(mode);  // fused lookup + bulk insert
     bulk_cfg.index_cache_bytes = 8 * 1024;  // tight: force evictions
-    CdcConfig batch_cfg = bulk_cfg;
-    batch_cfg.fused_probes = false;  // the two-phase lookup_batch pass
     CdcConfig scalar_cfg = bulk_cfg;
     scalar_cfg.scalar_probes = true;
 
-    CdcStore bulk(bulk_cfg), batch(batch_cfg), scalar(scalar_cfg);
+    CdcStore bulk(bulk_cfg), scalar(scalar_cfg);
     for (const auto& obj : objects) {
       ASSERT_TRUE(bulk.ingest({obj.data(), obj.size()}));
-      ASSERT_TRUE(batch.ingest({obj.data(), obj.size()}));
       ASSERT_TRUE(scalar.ingest({obj.data(), obj.size()}));
     }
-    const CdcStats b = bulk.stats(), s = scalar.stats(), t = batch.stats();
-    EXPECT_EQ(t.chunks, s.chunks);
-    EXPECT_EQ(t.unique_chunks, s.unique_chunks);
-    EXPECT_EQ(t.deduped_chunks, s.deduped_chunks);
-    EXPECT_EQ(t.stored_bytes, s.stored_bytes);
-    EXPECT_EQ(t.stale_hits, s.stale_hits);
-    EXPECT_EQ(batch.cursor_blocks(), scalar.cursor_blocks());
+    const CdcStats b = bulk.stats(), s = scalar.stats();
     EXPECT_EQ(b.chunks, s.chunks);
     EXPECT_EQ(b.unique_chunks, s.unique_chunks);
     EXPECT_EQ(b.deduped_chunks, s.deduped_chunks);

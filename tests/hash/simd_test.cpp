@@ -42,9 +42,9 @@ TEST(SimdDispatch, TierNamesRoundTrip) {
   EXPECT_STREQ(to_string(SimdTier::kAvx2), "avx2");
 }
 
-// POD_SIMD contract (parity with the POD_PIPELINE_DEPTH clamp): recognized
-// values select (hardware-clamped) tiers; anything else warns and falls
-// back to auto-detection, exactly as if the variable were unset.
+// POD_SIMD contract: recognized values select (hardware-clamped) tiers;
+// anything else warns and falls back to auto-detection, exactly as if the
+// variable were unset.
 TEST(SimdDispatch, EnvOverrideParsesAndRejectsGarbage) {
   const char* saved = std::getenv("POD_SIMD");
   const std::string saved_copy = saved ? saved : "";

@@ -2,8 +2,7 @@
 //   * exact sum invariant — per engine, the per-request component vector
 //     sums exactly to the recorded latency (collector-counted mismatches,
 //     so the check holds in NDEBUG builds where POD_DCHECK compiles out),
-//     with faults on and off, under degraded RAID, and with the pipeline
-//     on and off;
+//     with faults on and off and under degraded RAID;
 //   * zero-overhead contract — replay output is byte-identical with
 //     attribution on or off;
 //   * per-stream accounting reconciles with the global engine counters;
@@ -154,23 +153,6 @@ TEST(Anatomy, SumInvariantDegradedRaid) {
   expect_anatomy_invariants(degraded);
   EXPECT_GT(degraded.volume_counters.reconstruction_reads, 0u);
   EXPECT_GT(comp_total(degraded.anatomy, LatComp::kRaidReconstruct), 0);
-}
-
-TEST(Anatomy, SumInvariantWithPipelineOnAndOff) {
-  ScopedEnv on("POD_ANATOMY", "1");
-  const Trace trace = small_trace();
-  const RunSpec spec = base_spec(EngineKind::kSelectDedupe);
-  PipelineConfig off;
-  PipelineConfig pipe;
-  pipe.enabled = true;
-  const ReplayResult a =
-      run_replay(spec, trace, AdmissionMode::kStreaming, off);
-  const ReplayResult b =
-      run_replay(spec, trace, AdmissionMode::kStreaming, pipe);
-  expect_anatomy_invariants(a);
-  expect_anatomy_invariants(b);
-  EXPECT_EQ(a.anatomy.total_all(), b.anatomy.total_all());
-  EXPECT_EQ(a.makespan, b.makespan);
 }
 
 TEST(Anatomy, ReplayByteIdenticalOnOrOff) {

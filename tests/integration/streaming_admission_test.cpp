@@ -4,6 +4,9 @@
 // (heap depth, events pushed).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
 
@@ -76,6 +79,20 @@ TEST(StreamingAdmission, DefaultModeIsStreaming) {
   EXPECT_EQ(def.events_scheduled, s.events_scheduled);
   EXPECT_EQ(def.peak_event_depth, s.peak_event_depth);
   EXPECT_DOUBLE_EQ(def.mean_ms(), s.mean_ms());
+}
+
+TEST(StreamingAdmission, RejectsUnorderedTrace) {
+  WorkloadProfile p = tiny_test_profile();
+  p.measured_requests = 100;
+  p.warmup_requests = 0;
+  Trace t = TraceGenerator(p).generate();
+  ASSERT_GE(t.requests.size(), 10u);
+  std::swap(t.requests[4].arrival, t.requests[5].arrival);
+  if (t.requests[4].arrival == t.requests[5].arrival)
+    t.requests[5].arrival = t.requests[4].arrival - 1;
+  EXPECT_THROW(run_replay(spec_for(EngineKind::kNative), t,
+                          AdmissionMode::kStreaming),
+               std::runtime_error);
 }
 
 }  // namespace

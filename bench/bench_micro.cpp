@@ -215,11 +215,12 @@ BENCHMARK(BM_IndexCacheLookup)->Arg(65536);
 // The classify hot path, both probe modes over one 16-chunk request span
 // against an at-capacity IndexCache (~half the keys miss; misses
 // ghost-probe, like the engine loop). Scalar = per-chunk reference,
-// Fused = single-pass lookup_fused (one hash, bounded-lookahead prefetch
-// pipeline over both maps). The interesting args are the oversubscribed
-// sizes (1<<20 and up), where the table no longer fits in LLC and the
-// prefetch pipeline pays; 1<<23 (~630 MB of table+ghost) stays
-// DRAM-resident even on hosts with triple-digit-MB LLCs.
+// Fused = single-pass lookup_fused (one hash and one probe per key answer
+// hit, ghost hit or miss, under a bounded-lookahead prefetch pipeline).
+// The interesting args are the oversubscribed sizes (1<<20 and up), where
+// the table no longer fits in LLC and the prefetch pipeline pays; 1<<23
+// (~720 MB of slots and table) stays DRAM-resident even on hosts with
+// triple-digit-MB LLCs.
 namespace {
 IndexCache& lookup_bench_cache(std::uint64_t entries) {
   // Shared across the two variants at each size: building a 4M-entry
@@ -287,11 +288,9 @@ void BM_IndexLookup_Fused(benchmark::State& state) {
 BENCHMARK(BM_IndexLookup_Fused)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22)->Arg(1 << 23);
 
 // The metadata-update floor: 16 inserts (one request's tail loop) per
-// iteration into a full cache — every insert evicts into the ghost list,
-// so the scalar form pays probe + LRU splice + backward-shift delete +
-// ghost insert serially per chunk. The batch form tag-prefetches the
-// whole request, splices the recency list once, and runs one eviction
-// sweep + one ghost remember_batch.
+// iteration into a full cache — most inserts evict into the ghost list.
+// The batch form hashes and home-group-prefetches the whole request before
+// the first insert resolves.
 void BM_IndexInsert_Scalar(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
   IndexCache cache(entries * IndexCache::kEntryBytes,
@@ -336,6 +335,32 @@ void BM_IndexInsert_Batch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_IndexInsert_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22);
+
+// The eviction path as POD runs it: a full cache with a full ghost list
+// and a full iCache spill list. Every insert is a fresh key, so each one
+// evicts the resident LRU onto the ghost and spill lists, and each of
+// those drops its own LRU (erasing keys that leave their last list).
+void BM_IndexInsertEvict(benchmark::State& state) {
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  IndexCache cache(entries * IndexCache::kEntryBytes,
+                   2 * entries * IndexCache::kEntryBytes);
+  cache.enable_spill(static_cast<std::size_t>(2 * entries));
+  std::uint64_t next = 0;
+  for (; next < 5 * entries; ++next)
+    cache.insert(Fingerprint::of_content_id(next), next);
+  std::vector<Fingerprint> keys(16);
+  std::vector<Pba> pbas(16);
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < 16; ++j, ++next) {
+      keys[j] = Fingerprint::of_content_id(next);
+      pbas[j] = next;
+    }
+    cache.insert_batch(keys.data(), pbas.data(), 16);
+    benchmark::DoNotOptimize(cache.spill_size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+}
+BENCHMARK(BM_IndexInsertEvict)->Arg(1024)->Arg(65536)->Arg(1 << 18);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.9);

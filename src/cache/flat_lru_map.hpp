@@ -6,8 +6,9 @@
 // stable slot pool threaded onto an intrusive MRU..LRU list and locates
 // them through a linear-probe index table of {slot, tag} pairs:
 //
-//   table_  : power-of-two vector of {32-bit slot index, 32-bit hash tag}
-//             (slot == kEmpty when free)
+//   index_  : CtrlIndex (common/ctrl_group.hpp), a power-of-two array of
+//             {32-bit slot index, 32-bit hash tag} buckets plus control
+//             bytes
 //   slots_  : entry pool; erased slots are recycled via free_, and the
 //             intrusive list is threaded by index, so index-table rehashes
 //             never move entries. Value pointers follow vector rules:
@@ -20,14 +21,14 @@
 // index-table loads only — no dependent cache miss into slots_ per probed
 // bucket. The home bucket is recoverable from the tag (home = tag & mask),
 // which keeps backward-shift deletion entirely inside the index table.
-// A parallel control-byte array (ctrl_: 0 = empty, else the tag's top 7
-// bits) is group-scanned 16 lanes at a time (common/ctrl_group.hpp), so a
+// The control bytes (0 = empty, else the tag's top 7
+// bits) are group-scanned 16 lanes at a time (common/ctrl_group.hpp), so a
 // probe reads one cache line of control bytes before it touches even the
 // {slot, tag} buckets; candidate order and stop condition are identical to
 // the scalar linear probe.
 //
 // Tags are pure functions of the key (no table state), so the tagged API
-// below (hash_tag / get_tagged / take_tagged / put_tagged / get_chained)
+// below (hash_tag / get_tagged / take_tagged / put_tagged)
 // lets fused callers hash each key once and reuse the tag across this map
 // and any sibling map sharing the same Hash — precomputed tags stay valid
 // across rehashes and erasures.
@@ -39,9 +40,9 @@
 // FingerprintHash) do not cluster under linear probing.
 //
 // Semantics match LruMap exactly — same eviction order, same callback
-// signature — so callers can switch per-map. Hot fixed-size maps
-// (index cache, ghost lists, read cache) use FlatLruMap; LruMap remains
-// for the cold/irregular callers.
+// signature — so callers can switch per-map. The read cache and its ghost
+// list use FlatLruMap (the fingerprint index cache keeps its three lists in
+// one FingerprintTable); LruMap remains for the cold/irregular callers.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,7 @@ class FlatLruMap {
   void reserve(std::size_t expected) {
     std::size_t required = 16;
     while (required < 2 * (expected + 1)) required <<= 1;
-    if (table_.size() < required) rebuild_table(required);
+    if (index_.buckets() < required) rebuild_table(required);
   }
 
   /// Looks up `key`; promotes to MRU on hit.
@@ -90,16 +91,6 @@ class FlatLruMap {
 
   bool contains(const K& key) const { return find_slot(key) != kNil; }
 
-  /// Issues a software prefetch for `key`'s home bucket in the index
-  /// table. Purely a hint: useful before a probe whose exact slot cannot
-  /// be precomputed (e.g. ghost probes, whose erasures shift the table).
-  void prefetch(const K& key) const {
-    if (table_.empty()) return;
-    const std::size_t h = tag_of(key) & mask_;
-    prefetch_read(&ctrl_[h]);
-    prefetch_read(&table_[h]);
-  }
-
   // --- tagged API (fused lookup passes) ---
   //
   // A fused caller hashes each key ONCE via hash_tag(), prefetches the
@@ -116,23 +107,12 @@ class FlatLruMap {
 
   /// Prefetches the home control-byte group and index bucket for a tag.
   void prefetch_tag(Tag tag) const {
-    if (table_.empty()) return;
-    const std::size_t h = tag & mask_;
-    prefetch_read(&ctrl_[h]);
-    prefetch_read(&table_[h]);
-  }
-
-  /// Prefetches the slot entry the tag's home bucket names, if the tag
-  /// matches there — the second pipeline stage after prefetch_tag().
-  void prefetch_slot_of(Tag tag) const {
-    if (table_.empty()) return;
-    const Bucket b = table_[tag & mask_];
-    if (b.slot != kEmpty && b.tag == tag) prefetch_read(&slots_[b.slot]);
+    if (!index_.empty()) index_.prefetch(tag);
   }
 
   /// get() with a precomputed tag (promotes to MRU on hit).
   V* get_tagged(Tag tag, const K& key) {
-    if (table_.empty()) return nullptr;
+    if (index_.empty()) return nullptr;
     const std::uint32_t s = find_slot_tagged(tag, key);
     if (s == kNil) return nullptr;
     promote(s);
@@ -141,39 +121,12 @@ class FlatLruMap {
 
   /// take() with a precomputed tag.
   std::optional<V> take_tagged(Tag tag, const K& key) {
-    if (table_.empty()) return std::nullopt;
+    if (index_.empty()) return std::nullopt;
     const std::uint32_t s = find_slot_tagged(tag, key);
     if (s == kNil) return std::nullopt;
     std::optional<V> out{std::move(slots_[s].value)};
     remove_slot(s);
     return out;
-  }
-
-  /// Detached recency chain handle for a fused pass's grouped promotions;
-  /// see get_chained()/splice(). Default-constructed = empty.
-  struct Chain {
-    std::uint32_t front = 0xFFFFFFFFu;  // kNil
-    std::uint32_t back = 0xFFFFFFFFu;
-  };
-
-  /// get() with a precomputed tag, collecting the promotion onto `chain`
-  /// instead of touching the LRU head. The caller publishes all promotions
-  /// with one splice(chain) after its last probe; until then the chained
-  /// entries are off the main list, so eviction-free probe sequences stay
-  /// identical to the scalar loop's.
-  V* get_chained(Tag tag, const K& key, Chain& chain) {
-    if (table_.empty()) return nullptr;
-    const std::uint32_t s = find_slot_tagged(tag, key);
-    if (s == kNil) return nullptr;
-    chain_promote(s, chain.front, chain.back);
-    return &slots_[s].value;
-  }
-
-  /// Publishes a fused pass's recency chain at MRU (one head update) and
-  /// resets the handle. A no-op for an empty chain.
-  void splice(Chain& chain) {
-    splice_chain_front(chain.front, chain.back);
-    chain = Chain{};
   }
 
   /// Inserts or overwrites; promotes to MRU. Evictions (if over capacity)
@@ -201,13 +154,13 @@ class FlatLruMap {
     ensure_table_space();
     const CtrlProbeResult r = probe(tag, key);
     if (r.found) {
-      const std::uint32_t hit = table_[r.pos].slot;
+      const std::uint32_t hit = index_.at(r.pos).slot;
       slots_[hit].value = std::move(value);
       promote(hit);
       return;
     }
     const std::uint32_t s = alloc_slot(key, std::move(value));
-    set_bucket(r.pos, Bucket{s, tag});
+    index_.set(r.pos, s, tag);
     slots_[s].tpos = static_cast<std::uint32_t>(r.pos);
     push_front(s);
     ++size_;
@@ -240,21 +193,20 @@ class FlatLruMap {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t tag = tag_of(keys[i]);
       tag_scratch_[i] = tag;
-      prefetch_read(&ctrl_[tag & mask_]);
-      prefetch_read(&table_[tag & mask_]);
+      index_.prefetch(tag);
     }
     if (size_ + n > capacity_ && tail_ != kNil) prefetch_read(&slots_[tail_]);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t tag = tag_scratch_[i];
       const CtrlProbeResult r = probe(tag, keys[i]);
       if (r.found) {  // overwrite + promote; size unchanged, no evict
-        const std::uint32_t hit = table_[r.pos].slot;
+        const std::uint32_t hit = index_.at(r.pos).slot;
         slots_[hit].value = values[i];
         chain_promote(hit, chain_front, chain_back);
         continue;
       }
       const std::uint32_t s = alloc_slot(keys[i], V(values[i]));
-      set_bucket(r.pos, Bucket{s, tag});
+      index_.set(r.pos, s, tag);
       slots_[s].tpos = static_cast<std::uint32_t>(r.pos);
       chain_push_front(s, chain_front, chain_back);
       ++size_;
@@ -328,25 +280,10 @@ class FlatLruMap {
       fn(slots_[s].key, slots_[s].value);
   }
 
-  /// Visits up to `limit` entries from LRU toward MRU without promoting —
-  /// the likely victims of an upcoming put_batch. Callers use this to warm
-  /// downstream structures (e.g. ghost-cache home buckets) before the
-  /// eviction sweep runs.
-  template <typename Fn>
-  void for_each_lru(std::size_t limit, Fn&& fn) const {
-    std::uint32_t s = tail_;
-    for (std::size_t i = 0; i < limit && s != kNil; ++i) {
-      fn(slots_[s].key, slots_[s].value);
-      s = slots_[s].prev;
-    }
-  }
-
   void clear() {
-    table_.clear();
-    ctrl_.clear();
+    index_.clear();
     slots_.clear();
     free_.clear();
-    mask_ = 0;
     size_ = 0;
     head_ = tail_ = kNil;
   }
@@ -359,14 +296,13 @@ class FlatLruMap {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
 
   struct Slot {
     K key;
     V value;
     std::uint32_t prev;
     std::uint32_t next;
-    std::uint32_t tpos;  // current position in table_ (updated on rehash)
+    std::uint32_t tpos;  // current bucket in index_ (updated on shifts)
     // Nonzero while the slot sits on a batch's detached recency chain;
     // splice_chain_front() and chain_unlink() clear it, so outside a batch
     // every slot reads 0. One byte (vs a 64-bit epoch) keeps the slot
@@ -374,54 +310,26 @@ class FlatLruMap {
     std::uint8_t in_chain = 0;
   };
 
-  /// Index-table bucket: which pool slot lives here plus its hash tag.
-  struct Bucket {
-    std::uint32_t slot;
-    std::uint32_t tag;
-  };
-
-  /// Scrambled-hash tag; the home bucket is `tag & mask_`. (Fibonacci
-  /// scramble spreads identity hashes across the table; the table stays
-  /// below 2^32 buckets, so the tag's low bits always cover the mask.)
+  /// Scrambled-hash tag; the home bucket is `tag & mask`.
   std::uint32_t tag_of(const K& key) const {
-    return static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(Hash{}(key)) * 0x9E3779B97F4A7C15ull) >>
-        32);
-  }
-
-  /// Control byte for a tag: its top 7 bits, remapped off 0 (= empty).
-  static std::uint8_t ctrl_of(std::uint32_t tag) {
-    const std::uint8_t c = static_cast<std::uint8_t>(tag >> 25);
-    return c == 0 ? std::uint8_t{0x7F} : c;
-  }
-
-  /// Writes an index bucket and its control byte, maintaining the
-  /// wraparound mirror of the first kCtrlPad control bytes.
-  void set_bucket(std::size_t i, Bucket b) {
-    table_[i] = b;
-    const std::uint8_t c = b.slot == kEmpty ? std::uint8_t{0} : ctrl_of(b.tag);
-    ctrl_[i] = c;
-    if (i < kCtrlPad) ctrl_[mask_ + 1 + i] = c;
+    return CtrlIndex::tag_of_hash(static_cast<std::uint64_t>(Hash{}(key)));
   }
 
   /// Group-probes for `key`: found -> its bucket, else the first empty
   /// bucket (exactly where a scalar insert probe would land).
   CtrlProbeResult probe(std::uint32_t tag, const K& key) const {
-    return ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag), wide_,
-                      [&](std::size_t j) {
-                        const Bucket b = table_[j];
-                        return b.tag == tag && slots_[b.slot].key == key;
-                      });
+    return index_.probe(tag,
+                        [&](std::uint32_t s) { return slots_[s].key == key; });
   }
 
   std::uint32_t find_slot(const K& key) const {
-    if (table_.empty()) return kNil;
+    if (index_.empty()) return kNil;
     return find_slot_tagged(tag_of(key), key);
   }
 
   std::uint32_t find_slot_tagged(std::uint32_t tag, const K& key) const {
     const CtrlProbeResult r = probe(tag, key);
-    return r.found ? table_[r.pos].slot : kNil;
+    return r.found ? index_.at(r.pos).slot : kNil;
   }
 
   void unlink(std::uint32_t s) {
@@ -510,18 +418,13 @@ class FlatLruMap {
   /// Places slot `s` (whose key is known absent) into the index table.
   void place(std::uint32_t s) {
     const std::uint32_t tag = tag_of(slots_[s].key);
-    const CtrlProbeResult r =
-        ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag), wide_,
-                   [](std::size_t) { return false; });
-    set_bucket(r.pos, Bucket{s, tag});
-    slots_[s].tpos = static_cast<std::uint32_t>(r.pos);
+    const std::size_t pos = index_.first_empty(tag);
+    index_.set(pos, s, tag);
+    slots_[s].tpos = static_cast<std::uint32_t>(pos);
   }
 
   void rebuild_table(std::size_t new_size) {
-    table_.assign(new_size, Bucket{kEmpty, 0});
-    ctrl_.assign(new_size + kCtrlPad, 0);
-    mask_ = new_size - 1;
-    wide_ = wide_ctrl_groups();
+    index_.reset(new_size);
     for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) place(s);
   }
 
@@ -529,7 +432,7 @@ class FlatLruMap {
     // Keep live entries under half the table.
     std::size_t required = 16;
     while (required < 2 * (size_ + 1)) required <<= 1;
-    if (table_.size() < required) rebuild_table(required);
+    if (index_.buckets() < required) rebuild_table(required);
   }
 
   /// Pops a recycled slot (or grows the pool) and fills in key/value; the
@@ -557,31 +460,11 @@ class FlatLruMap {
   /// it. The caller has already unlinked it from whichever recency list —
   /// main or batch chain — held it.
   void detach_table(std::uint32_t s) {
-    std::size_t i = slots_[s].tpos;
     free_.push_back(s);
     --size_;
-    // Backward-shift deletion: slide displaced successors toward their
-    // home slots so the probe chain stays tombstone-free. Homes come from
-    // the stored tags, so the scan never leaves the index table.
-    bool shifting = true;
-    while (shifting) {
-      set_bucket(i, Bucket{kEmpty, 0});
-      shifting = false;
-      std::size_t j = i;
-      for (;;) {
-        j = (j + 1) & mask_;
-        const Bucket b = table_[j];
-        if (b.slot == kEmpty) break;
-        const std::size_t h = b.tag & mask_;
-        if (((i - h) & mask_) < ((j - h) & mask_)) {
-          set_bucket(i, b);
-          slots_[b.slot].tpos = static_cast<std::uint32_t>(i);
-          i = j;
-          shifting = true;
-          break;
-        }
-      }
-    }
+    index_.erase(slots_[s].tpos, [this](std::uint32_t moved, std::size_t pos) {
+      slots_[moved].tpos = static_cast<std::uint32_t>(pos);
+    });
   }
 
   template <typename EvictFn>
@@ -594,19 +477,12 @@ class FlatLruMap {
   }
 
   std::size_t capacity_;
-  std::vector<Bucket> table_;
-  /// One control byte per bucket (0 = empty, else ctrl_of(tag)), plus
-  /// kCtrlPad wraparound mirror bytes; group-scanned by probe().
-  std::vector<std::uint8_t> ctrl_;
+  CtrlIndex index_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  /// AVX2 continuation groups enabled (cached from the SIMD dispatch at
-  /// rebuild time so probes never touch dispatch state).
-  bool wide_ = false;
   // put_batch staging (kept across calls so steady state allocates nothing).
   std::vector<std::uint32_t> tag_scratch_;
   std::vector<std::pair<K, V>> evicted_scratch_;

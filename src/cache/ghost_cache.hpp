@@ -4,7 +4,9 @@
 // read cache. A hit in a ghost cache means "this access would have been a
 // hit had the corresponding actual cache been larger" — the signal the
 // cost-benefit estimator uses to repartition memory (same idea as ARC's
-// ghost lists).
+// ghost lists). This class is the read cache's ghost list; the index
+// cache's ghost list is a list of its FingerprintTable, so an eviction
+// there moves the entry instead of inserting it into a second table.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +51,6 @@ class GhostCache {
     return probe_and_consume_tagged(entries_.hash_tag(key), key);
   }
 
-  /// Prefetches `key`'s home bucket ahead of a probe_and_consume.
-  void prefetch(const K& key) const { entries_.prefetch(key); }
-
   // --- tagged API (fused lookup passes; see FlatLruMap) ---
   //
   // The ghost list shares its Hash functor with the actual cache it
@@ -64,12 +63,6 @@ class GhostCache {
   Tag hash_tag(const K& key) const { return entries_.hash_tag(key); }
 
   void prefetch_tag(Tag tag) const { entries_.prefetch_tag(tag); }
-
-  /// Prefetches the slot entry the tag's home bucket names (second
-  /// pipeline stage, after prefetch_tag's line has landed). Erasures
-  /// between this hint and the probe can shift slots; a stale prefetch is
-  /// only a wasted line, never a correctness issue.
-  void prefetch_slot_of(Tag tag) const { entries_.prefetch_slot_of(tag); }
 
   /// probe_and_consume() with a precomputed tag.
   bool probe_and_consume_tagged(Tag tag, const K& key) {

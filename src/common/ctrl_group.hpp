@@ -31,14 +31,17 @@
 // a power of two), so an unaligned group load starting at any home bucket
 // reads valid lanes; candidate positions are mapped back with `& mask`.
 // Group starts advance by the group width, tiling the ring with
-// consecutive coverage, and the tables keep load factor <= 1/2, so some
-// group always contains an empty byte and every probe terminates.
+// consecutive coverage, and the tables keep load factor <= 1/2 (7/8 for
+// FingerprintTable), so some group always contains an empty byte and every
+// probe terminates.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "common/prefetch.hpp"
 #include "hash/simd.hpp"
 
 #if defined(__SSE2__) || defined(__x86_64__)
@@ -152,5 +155,123 @@ inline CtrlProbeResult ctrl_probe(const std::uint8_t* ctrl, std::size_t mask,
     i = (i + kCtrlGroup) & mask;
   }
 }
+
+/// The probe index of the slot-pool tables (FlatLruMap, FingerprintTable):
+/// a power-of-two array of {slot, tag} buckets plus its control bytes,
+/// linear probing, backward-shift deletion. Entries live in the owner's
+/// slot pool; a bucket carries the entry's full 32-bit scrambled-hash tag,
+/// so a probe compares tags before it touches a slot, the home bucket is
+/// `tag & mask`, and deletion never leaves the index.
+class CtrlIndex {
+ public:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+
+  struct Bucket {
+    std::uint32_t slot;  // kEmpty when free
+    std::uint32_t tag;
+  };
+
+  /// The tag of a key hash. The Fibonacci scramble spreads identity hashes
+  /// (std::hash<uint64_t>, a fingerprint prefix) over the table; indexes
+  /// stay below 2^32 buckets, so the tag's low bits cover the mask.
+  static std::uint32_t tag_of_hash(std::uint64_t hash) {
+    return static_cast<std::uint32_t>((hash * 0x9E3779B97F4A7C15ull) >> 32);
+  }
+
+  std::size_t buckets() const { return table_.size(); }
+  bool empty() const { return table_.empty(); }
+  Bucket at(std::size_t i) const { return table_[i]; }
+  /// The home bucket of a tag (where its probe starts).
+  Bucket home(std::uint32_t tag) const { return table_[tag & mask_]; }
+
+  /// Discards every entry and sizes the index to `buckets` (a power of two,
+  /// at least kCtrlGroup), all empty.
+  void reset(std::size_t buckets) {
+    table_.assign(buckets, Bucket{kEmpty, 0});
+    ctrl_.assign(buckets + kCtrlPad, 0);
+    mask_ = buckets - 1;
+    wide_ = wide_ctrl_groups();
+  }
+
+  void clear() {
+    table_.clear();
+    ctrl_.clear();
+    mask_ = 0;
+  }
+
+  /// Prefetches the home control-byte group and bucket of a tag.
+  void prefetch(std::uint32_t tag) const {
+    const std::size_t h = tag & mask_;
+    prefetch_read(&ctrl_[h]);
+    prefetch_read(&table_[h]);
+  }
+
+  /// Group-probes `tag`'s chain: found -> the bucket whose slot satisfies
+  /// `slot_eq`, else the first empty bucket (where an insert belongs).
+  template <typename SlotEq>
+  CtrlProbeResult probe(std::uint32_t tag, SlotEq&& slot_eq) const {
+    return ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag), wide_,
+                      [&](std::size_t j) {
+                        const Bucket b = table_[j];
+                        return b.tag == tag && slot_eq(b.slot);
+                      });
+  }
+
+  /// The bucket an absent key with `tag` would be inserted at.
+  std::size_t first_empty(std::uint32_t tag) const {
+    return probe(tag, [](std::uint32_t) { return false; }).pos;
+  }
+
+  /// Writes a bucket and its control byte, maintaining the wraparound
+  /// mirror of the first kCtrlPad control bytes.
+  void set(std::size_t i, std::uint32_t slot, std::uint32_t tag) {
+    table_[i] = Bucket{slot, tag};
+    const std::uint8_t c = slot == kEmpty ? std::uint8_t{0} : ctrl_of(tag);
+    ctrl_[i] = c;
+    if (i < kCtrlPad) ctrl_[mask_ + 1 + i] = c;
+  }
+
+  /// Empties bucket `i` by backward-shift deletion: displaced successors
+  /// slide toward their homes so probe chains stay tombstone-free.
+  /// `moved(slot, pos)` reports each entry that slides.
+  template <typename MovedFn>
+  void erase(std::size_t i, MovedFn&& moved) {
+    bool shifting = true;
+    while (shifting) {
+      set(i, kEmpty, 0);
+      shifting = false;
+      std::size_t j = i;
+      for (;;) {
+        j = (j + 1) & mask_;
+        const Bucket b = table_[j];
+        if (b.slot == kEmpty) break;
+        const std::size_t h = b.tag & mask_;
+        if (((i - h) & mask_) < ((j - h) & mask_)) {
+          set(i, b.slot, b.tag);
+          moved(b.slot, i);
+          i = j;
+          shifting = true;
+          break;
+        }
+      }
+    }
+  }
+
+ private:
+  /// Control byte for a tag: its top 7 bits, remapped off 0 (= empty).
+  static std::uint8_t ctrl_of(std::uint32_t tag) {
+    const std::uint8_t c = static_cast<std::uint8_t>(tag >> 25);
+    return c == 0 ? std::uint8_t{0x7F} : c;
+  }
+
+  std::vector<Bucket> table_;
+  /// One control byte per bucket (0 = empty, else ctrl_of(tag)), plus
+  /// kCtrlPad wraparound mirror bytes.
+  std::vector<std::uint8_t> ctrl_;
+  std::size_t mask_ = 0;
+  /// AVX2 continuation groups enabled (cached at reset so probes never
+  /// touch dispatch state).
+  bool wide_ = false;
+};
 
 }  // namespace pod

@@ -70,25 +70,21 @@ class FlatHashMap {
   /// deletion: displaced entries slide back toward their home slot so no
   /// tombstone is left behind.
   bool erase(const K& key) {
-    std::size_t i = find_index(key);
+    const std::size_t i = find_index(key);
     if (i == kNpos) return false;
-    --size_;
-    for (;;) {
-      set_state(i, kEmpty);
-      std::size_t j = i;
-      for (;;) {
-        j = (j + 1) & mask_;
-        if (state_[j] == kEmpty) return true;
-        const std::size_t h = home_of(slots_[j].first);
-        // Move j back only if its probe path from h passes through i.
-        if (((i - h) & mask_) < ((j - h) & mask_)) {
-          slots_[i] = std::move(slots_[j]);
-          set_state(i, state_[j]);
-          i = j;
-          break;
-        }
-      }
-    }
+    erase_at(i);
+    return true;
+  }
+
+  /// Removes `key` only if `pred(value)` holds; returns true if it did.
+  /// One probe for the find-check-erase sequence.
+  template <typename Pred>
+  bool erase_if(const K& key, Pred&& pred) {
+    const std::size_t i = find_index(key);
+    if (i == kNpos || !pred(static_cast<const V&>(slots_[i].second)))
+      return false;
+    erase_at(i);
+    return true;
   }
 
   void clear() {
@@ -133,6 +129,26 @@ class FlatHashMap {
   std::uint8_t tag_of(const K& key) const {
     const std::uint8_t t = static_cast<std::uint8_t>(scramble(key) >> 57);
     return t == kEmpty ? std::uint8_t{0x7F} : t;
+  }
+
+  void erase_at(std::size_t i) {
+    --size_;
+    for (;;) {
+      set_state(i, kEmpty);
+      std::size_t j = i;
+      for (;;) {
+        j = (j + 1) & mask_;
+        if (state_[j] == kEmpty) return;
+        const std::size_t h = home_of(slots_[j].first);
+        // Move j back only if its probe path from h passes through i.
+        if (((i - h) & mask_) < ((j - h) & mask_)) {
+          slots_[i] = std::move(slots_[j]);
+          set_state(i, state_[j]);
+          i = j;
+          break;
+        }
+      }
+    }
   }
 
   std::size_t find_index(const K& key) const {

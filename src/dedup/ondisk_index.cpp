@@ -93,6 +93,12 @@ void OnDiskIndex::erase(const Fingerprint& fp) {
   if (table_.erase(fp) && journal_ != nullptr) journal_->index_del(fp);
 }
 
+void OnDiskIndex::erase_if(const Fingerprint& fp, Pba pba) {
+  if (table_.erase_if(fp, [pba](Pba stored) { return stored == pba; }) &&
+      journal_ != nullptr)
+    journal_->index_del(fp);
+}
+
 void OnDiskIndex::restore_entry(const Fingerprint& fp, Pba pba) {
   table_.insert_or_assign(fp, pba);
   bloom_set(fp);

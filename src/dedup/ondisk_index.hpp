@@ -71,6 +71,10 @@ class OnDiskIndex {
   /// subsequent lookups may pay a false-positive disk read, as in reality.
   void erase(const Fingerprint& fp);
 
+  /// erase() only if the entry still maps to `pba` (one probe: the peek +
+  /// erase pair of a freed block). Journals exactly what erase() does.
+  void erase_if(const Fingerprint& fp, Pba pba);
+
   /// Attaches a write-ahead journal: inserts and erases are recorded as
   /// index_put/index_del before taking effect. Null detaches.
   void set_journal(MetadataJournal* journal) { journal_ = journal; }

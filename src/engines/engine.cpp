@@ -103,10 +103,7 @@ void DedupEngine::record_op_fault(const OpSpec& op, IoStatus s) {
 
 void DedupEngine::on_content_gone(Pba pba, const Fingerprint& fp) {
   read_cache_.invalidate(pba);
-  if (index_cache_) {
-    const IndexEntry* e = index_cache_->peek(fp);
-    if (e != nullptr && e->pba == pba) index_cache_->invalidate(fp);
-  }
+  if (index_cache_) index_cache_->invalidate_if(fp, pba);
 }
 
 bool DedupEngine::candidate_valid(const Fingerprint& fp, Pba pba) const {

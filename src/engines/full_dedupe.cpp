@@ -38,8 +38,7 @@ void FullDedupeEngine::on_content_gone(Pba pba, const Fingerprint& fp) {
   DedupEngine::on_content_gone(pba, fp);
   // Drop the authoritative entry only if it still points at this block
   // (metadata maintenance piggybacks on the data path; no disk charge).
-  const Pba* stored = ondisk_.peek(fp);
-  if (stored != nullptr && *stored == pba) ondisk_.erase(fp);
+  ondisk_.erase_if(fp, pba);
 }
 
 DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
@@ -71,7 +70,8 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
     const Fingerprint& fp = req.chunks[i];
     const IndexCache::Tag tag =
         fused ? s.fp_tags[i] : IndexCache::Tag{0};
-    // Hot path: in-memory index cache.
+    // Hot path: in-memory index cache (the tagged lookup also consumes a
+    // ghost entry on a miss, in the same probe).
     const IndexEntry* e =
         fused ? index_cache_->lookup_tagged(tag, fp) : index_cache_->lookup(fp);
     if (e != nullptr) {
@@ -81,10 +81,7 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
       }
       continue;
     }
-    if (fused)
-      index_cache_->ghost_probe_tagged(tag, fp);
-    else
-      index_cache_->ghost_probe(fp);
+    if (!fused) index_cache_->ghost_probe(fp);
     // Cold path: the on-disk full index (Bloom-guarded).
     const OnDiskIndex::Lookup l = ondisk_.lookup(fp);
     if (l.needs_disk_read) {

@@ -52,7 +52,16 @@ class Fingerprint {
 
   std::string hex() const;
 
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+  /// Two inline 64-bit compares. The defaulted form compiles to a libc
+  /// memcmp call, and every table probe and dedup candidate check pays it.
+  friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
+    std::uint64_t a0, a1, b0, b1;
+    std::memcpy(&a0, a.bytes_.data(), 8);
+    std::memcpy(&a1, a.bytes_.data() + 8, 8);
+    std::memcpy(&b0, b.bytes_.data(), 8);
+    std::memcpy(&b1, b.bytes_.data() + 8, 8);
+    return ((a0 ^ b0) | (a1 ^ b1)) == 0;
+  }
   friend auto operator<=>(const Fingerprint&, const Fingerprint&) = default;
 
   const std::array<std::uint8_t, kSize>& bytes() const { return bytes_; }

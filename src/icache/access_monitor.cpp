@@ -14,7 +14,7 @@ AccessMonitor::Snapshot AccessMonitor::take() const {
   s.index_hits = index_.hits();
   s.index_misses = index_.misses();
   s.index_ghost = index_.ghost_hits();
-  s.index_near = index_.ghost().near_hits();
+  s.index_near = index_.ghost_near_hits();
   return s;
 }
 

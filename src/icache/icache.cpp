@@ -13,19 +13,17 @@ ICache::ICache(const ICacheConfig& cfg, IndexCache& index, ReadCache& read,
       index_(index),
       read_(read),
       swap_io_(std::move(swap_io)),
-      monitor_(index, read),
-      spilled_(static_cast<std::size_t>(cfg.total_bytes / IndexCache::kEntryBytes)) {
+      monitor_(index, read) {
   POD_CHECK(cfg_.total_bytes > 0);
   POD_CHECK(cfg_.min_fraction > 0.0 && cfg_.max_fraction < 1.0);
   POD_CHECK(cfg_.min_fraction < cfg_.max_fraction);
   POD_CHECK(cfg_.step_fraction > 0.0 && cfg_.step_fraction < 0.5);
 
-  // Capture index evictions into the swap-area side store so they can be
-  // re-admitted later. (The ghost list remembers the *keys* for the
-  // cost-benefit signal; `spilled_` remembers the payloads.)
-  index_.evict_hook = [this](const Fingerprint& fp, const IndexEntry& e) {
-    spilled_.put(fp, e);
-  };
+  // Index evictions park their payloads on the index cache's spill list
+  // (the swap area) so they can be re-admitted later. (The ghost list
+  // remembers the *keys* for the cost-benefit signal.)
+  index_.enable_spill(
+      static_cast<std::size_t>(cfg_.total_bytes / IndexCache::kEntryBytes));
 
   const auto ibytes = static_cast<std::uint64_t>(
       static_cast<double>(cfg_.total_bytes) * cfg_.initial_index_fraction);
@@ -36,7 +34,7 @@ ICache::ICache(const ICacheConfig& cfg, IndexCache& index, ReadCache& read,
   // when the hits sit within reach of a short run of same-direction steps.
   const auto step = static_cast<std::uint64_t>(
       static_cast<double>(cfg_.total_bytes) * cfg_.step_fraction);
-  index_.ghost().set_near_threshold(4 * step / IndexCache::kEntryBytes);
+  index_.set_ghost_near_threshold(4 * step / IndexCache::kEntryBytes);
   read_.ghost().set_near_threshold(4 * step / kBlockSize);
   next_adapt_ = cfg_.interval;
 }
@@ -105,22 +103,19 @@ void ICache::apply(PartitionDecision decision) {
 }
 
 void ICache::readmit_index_entries(std::uint64_t budget_entries) {
-  if (budget_entries == 0 || spilled_.empty()) return;
-  std::vector<std::pair<Fingerprint, IndexEntry>> to_admit;
+  if (budget_entries == 0 || index_.spill_size() == 0) return;
   const std::uint64_t want = std::min<std::uint64_t>(
       budget_entries, cfg_.max_swap_blocks * (kBlockSize / IndexCache::kEntryBytes));
-  spilled_.for_each([&](const Fingerprint& fp, const IndexEntry& e) {
-    if (to_admit.size() < want) to_admit.emplace_back(fp, e);
-  });
+  // Collect first: the re-inserts below evict, and evictions spill again.
+  std::vector<std::pair<Fingerprint, Pba>> to_admit;
+  index_.collect_spilled(static_cast<std::size_t>(want), to_admit);
   // Swap-in cost: sequential read of the re-admitted metadata.
   const std::uint64_t blocks = std::max<std::uint64_t>(
       1, bytes_to_blocks(to_admit.size() * IndexCache::kEntryBytes));
   swap_io_(OpType::kRead, std::min<std::uint64_t>(blocks, cfg_.max_swap_blocks));
   stats_.swap_blocks_read += blocks;
-  for (auto& [fp, e] : to_admit) {
-    spilled_.erase(fp);
-    index_.ghost().forget(fp);
-    index_.insert(fp, e.pba);
+  for (const auto& [fp, pba] : to_admit) {
+    index_.readmit(fp, pba);
     ++stats_.index_entries_readmitted;
   }
 }

@@ -88,8 +88,6 @@ class ICache {
   ReadCache& read_;
   SwapIoFn swap_io_;
   AccessMonitor monitor_;
-  /// Spilled index entries living in the swap area, MRU-first.
-  FlatLruMap<Fingerprint, IndexEntry, FingerprintHash> spilled_;
   SimTime next_adapt_ = 0;
   /// Repartition only when the same direction wins two epochs in a row —
   /// shrinking one cache inflates its ghost-hit signal in the very next

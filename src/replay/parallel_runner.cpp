@@ -1,6 +1,8 @@
 #include "replay/parallel_runner.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -54,8 +56,18 @@ std::vector<ReplayResult> ParallelRunner::run(
   // execution, not submit work to a pool that nothing drains.
   std::size_t jobs = jobs_ > items.size() ? items.size() : jobs_;
   if (jobs == 0) jobs = 1;
+  // Longest first (by request count, stable on ties): FIFO order would
+  // start the longest runs last and leave the makespan bounded by a late
+  // start instead of by the longest run.
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return items[a].trace->requests.size() >
+                            items[b].trace->requests.size();
+                   });
   ThreadPool pool(jobs);
-  for (std::size_t i = 0; i < items.size(); ++i) {
+  for (const std::size_t i : order) {
     pool.submit([&, i] {
       try {
         results[i] = run_replay(items[i].spec, *items[i].trace);

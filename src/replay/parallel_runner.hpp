@@ -31,7 +31,9 @@ class ParallelRunner {
   /// @param jobs  worker threads; <= 1 executes serially on this thread.
   explicit ParallelRunner(std::size_t jobs) : jobs_(jobs) {}
 
-  /// Executes every item and returns results in input order. The first
+  /// Executes every item and returns results in input order. Items start
+  /// longest trace first (stable on ties), so the longest runs never queue
+  /// behind short ones. The first
   /// exception thrown by any run (in input order) is rethrown as a
   /// std::runtime_error prefixed with that run's label and fault seed, so a
   /// failure inside a large fan-out identifies its run. Items with a null

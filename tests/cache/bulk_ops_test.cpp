@@ -157,18 +157,14 @@ Fingerprint fp_of(std::uint64_t i) { return Fingerprint::of_prefix(i); }
 
 TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
   // Tight cache (32 entries) so insert batches continually evict into the
-  // ghost list; evict_hook order and ghost state must match the scalar
-  // insert loop exactly.
+  // ghost and spill lists; the spill list (sized to hold every key, so its
+  // MRU-first order is the eviction order) and the ghost state must match
+  // the scalar insert loop exactly.
   const std::uint64_t cap = 32 * IndexCache::kEntryBytes;
   const std::uint64_t ghost_cap = 64 * 16;
   IndexCache scalar(cap, ghost_cap), bulk(cap, ghost_cap);
-  std::vector<std::pair<Fingerprint, Pba>> hook_scalar, hook_bulk;
-  scalar.evict_hook = [&](const Fingerprint& fp, const IndexEntry& e) {
-    hook_scalar.emplace_back(fp, e.pba);
-  };
-  bulk.evict_hook = [&](const Fingerprint& fp, const IndexEntry& e) {
-    hook_bulk.emplace_back(fp, e.pba);
-  };
+  scalar.enable_spill(256);
+  bulk.enable_spill(256);
 
   Rng rng(99);
   for (int round = 0; round < 100; ++round) {
@@ -197,7 +193,12 @@ TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
         EXPECT_EQ(scalar.ghost_probe(fp), bulk.ghost_probe(fp));
     }
   }
-  EXPECT_EQ(hook_scalar, hook_bulk);
+  std::vector<std::pair<Fingerprint, Pba>> spill_scalar, spill_bulk;
+  scalar.collect_spilled(256, spill_scalar);
+  bulk.collect_spilled(256, spill_bulk);
+  EXPECT_FALSE(spill_scalar.empty());
+  EXPECT_EQ(spill_scalar, spill_bulk);
+  EXPECT_EQ(scalar.ghost_size(), bulk.ghost_size());
   EXPECT_EQ(scalar.size_entries(), bulk.size_entries());
   EXPECT_EQ(scalar.ghost_hits(), bulk.ghost_hits());
   EXPECT_EQ(scalar.hits(), bulk.hits());

@@ -1,0 +1,225 @@
+// Seeded randomized differential test: IndexCache (one FingerprintTable
+// holding the resident, ghost and spill lists) against the reference model
+// of three independent LRU maps (index_cache_reference.hpp).
+//
+// Every operation the engines and iCache perform — scalar, fused and tagged
+// lookups, ghost probes, single and batched inserts, invalidations,
+// rebinds, resizes and swap-in re-admission — runs against both at small
+// capacities, where keys are constantly on several lists at once. After
+// every operation the hit/miss/ghost/near counters and all three lists in
+// MRU order must agree.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "cache/index_cache.hpp"
+#include "common/rng.hpp"
+#include "index_cache_reference.hpp"
+
+namespace pod {
+namespace {
+
+using testing::IndexCacheState;
+using testing::ReferenceIndexCache;
+using testing::state_of;
+
+constexpr std::uint64_t kE = IndexCache::kEntryBytes;
+
+Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
+
+void expect_same(const IndexCache& c, const ReferenceIndexCache& ref,
+                 int seed, int op) {
+  const IndexCacheState got = state_of(c);
+  const IndexCacheState want = ref.state();
+  ASSERT_EQ(got.hits, want.hits) << "seed " << seed << " op " << op;
+  ASSERT_EQ(got.misses, want.misses) << "seed " << seed << " op " << op;
+  ASSERT_EQ(got.ghost_hits, want.ghost_hits) << "seed " << seed << " op " << op;
+  ASSERT_EQ(got.ghost_near_hits, want.ghost_near_hits)
+      << "seed " << seed << " op " << op;
+  ASSERT_TRUE(got.resident == want.resident) << "seed " << seed << " op " << op;
+  ASSERT_TRUE(got.ghost == want.ghost) << "seed " << seed << " op " << op;
+  ASSERT_TRUE(got.spill == want.spill) << "seed " << seed << " op " << op;
+  ASSERT_EQ(c.size_entries(), want.resident.size());
+  ASSERT_EQ(c.ghost_size(), want.ghost.size());
+  ASSERT_EQ(c.spill_size(), want.spill.size());
+}
+
+void expect_same_entry(const IndexEntry* a, const IndexEntry* b) {
+  ASSERT_EQ(a == nullptr, b == nullptr);
+  if (a != nullptr) {
+    EXPECT_EQ(a->pba, b->pba);
+    EXPECT_EQ(a->count, b->count);
+  }
+}
+
+void run_seed(int seed, bool spill) {
+  Rng rng(0xD1FFu + static_cast<std::uint64_t>(seed));
+  const std::uint64_t res = rng.uniform(0, 10);
+  const std::uint64_t ghost = rng.uniform(0, 14);
+  const std::uint64_t spill_cap = spill ? rng.uniform(0, 18) : 0;
+  const std::uint64_t keys = 8 + rng.uniform(0, 40);
+  IndexCache c(res * kE, ghost * kE);
+  ReferenceIndexCache ref(res * kE, ghost * kE);
+  const std::uint64_t near = rng.uniform(0, 6);
+  c.set_ghost_near_threshold(near);
+  ref.set_ghost_near_threshold(near);
+  if (spill) {
+    c.enable_spill(spill_cap);
+    ref.enable_spill(spill_cap);
+  }
+  const auto key = [&] { return fp(rng.uniform(0, keys - 1)); };
+  const auto pba = [&] { return static_cast<Pba>(rng.uniform(0, 7)); };
+
+  for (int op = 0; op < 1500; ++op) {
+    switch (rng.uniform(0, 12)) {
+      case 0:
+      case 1: {  // scalar lookup (+ ghost probe on miss, like the engines)
+        const Fingerprint k = key();
+        const IndexEntry* a = c.lookup(k);
+        const IndexEntry* b = ref.lookup(k);
+        expect_same_entry(a, b);
+        if (a == nullptr && rng.uniform(0, 1) == 0) {
+          ASSERT_EQ(c.ghost_probe(k), ref.ghost_probe(k));
+        }
+        break;
+      }
+      case 2: {  // fused span vs the scalar per-chunk loop
+        std::vector<Fingerprint> span(rng.uniform(0, 12));
+        for (Fingerprint& f : span) f = key();
+        std::vector<const IndexEntry*> out(span.size());
+        c.lookup_fused(span, out.data());
+        for (std::size_t i = 0; i < span.size(); ++i) {
+          const IndexEntry* b = ref.lookup(span[i]);
+          if (b == nullptr) ref.ghost_probe(span[i]);
+          ASSERT_EQ(out[i] == nullptr, b == nullptr) << i;
+          if (b != nullptr) {
+            EXPECT_EQ(out[i]->pba, b->pba);
+          }
+        }
+        break;
+      }
+      case 3: {  // tagged lookup, then a tagged promotion on some misses
+        const Fingerprint k = key();
+        const IndexCache::Tag tag = c.hash_tag(k);
+        c.prefetch_tag(tag);
+        const IndexEntry* a = c.lookup_tagged(tag, k);
+        const IndexEntry* b = ref.lookup(k);
+        if (b == nullptr) ref.ghost_probe(k);
+        expect_same_entry(a, b);
+        if (a == nullptr && rng.uniform(0, 1) == 0) {
+          const Pba p = pba();
+          c.insert_tagged(tag, k, p);
+          ref.insert(k, p);
+        }
+        break;
+      }
+      case 4: {
+        const Fingerprint k = key();
+        ASSERT_EQ(c.ghost_probe(k), ref.ghost_probe(k));
+        break;
+      }
+      case 5:
+      case 6: {
+        const Fingerprint k = key();
+        const Pba p = pba();
+        c.insert(k, p);
+        ref.insert(k, p);
+        break;
+      }
+      case 7: {
+        const std::size_t n = rng.uniform(0, 10);
+        std::vector<Fingerprint> fps(n);
+        std::vector<Pba> pbas(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          fps[i] = key();
+          pbas[i] = pba();
+        }
+        c.insert_batch(fps.data(), pbas.data(), n);
+        for (std::size_t i = 0; i < n; ++i) ref.insert(fps[i], pbas[i]);
+        break;
+      }
+      case 8: {
+        const Fingerprint k = key();
+        if (rng.uniform(0, 1) == 0) {
+          c.invalidate(k);
+          ref.invalidate(k);
+        } else {
+          const Pba p = pba();
+          c.invalidate_if(k, p);
+          ref.invalidate_if(k, p);
+        }
+        break;
+      }
+      case 9: {
+        const Fingerprint k = key();
+        const Pba p = pba();
+        c.rebind(k, p);
+        ref.rebind(k, p);
+        break;
+      }
+      case 10: {
+        const std::uint64_t cap = rng.uniform(0, 12) * kE;
+        c.resize(cap);
+        ref.resize(cap);
+        break;
+      }
+      case 11: {  // iCache swap-in
+        const std::size_t want = rng.uniform(0, 6);
+        std::vector<std::pair<Fingerprint, Pba>> got;
+        c.collect_spilled(want, got);
+        const auto expected = ref.readmit(want);
+        ASSERT_TRUE(got == expected) << "op " << op;
+        for (const auto& [f, p] : got) c.readmit(f, p);
+        break;
+      }
+      case 12: {
+        const Fingerprint k = key();
+        c.ghost_remember(k);
+        ref.ghost_remember(k);
+        break;
+      }
+    }
+    expect_same(c, ref, seed, op);
+    if (::testing::Test::HasFatalFailure()) return;
+    const Fingerprint k = key();
+    expect_same_entry(c.peek(k), ref.peek(k));
+  }
+}
+
+TEST(IndexCacheDiff, MatchesThreeMapModelWithoutSpill) {
+  for (int seed = 0; seed < 40; ++seed) {
+    run_seed(seed, /*spill=*/false);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IndexCacheDiff, MatchesThreeMapModelWithSpill) {
+  for (int seed = 0; seed < 60; ++seed) {
+    run_seed(seed, /*spill=*/true);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IndexCacheDiff, TableHoldsEachKeyOnce) {
+  // A key on several lists occupies one slot: the table's key count is the
+  // size of the union of the three lists.
+  IndexCache c(2 * kE, 4 * kE);
+  c.enable_spill(4);
+  for (std::uint64_t k = 0; k < 4; ++k) c.insert(fp(k), k);
+  // fp(0), fp(1) evicted: each on ghost and spill; fp(2), fp(3) resident.
+  EXPECT_EQ(c.table().keys(), 4u);
+  c.insert(fp(0), 9);  // resident again; still on ghost and spill
+  EXPECT_EQ(c.table().keys(), 4u);
+  EXPECT_TRUE(c.ghost_contains(fp(0)));
+  std::vector<std::pair<Fingerprint, Pba>> spilled;
+  c.collect_spilled(8, spilled);
+  // The spilled payload keeps its own PBA while the resident entry moved on.
+  ASSERT_EQ(spilled.size(), 3u);  // fp(2) was evicted by the re-insert
+  EXPECT_EQ(spilled[0].first, fp(2));
+  EXPECT_EQ(spilled[2], std::make_pair(fp(0), Pba{0}));
+  EXPECT_EQ(c.peek(fp(0))->pba, 9u);
+}
+
+}  // namespace
+}  // namespace pod

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace pod {
@@ -63,16 +64,29 @@ TEST(IndexCache, LookupPromotes) {
   EXPECT_EQ(c.peek(fp(2)), nullptr);
 }
 
-TEST(IndexCache, EvictHookFires) {
+std::vector<std::pair<Fingerprint, Pba>> spilled(const IndexCache& c) {
+  std::vector<std::pair<Fingerprint, Pba>> out;
+  c.collect_spilled(c.spill_size(), out);
+  return out;
+}
+
+TEST(IndexCache, EvictionSpillsPayload) {
   IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
-  std::vector<Pba> spilled;
-  c.evict_hook = [&](const Fingerprint&, const IndexEntry& e) {
-    spilled.push_back(e.pba);
-  };
+  c.enable_spill(8);
   c.insert(fp(1), 11);
-  c.insert(fp(2), 22);  // evicts fp(1) -> hook
-  ASSERT_EQ(spilled.size(), 1u);
-  EXPECT_EQ(spilled[0], 11u);
+  c.insert(fp(2), 22);  // evicts fp(1) -> ghost, then spill
+  const auto s = spilled(c);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s[0], std::make_pair(fp(1), Pba{11}));
+  EXPECT_TRUE(c.ghost_contains(fp(1)));
+}
+
+TEST(IndexCache, NoSpillListUntilEnabled) {
+  IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  c.insert(fp(1), 11);
+  c.insert(fp(2), 22);
+  EXPECT_EQ(c.spill_size(), 0u);
+  EXPECT_TRUE(c.ghost_contains(fp(1)));
 }
 
 TEST(IndexCache, InvalidateRemoves) {
@@ -82,6 +96,32 @@ TEST(IndexCache, InvalidateRemoves) {
   EXPECT_EQ(c.peek(fp(1)), nullptr);
 }
 
+TEST(IndexCache, InvalidateIfMatchingPba) {
+  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  c.insert(fp(1), 1);
+  c.invalidate_if(fp(1), 1);
+  EXPECT_EQ(c.peek(fp(1)), nullptr);
+}
+
+TEST(IndexCache, InvalidateIfOtherPbaKeepsEntry) {
+  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  c.insert(fp(1), 1);
+  c.invalidate_if(fp(1), 2);  // entry already rebound elsewhere
+  ASSERT_NE(c.peek(fp(1)), nullptr);
+  EXPECT_EQ(c.peek(fp(1))->pba, 1u);
+}
+
+TEST(IndexCache, InvalidateIfAbsentIsNoOp) {
+  IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  c.insert(fp(1), 1);
+  c.insert(fp(2), 2);  // fp(1) now on the ghost list only
+  c.invalidate_if(fp(1), 1);
+  c.invalidate_if(fp(9), 1);
+  EXPECT_EQ(c.size_entries(), 1u);
+  EXPECT_TRUE(c.ghost_contains(fp(1)));  // ghost membership untouched
+  EXPECT_NE(c.peek(fp(2)), nullptr);
+}
+
 TEST(IndexCache, RebindUpdatesPba) {
   IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
@@ -89,14 +129,17 @@ TEST(IndexCache, RebindUpdatesPba) {
   EXPECT_EQ(c.peek(fp(1))->pba, 99u);
 }
 
-TEST(IndexCache, ResizeShrinkEvictsAndHooks) {
+TEST(IndexCache, ResizeShrinkEvictsAndSpills) {
   IndexCache c(4 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
-  int hook_calls = 0;
-  c.evict_hook = [&](const Fingerprint&, const IndexEntry&) { ++hook_calls; };
+  c.enable_spill(16);
   for (std::uint64_t i = 0; i < 4; ++i) c.insert(fp(i), i);
   c.resize(2 * IndexCache::kEntryBytes);
   EXPECT_EQ(c.size_entries(), 2u);
-  EXPECT_EQ(hook_calls, 2);
+  // LRU first out: fp(0), then fp(1) — so fp(1) is the spill list's MRU.
+  const auto s = spilled(c);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0], std::make_pair(fp(1), Pba{1}));
+  EXPECT_EQ(s[1], std::make_pair(fp(0), Pba{0}));
   EXPECT_TRUE(c.ghost_probe(fp(0)));
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/journal.hpp"
+
 namespace pod {
 namespace {
 
@@ -59,6 +61,42 @@ TEST(OnDiskIndex, EraseRemovesEntry) {
   EXPECT_FALSE(l.found);
   // Bloom bits persist: the lookup still pays the (now futile) disk read.
   EXPECT_TRUE(l.needs_disk_read);
+}
+
+TEST(OnDiskIndex, EraseIfMatchingPbaErasesAndJournals) {
+  OnDiskIndex idx(small_cfg());
+  MetadataJournal journal;
+  idx.set_journal(&journal);
+  (void)idx.insert(fp(1), 42);
+  idx.erase_if(fp(1), 42);
+  EXPECT_EQ(idx.peek(fp(1)), nullptr);
+  EXPECT_EQ(idx.entries(), 0u);
+  // The same index_del record erase() writes.
+  ASSERT_EQ(journal.records().size(), 2u);
+  EXPECT_EQ(journal.records()[1].op, JournalOp::kIndexDel);
+  EXPECT_EQ(journal.records()[1].fp, fp(1));
+  EXPECT_EQ(journal.records()[1].pba, kInvalidPba);
+}
+
+TEST(OnDiskIndex, EraseIfOtherPbaKeepsEntryAndJournalsNothing) {
+  OnDiskIndex idx(small_cfg());
+  MetadataJournal journal;
+  idx.set_journal(&journal);
+  (void)idx.insert(fp(1), 42);
+  idx.erase_if(fp(1), 43);  // entry already rebound elsewhere
+  ASSERT_NE(idx.peek(fp(1)), nullptr);
+  EXPECT_EQ(*idx.peek(fp(1)), 42u);
+  EXPECT_EQ(journal.records().size(), 1u);
+}
+
+TEST(OnDiskIndex, EraseIfAbsentIsNoOp) {
+  OnDiskIndex idx(small_cfg());
+  MetadataJournal journal;
+  idx.set_journal(&journal);
+  (void)idx.insert(fp(1), 42);
+  idx.erase_if(fp(2), 42);
+  EXPECT_EQ(idx.entries(), 1u);
+  EXPECT_EQ(journal.records().size(), 1u);
 }
 
 TEST(OnDiskIndex, PeekDoesNotCharge) {

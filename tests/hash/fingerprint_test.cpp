@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -46,6 +48,33 @@ TEST(Fingerprint, OfDataDistinguishesContent) {
   const std::vector<std::uint8_t> a{1, 2, 3};
   const std::vector<std::uint8_t> b{1, 2, 4};
   EXPECT_NE(Fingerprint::of_data(a), Fingerprint::of_data(b));
+}
+
+// Fingerprint is trivially copyable; tests build exact byte patterns.
+static_assert(std::is_trivially_copyable_v<Fingerprint>);
+
+Fingerprint from_halves(std::uint64_t lo, std::uint64_t hi) {
+  Fingerprint f;
+  auto* bytes = reinterpret_cast<unsigned char*>(&f);
+  std::memcpy(bytes, &lo, 8);
+  std::memcpy(bytes + 8, &hi, 8);
+  return f;
+}
+
+TEST(Fingerprint, EqualityComparesBothHalves) {
+  const Fingerprint base = from_halves(0x0123456789ABCDEFull, 0xFEDCBA9876543210ull);
+  EXPECT_EQ(base.prefix64(), 0x0123456789ABCDEFull);
+  // Identical in both halves.
+  EXPECT_EQ(base, from_halves(0x0123456789ABCDEFull, 0xFEDCBA9876543210ull));
+  // Differs only in the low half (the prefix the tables hash on).
+  EXPECT_NE(base, from_halves(0x0123456789ABCDEEull, 0xFEDCBA9876543210ull));
+  // Differs only in the high half: same prefix, same hash, different key.
+  EXPECT_NE(base, from_halves(0x0123456789ABCDEFull, 0x7EDCBA9876543210ull));
+  EXPECT_NE(base, from_halves(0x0123456789ABCDEFull, 0xFEDCBA9876543211ull));
+  // == agrees with the defaulted three-way comparison.
+  const Fingerprint hi_only = from_halves(0x0123456789ABCDEFull, 0x1ull);
+  EXPECT_EQ(base == hi_only, (base <=> hi_only) == 0);
+  EXPECT_EQ(base == base, (base <=> base) == 0);
 }
 
 TEST(Fingerprint, OrderingIsTotal) {

@@ -42,7 +42,7 @@ TEST(AccessMonitor, GhostHitsTracked) {
   AccessMonitor m(c.index, c.read);
   c.read.ghost().remember(7);
   EXPECT_TRUE(c.read.ghost_probe(7));
-  c.index.ghost().remember(fp(7));
+  c.index.ghost_remember(fp(7));
   EXPECT_TRUE(c.index.ghost_probe(fp(7)));
   const EpochActivity a = m.current();
   EXPECT_EQ(a.read_ghost_hits, 1u);

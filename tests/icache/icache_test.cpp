@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace pod {
@@ -38,7 +39,7 @@ struct Fixture {
   /// so these hits always count as "near".
   void index_ghost_signal(std::uint64_t base, int n = 50) {
     for (int i = 0; i < n; ++i) {
-      index.ghost().remember(fp(base + static_cast<std::uint64_t>(i)));
+      index.ghost_remember(fp(base + static_cast<std::uint64_t>(i)));
       EXPECT_TRUE(index.ghost_probe(fp(base + static_cast<std::uint64_t>(i))));
     }
   }
@@ -139,7 +140,7 @@ TEST(ICache, FractionBoundsRespected) {
 TEST(ICache, SpilledIndexEntriesReadmittedOnGrow) {
   Fixture f;
   ICache ic = f.make();
-  // Overfill the index cache so entries spill (evict_hook -> spilled store).
+  // Overfill the index cache so entries spill (eviction -> spill list).
   const std::size_t cap = f.index.capacity_bytes() / IndexCache::kEntryBytes;
   for (std::uint64_t i = 0; i < cap + 100; ++i) f.index.insert(fp(i), i);
   drive(ic, [&](int round) { f.index_ghost_signal(500000u + 1000u * round); });
@@ -149,6 +150,34 @@ TEST(ICache, SpilledIndexEntriesReadmittedOnGrow) {
   for (std::uint64_t i = 0; i < 100; ++i)
     if (f.index.peek(fp(i)) != nullptr) ++found;
   EXPECT_GT(found, 0u);
+}
+
+TEST(ICache, ReadmitReinsertsSpilledPayloadsMruFirst) {
+  Fixture f;
+  ICache ic = f.make();
+  const std::size_t cap = f.index.capacity_bytes() / IndexCache::kEntryBytes;
+  // The first 100 inserts are evicted, in order, onto the spill list.
+  for (std::uint64_t i = 0; i < cap + 100; ++i) f.index.insert(fp(i), 1000 + i);
+  std::vector<std::pair<Fingerprint, Pba>> spilled;
+  f.index.collect_spilled(f.index.spill_size(), spilled);
+  ASSERT_EQ(spilled.size(), 100u);
+  EXPECT_EQ(spilled.front(), std::make_pair(fp(99), Pba{1099}));  // MRU
+  // fp(99) becomes resident again with a newer PBA while its old payload
+  // stays spilled; the insert evicts fp(100) onto the spill list's MRU.
+  f.index.insert(fp(99), 7);
+  f.index.collect_spilled(1, spilled);
+  EXPECT_EQ(spilled.back(), std::make_pair(fp(100), Pba{1100}));
+  drive(ic, [&](int round) { f.index_ghost_signal(500000u + 1000u * round); });
+  ASSERT_EQ(ic.stats().grew_index, 1u);
+  // One step grows the cache by more than 101 entries: every spilled
+  // payload comes back with the PBA it was spilled with — fp(99) included.
+  EXPECT_EQ(ic.stats().index_entries_readmitted, 101u);
+  EXPECT_EQ(f.index.spill_size(), 0u);
+  for (std::uint64_t i = 0; i <= 100; ++i) {
+    const IndexEntry* e = f.index.peek(fp(i));
+    ASSERT_NE(e, nullptr) << i;
+    EXPECT_EQ(e->pba, 1000 + i);
+  }
 }
 
 TEST(ICache, GhostReadBlocksPrefetchedOnGrow) {

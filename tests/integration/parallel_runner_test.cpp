@@ -15,11 +15,20 @@
 namespace pod {
 namespace {
 
-Trace small_trace() {
+Trace sized_trace(std::uint64_t requests) {
   WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 2000;
-  p.measured_requests = 2000;
+  p.warmup_requests = requests;
+  p.measured_requests = requests;
   return TraceGenerator(p).generate();
+}
+
+Trace small_trace() { return sized_trace(2000); }
+
+/// Swaps two measured arrivals so run_replay rejects the trace.
+void make_out_of_order(Trace& t) {
+  std::swap(t.requests[t.warmup_count].arrival,
+            t.requests[t.warmup_count + 1].arrival);
+  t.requests[t.warmup_count].arrival += 1;
 }
 
 RunSpec small_spec(EngineKind kind) {
@@ -112,6 +121,56 @@ TEST(ParallelRunner, ResultsStayInInputOrder) {
   ASSERT_EQ(out.size(), kinds.size());
   for (std::size_t i = 0; i < kinds.size(); ++i)
     EXPECT_EQ(out[i].engine_name, to_string(kinds[i]));
+}
+
+TEST(ParallelRunner, LongestFirstStartKeepsInputOrder) {
+  // Items start longest trace first; results still land in input order and
+  // match a serial run_replay item for item, at every job count.
+  const Trace small = sized_trace(500);
+  const Trace medium = sized_trace(1500);
+  const Trace large = sized_trace(3000);
+  ASSERT_LT(small.requests.size(), medium.requests.size());
+  ASSERT_LT(medium.requests.size(), large.requests.size());
+  const std::vector<std::pair<EngineKind, const Trace*>> plan = {
+      {EngineKind::kNative, &small},       {EngineKind::kSelectDedupe, &large},
+      {EngineKind::kIDedup, &medium},      {EngineKind::kNative, &large},
+      {EngineKind::kFullDedupe, &small},   {EngineKind::kPod, &medium}};
+  std::vector<ParallelRunner::RunItem> items;
+  std::vector<ReplayResult> serial;
+  for (const auto& [kind, trace] : plan) {
+    items.push_back({small_spec(kind), trace, ""});
+    serial.push_back(run_replay(small_spec(kind), *trace));
+  }
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE(jobs);
+    const std::vector<ReplayResult> out = ParallelRunner(jobs).run(items);
+    ASSERT_EQ(out.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_identical(serial[i], out[i]);
+    }
+  }
+}
+
+TEST(ParallelRunner, FirstErrorInInputOrderWinsUnderLongestFirst) {
+  // The larger failing run starts first, but the error rethrown is the
+  // first failing item in input order.
+  Trace short_bad = sized_trace(500);
+  Trace long_bad = sized_trace(3000);
+  make_out_of_order(short_bad);
+  make_out_of_order(long_bad);
+  std::vector<ParallelRunner::RunItem> items;
+  items.push_back({small_spec(EngineKind::kNative), &short_bad, "short-bad"});
+  items.push_back({small_spec(EngineKind::kNative), &long_bad, "long-bad"});
+  for (const std::size_t jobs : {1u, 2u}) {
+    try {
+      ParallelRunner(jobs).run(items);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("short-bad"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ParallelRunner, NullTraceRejectedUpFront) {

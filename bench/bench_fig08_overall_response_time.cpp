@@ -14,7 +14,8 @@ int main() {
   using namespace pod::bench;
 
   const double scale = scale_from_env();
-  prefetch_traces(selected_profiles(scale));
+  const std::vector<WorkloadProfile> profiles = selected_profiles(scale);
+  prefetch_traces(profiles);
   print_header("Figure 8 — normalized overall response time (Native = 100)",
                "4-disk RAID5, 64 KB stripe unit, 50/50 cache split; scale=" +
                    std::to_string(scale));
@@ -23,8 +24,10 @@ int main() {
   for (EngineKind k : figure8_engines()) std::printf(" %14s", to_string(k));
   std::printf("   select-improv.\n");
 
-  for (const auto& profile : selected_profiles(scale)) {
-    auto results = run_engine_set(figure8_engines(), profile, scale);
+  const auto per_trace = run_figure(figure8_engines(), profiles, scale);
+  for (std::size_t t = 0; t < profiles.size(); ++t) {
+    const WorkloadProfile& profile = profiles[t];
+    const auto& results = per_trace[t];
     const double native = results.at(EngineKind::kNative).mean_ms();
     std::printf("%-10s", profile.name.c_str());
     for (EngineKind k : figure8_engines())

@@ -15,13 +15,16 @@ int main() {
   using namespace pod::bench;
 
   const double scale = scale_from_env();
-  prefetch_traces(selected_profiles(scale));
+  const std::vector<WorkloadProfile> profiles = selected_profiles(scale);
+  prefetch_traces(profiles);
   print_header("Figure 9 — normalized write / read response times "
                "(Native = 100)",
                "4-disk RAID5; scale=" + std::to_string(scale));
 
-  for (const auto& profile : selected_profiles(scale)) {
-    auto results = run_engine_set(figure8_engines(), profile, scale);
+  const auto per_trace = run_figure(figure8_engines(), profiles, scale);
+  for (std::size_t t = 0; t < profiles.size(); ++t) {
+    const WorkloadProfile& profile = profiles[t];
+    const auto& results = per_trace[t];
     const double native_w = results.at(EngineKind::kNative).write_mean_ms();
     const double native_r = results.at(EngineKind::kNative).read_mean_ms();
     std::printf("\n--- %s ---\n", profile.name.c_str());

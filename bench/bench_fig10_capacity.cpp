@@ -12,7 +12,8 @@ int main() {
   using namespace pod::bench;
 
   const double scale = scale_from_env();
-  prefetch_traces(selected_profiles(scale));
+  const std::vector<WorkloadProfile> profiles = selected_profiles(scale);
+  prefetch_traces(profiles);
   print_header("Figure 10 — normalized storage capacity used (Native = 100)",
                "distinct live physical blocks at the end of the replay; "
                "scale=" + std::to_string(scale));
@@ -21,8 +22,10 @@ int main() {
   for (EngineKind k : figure8_engines()) std::printf(" %14s", to_string(k));
   std::printf("\n");
 
-  for (const auto& profile : selected_profiles(scale)) {
-    auto results = run_engine_set(figure8_engines(), profile, scale);
+  const auto per_trace = run_figure(figure8_engines(), profiles, scale);
+  for (std::size_t t = 0; t < profiles.size(); ++t) {
+    const WorkloadProfile& profile = profiles[t];
+    const auto& results = per_trace[t];
     const double native =
         static_cast<double>(results.at(EngineKind::kNative).physical_blocks_used);
     std::printf("%-10s", profile.name.c_str());

@@ -14,7 +14,8 @@ int main() {
   using namespace pod::bench;
 
   const double scale = scale_from_env();
-  prefetch_traces(selected_profiles(scale));
+  const std::vector<WorkloadProfile> profiles = selected_profiles(scale);
+  prefetch_traces(profiles);
   print_header("Figure 11 — % of write requests removed",
                "4-disk RAID5; scale=" + std::to_string(scale));
 
@@ -22,8 +23,10 @@ int main() {
   for (EngineKind k : figure11_engines()) std::printf(" %14s", to_string(k));
   std::printf("\n");
 
-  for (const auto& profile : selected_profiles(scale)) {
-    auto results = run_engine_set(figure11_engines(), profile, scale);
+  const auto per_trace = run_figure(figure11_engines(), profiles, scale);
+  for (std::size_t t = 0; t < profiles.size(); ++t) {
+    const WorkloadProfile& profile = profiles[t];
+    const auto& results = per_trace[t];
     std::printf("%-10s", profile.name.c_str());
     for (EngineKind k : figure11_engines())
       std::printf(" %13.1f%%", results.at(k).measured.removed_write_pct());

@@ -145,30 +145,30 @@ std::size_t bench_jobs() {
   return jobs > cap ? cap : jobs;
 }
 
-std::map<EngineKind, ReplayResult> run_engine_set(
-    const std::vector<EngineKind>& engines, const WorkloadProfile& profile,
-    double scale) {
-  // Populate the memo before fanning out; every run shares the trace
-  // read-only. (trace_for itself is now thread-safe, but resolving it here
-  // keeps generation cost out of the first worker's run.)
-  const Trace& trace = trace_for(profile);
-
+std::vector<std::map<EngineKind, ReplayResult>> run_figure(
+    const std::vector<EngineKind>& engines,
+    const std::vector<WorkloadProfile>& profiles, double scale) {
+  // Resolve every trace before fanning out; the runs share them read-only.
   std::vector<ParallelRunner::RunItem> items;
-  items.reserve(engines.size());
-  for (EngineKind kind : engines) {
-    std::fprintf(stderr, "[bench] %-9s x %s...\n", profile.name.c_str(),
-                 to_string(kind));
-    items.push_back({paper_spec(kind, profile, scale), &trace});
+  items.reserve(profiles.size() * engines.size());
+  for (const WorkloadProfile& profile : profiles) {
+    const Trace& trace = trace_for(profile);
+    for (EngineKind kind : engines) {
+      std::fprintf(stderr, "[bench] %-9s x %s...\n", profile.name.c_str(),
+                   to_string(kind));
+      items.push_back({paper_spec(kind, profile, scale), &trace, {}});
+    }
   }
 
-  const ParallelRunner runner(bench_jobs());
-  std::vector<ReplayResult> run_results = runner.run(items);
+  std::vector<ReplayResult> run_results =
+      ParallelRunner(bench_jobs()).run(items);
 
-  std::map<EngineKind, ReplayResult> results;
-  for (std::size_t i = 0; i < engines.size(); ++i)
-    results.emplace(engines[i], std::move(run_results[i]));
-  emit_replay_counters_json(results);
-  return results;
+  std::vector<std::map<EngineKind, ReplayResult>> per_trace(profiles.size());
+  for (std::size_t i = 0; i < run_results.size(); ++i)
+    per_trace[i / engines.size()].emplace(engines[i % engines.size()],
+                                          std::move(run_results[i]));
+  for (const auto& results : per_trace) emit_replay_counters_json(results);
+  return per_trace;
 }
 
 namespace {

@@ -7,7 +7,7 @@
 //                Malformed values abort the bench rather than silently
 //                running at a default scale.
 //   POD_TRACE  — restrict to one workload ("web-vm", "homes", "mail").
-//   POD_JOBS   — parallel replay jobs per engine set; default = hardware
+//   POD_JOBS   — parallel replay jobs per figure; default = hardware
 //                concurrency. Per-run results are byte-identical to serial
 //                (each run owns its simulator); only wall-clock changes.
 //   POD_TRACE_CACHE — directory for the persistent trace cache; when set,
@@ -76,11 +76,14 @@ RunSpec paper_spec(EngineKind engine, const WorkloadProfile& profile,
 /// only adds scheduling overhead.
 std::size_t bench_jobs();
 
-/// Runs every engine over one trace, fanning runs across bench_jobs()
-/// workers; results keyed by engine.
-std::map<EngineKind, ReplayResult> run_engine_set(
-    const std::vector<EngineKind>& engines, const WorkloadProfile& profile,
-    double scale);
+/// Runs every engine over every profile's trace as one fan-out across
+/// bench_jobs() workers: no barrier between traces, so the longest run
+/// starts first and short ones fill the other workers. Returns one
+/// engine-keyed result map per profile, in profile order, and appends each
+/// to POD_BENCH_JSON in that order.
+std::vector<std::map<EngineKind, ReplayResult>> run_figure(
+    const std::vector<EngineKind>& engines,
+    const std::vector<WorkloadProfile>& profiles, double scale);
 
 /// Appends one JSON line per run to POD_BENCH_JSON (no-op when unset).
 void emit_replay_counters_json(

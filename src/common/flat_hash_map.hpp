@@ -11,18 +11,27 @@
 // backward-shift deletion, so the table carries no tombstones and never
 // needs compaction rebuilds under steady insert/erase churn. Keys are
 // scrambled with a Fibonacci multiplier so identity hashes do not cluster.
+// Slots and control bytes are OS-zeroed arrays (common/mapped.hpp): an
+// all-zero slot is an empty one, so a reserve or rehash costs no fill pass
+// and buckets the table never reaches never become resident.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/ctrl_group.hpp"
+#include "common/mapped.hpp"
 
 namespace pod {
 
 template <typename K, typename V, typename Hash = std::hash<K>>
 class FlatHashMap {
+  static_assert(std::is_trivially_copyable_v<K> &&
+                    std::is_trivially_copyable_v<V>,
+                "FlatHashMap slots live in OS-zeroed pages");
+
  public:
   FlatHashMap() = default;
 
@@ -88,8 +97,8 @@ class FlatHashMap {
   }
 
   void clear() {
-    slots_.clear();
-    state_.clear();
+    slots_ = ZeroedArray<Slot>();
+    state_ = ZeroedArray<std::uint8_t>();
     mask_ = 0;
     size_ = 0;
   }
@@ -107,7 +116,7 @@ class FlatHashMap {
 
   /// Bucket count; state_ additionally carries kCtrlPad mirror bytes so
   /// group loads starting at any bucket stay in bounds.
-  std::size_t buckets() const { return state_.empty() ? 0 : mask_ + 1; }
+  std::size_t buckets() const { return state_.size() == 0 ? 0 : mask_ + 1; }
 
   /// Writes a control byte, maintaining the wraparound mirror.
   void set_state(std::size_t i, std::uint8_t v) {
@@ -152,7 +161,7 @@ class FlatHashMap {
   }
 
   std::size_t find_index(const K& key) const {
-    if (state_.empty()) return kNpos;
+    if (state_.size() == 0) return kNpos;
     const CtrlProbeResult r =
         ctrl_probe(state_.data(), mask_, home_of(key), tag_of(key), wide_,
                    [&](std::size_t j) { return slots_[j].first == key; });
@@ -166,12 +175,13 @@ class FlatHashMap {
   }
 
   void rebuild(std::size_t new_size) {
-    std::vector<std::pair<K, V>> old_slots = std::move(slots_);
-    std::vector<std::uint8_t> old_state = std::move(state_);
+    ZeroedArray<Slot> old_slots = std::move(slots_);
+    ZeroedArray<std::uint8_t> old_state = std::move(state_);
     const std::size_t old_buckets =
-        old_state.empty() ? 0 : old_state.size() - kCtrlPad;
-    slots_.assign(new_size, {});
-    state_.assign(new_size + kCtrlPad, kEmpty);
+        old_state.size() == 0 ? 0 : old_state.size() - kCtrlPad;
+    static_assert(kEmpty == 0, "fresh zero pages must read as empty");
+    slots_ = ZeroedArray<Slot>(new_size);
+    state_ = ZeroedArray<std::uint8_t>(new_size + kCtrlPad);
     mask_ = new_size - 1;
     wide_ = wide_ctrl_groups();
     for (std::size_t i = 0; i < old_buckets; ++i) {
@@ -184,8 +194,13 @@ class FlatHashMap {
     }
   }
 
-  std::vector<std::pair<K, V>> slots_;
-  std::vector<std::uint8_t> state_;
+  struct Slot {
+    K first;
+    V second;
+  };
+
+  ZeroedArray<Slot> slots_;
+  ZeroedArray<std::uint8_t> state_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   /// AVX2 continuation groups enabled (cached from the SIMD dispatch at

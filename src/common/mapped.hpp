@@ -1,0 +1,122 @@
+// Page-granular memory straight from the OS, for the two set-up paths that
+// used to pay a user-space pass over every byte before any work started.
+//
+// ZeroedArray<T>: a fixed-size array whose storage is anonymous mmap. The
+// kernel hands out zero pages on first touch, so construction is O(1)
+// instead of a memset of the whole array, and untouched pages never become
+// resident. Not calloc: glibc's dynamic mmap threshold rises after the
+// first large free, so a second 10-30 MB calloc comes from the heap and is
+// memset again. Arrays of 2 MB and more ask for transparent huge pages:
+// the replay then takes one fault per 2 MB instead of per 4 KB, and its
+// random probes into these arrays miss the TLB far less. T must be
+// trivially copyable, and its all-zero byte pattern must be its
+// value-initialised state (integers, Fingerprint).
+//
+// FileImage: the read-only bytes of one whole file, mapped with
+// MAP_POPULATE (one kernel pass, no copy through a stream buffer), or of a
+// stream, read into a 64-byte-aligned heap buffer. Mapped images alias the
+// file's page cache: the file must not shrink in place while the image is
+// alive (replace it by writing a temp file and renaming it over the old
+// name, which leaves the mapped inode intact).
+#pragma once
+
+#include <cstddef>
+#include <iosfwd>
+#include <new>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <utility>
+
+namespace pod {
+
+namespace detail {
+/// `bytes` of zero-filled, page-aligned anonymous memory (nullptr for 0).
+/// Throws std::bad_alloc when the OS refuses.
+void* os_zeroed_pages(std::size_t bytes);
+/// Returns memory from os_zeroed_pages (no-op for nullptr).
+void os_release_pages(void* p, std::size_t bytes) noexcept;
+}  // namespace detail
+
+template <typename T>
+class ZeroedArray {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "ZeroedArray hands out raw zero pages as T objects");
+
+ public:
+  ZeroedArray() = default;
+  explicit ZeroedArray(std::size_t n)
+      : data_(static_cast<T*>(detail::os_zeroed_pages(bytes_for(n)))),
+        size_(n) {}
+  ~ZeroedArray() { detail::os_release_pages(data_, size_ * sizeof(T)); }
+
+  ZeroedArray(ZeroedArray&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)) {}
+  ZeroedArray& operator=(ZeroedArray&& o) noexcept {
+    std::swap(data_, o.data_);
+    std::swap(size_, o.size_);
+    return *this;
+  }
+  ZeroedArray(const ZeroedArray&) = delete;
+  ZeroedArray& operator=(const ZeroedArray&) = delete;
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  std::size_t size() const { return size_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
+
+ private:
+  static std::size_t bytes_for(std::size_t n) {
+    if (n > static_cast<std::size_t>(-1) / sizeof(T))
+      throw std::bad_array_new_length();
+    return n * sizeof(T);
+  }
+
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+class FileImage {
+ public:
+  /// Alignment of data() for every non-empty image.
+  static constexpr std::size_t kAlign = 64;
+
+  FileImage() = default;
+  ~FileImage();
+  FileImage(FileImage&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        mapped_(std::exchange(o.mapped_, false)) {}
+  FileImage& operator=(FileImage&& o) noexcept {
+    std::swap(data_, o.data_);
+    std::swap(size_, o.size_);
+    std::swap(mapped_, o.mapped_);
+    return *this;
+  }
+  FileImage(const FileImage&) = delete;
+  FileImage& operator=(const FileImage&) = delete;
+
+  /// Maps the whole file read-only. Throws std::runtime_error when it
+  /// cannot be opened or mapped.
+  static FileImage map(const std::string& path);
+  /// Reads the rest of `in` into an aligned heap buffer.
+  static FileImage read(std::istream& in);
+
+  std::span<const std::byte> bytes() const { return {data_, size_}; }
+  bool empty() const { return size_ == 0; }
+
+  /// Promises that [offset, offset + len) will not be read again. A mapped
+  /// image drops the whole pages inside the range: they leave the resident
+  /// set and become inaccessible, so a stray read faults loudly. A heap
+  /// image keeps them.
+  void release(std::size_t offset, std::size_t len) const;
+
+ private:
+  const std::byte* data_ = nullptr;
+  std::size_t size_ = 0;
+  bool mapped_ = false;
+};
+
+}  // namespace pod

@@ -8,9 +8,11 @@
 namespace pod {
 
 PoolAllocator::PoolAllocator(Pba pool_start, std::uint64_t pool_blocks)
-    : pool_start_(pool_start), pool_blocks_(pool_blocks), bump_(pool_start) {
+    : pool_start_(pool_start),
+      pool_blocks_(pool_blocks),
+      bump_(pool_start),
+      free_mask_(static_cast<std::size_t>((pool_blocks + 63) / 64)) {
   POD_CHECK(pool_blocks_ > 0);
-  free_mask_.assign(static_cast<std::size_t>(pool_blocks_), false);
 }
 
 Pba PoolAllocator::allocate(Pba hint) {
@@ -23,8 +25,8 @@ Pba PoolAllocator::allocate(Pba hint) {
       ++allocated_;
       return hint;
     }
-    if (free_mask_[rel]) {
-      free_mask_[rel] = false;
+    if (freed(rel)) {
+      set_freed(rel, false);
       // Lazy deletion: the stale free_list_ entry is skipped when popped.
       ++allocated_;
       return hint;
@@ -39,8 +41,8 @@ Pba PoolAllocator::allocate(Pba hint) {
     const Pba pba = free_list_.back();
     free_list_.pop_back();
     const std::size_t rel = static_cast<std::size_t>(pba - pool_start_);
-    if (!free_mask_[rel]) continue;  // consumed via hint already
-    free_mask_[rel] = false;
+    if (!freed(rel)) continue;  // consumed via hint already
+    set_freed(rel, false);
     ++allocated_;
     return pba;
   }
@@ -50,8 +52,8 @@ Pba PoolAllocator::allocate(Pba hint) {
 void PoolAllocator::free_block(Pba pba) {
   POD_CHECK(in_pool(pba));
   const std::size_t rel = static_cast<std::size_t>(pba - pool_start_);
-  POD_CHECK(!free_mask_[rel]);
-  free_mask_[rel] = true;
+  POD_CHECK(!freed(rel));
+  set_freed(rel, true);
   free_list_.push_back(pba);
   POD_CHECK(allocated_ > 0);
   --allocated_;
@@ -60,12 +62,12 @@ void PoolAllocator::free_block(Pba pba) {
 bool PoolAllocator::is_free(Pba pba) const {
   if (!in_pool(pba)) return false;
   if (pba >= bump_) return true;  // never handed out
-  return free_mask_[static_cast<std::size_t>(pba - pool_start_)];
+  return freed(static_cast<std::size_t>(pba - pool_start_));
 }
 
 void PoolAllocator::reset_occupancy(const std::function<bool(Pba)>& live) {
   free_list_.clear();
-  free_mask_.assign(static_cast<std::size_t>(pool_blocks_), false);
+  free_mask_ = ZeroedArray<std::uint64_t>(free_mask_.size());
   allocated_ = 0;
   Pba top = pool_start_;  // one past the highest live block
   for (Pba p = pool_start_; p < pool_start_ + pool_blocks_; ++p) {
@@ -80,7 +82,7 @@ void PoolAllocator::reset_occupancy(const std::function<bool(Pba)>& live) {
   for (Pba p = top; p > pool_start_;) {
     --p;
     if (!live(p)) {
-      free_mask_[static_cast<std::size_t>(p - pool_start_)] = true;
+      set_freed(static_cast<std::size_t>(p - pool_start_), true);
       free_list_.push_back(p);
     }
   }
@@ -92,10 +94,10 @@ BlockStore::BlockStore(const Config& cfg)
             std::max<std::uint64_t>(
                 1024, static_cast<std::uint64_t>(
                           static_cast<double>(cfg.logical_blocks) *
-                          cfg.pool_fraction))) {
+                          cfg.pool_fraction))),
+      refs_(static_cast<std::size_t>(data_region_blocks())),
+      fps_(static_cast<std::size_t>(data_region_blocks())) {
   POD_CHECK(logical_blocks_ > 0);
-  refs_.assign(static_cast<std::size_t>(data_region_blocks()), 0);
-  fps_.resize(static_cast<std::size_t>(data_region_blocks()));
   map_.reserve(logical_blocks_);
 }
 

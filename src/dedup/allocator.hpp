@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/mapped.hpp"
 #include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "dedup/map_table.hpp"
@@ -53,11 +54,21 @@ class PoolAllocator {
   std::uint64_t pool_blocks() const { return pool_blocks_; }
 
  private:
+  /// Pool-relative bit: block currently in the free list.
+  bool freed(std::size_t rel) const {
+    return (free_mask_[rel / 64] >> (rel % 64)) & 1u;
+  }
+  void set_freed(std::size_t rel, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (rel % 64);
+    free_mask_[rel / 64] = on ? free_mask_[rel / 64] | bit
+                              : free_mask_[rel / 64] & ~bit;
+  }
+
   Pba pool_start_;
   std::uint64_t pool_blocks_;
   Pba bump_;
   std::vector<Pba> free_list_;
-  std::vector<bool> free_mask_;  // pool-relative: block currently in free list
+  ZeroedArray<std::uint64_t> free_mask_;  // bits, see freed()
   std::uint64_t allocated_ = 0;
 };
 
@@ -239,9 +250,10 @@ class BlockStore {
   // [0, data_region_blocks()): refcount and fingerprint of live content
   // (fps_[pba] is meaningful only while refs_[pba] > 0). The flat layout
   // keeps the replay write path — refcount/unref/place_write are its
-  // hottest calls — free of hashing, probing and rehash pauses.
-  std::vector<std::uint32_t> refs_;
-  std::vector<Fingerprint> fps_;
+  // hottest calls — free of hashing, probing and rehash pauses. Both come
+  // zeroed from the OS, so construction touches none of their pages.
+  ZeroedArray<std::uint32_t> refs_;
+  ZeroedArray<Fingerprint> fps_;
   std::uint64_t live_physical_ = 0;
   std::uint64_t live_count_ = 0;
   ChunkCounters chunk_counters_;

@@ -19,11 +19,17 @@
 // Map-table probe plus a separate liveness-bitmap load. Identity entries
 // are invisible to lookup()/entries()/for_each_entry(): they carry no
 // NVRAM cost (no redirection is stored for them in the modelled system).
+//
+// Slots hold the bitwise complement of the value, so the all-zero page the
+// OS hands out reads as kInvalidPba ("dead"): the table is an OS-zeroed
+// array (common/mapped.hpp) and sizing it costs no fill pass. Decoding is
+// one NOT on the load.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
+#include "common/mapped.hpp"
 #include "common/types.hpp"
 
 namespace pod {
@@ -67,7 +73,7 @@ class MapTable {
     const std::size_t in_range =
         table_.size() - start < n ? table_.size() - start : n;
     for (std::size_t i = 0; i < in_range; ++i) {
-      const Pba v = table_[start + i];
+      const Pba v = ~table_[start + i];
       out[i] = v < kIdentityHome
                    ? v
                    : (v == kIdentityHome ? static_cast<Pba>(lba0 + i)
@@ -103,7 +109,8 @@ class MapTable {
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
     for (std::size_t i = 0; i < table_.size(); ++i) {
-      if (table_[i] < kIdentityHome) fn(static_cast<Lba>(i), table_[i]);
+      const Pba v = ~table_[i];
+      if (v < kIdentityHome) fn(static_cast<Lba>(i), v);
     }
   }
 
@@ -120,11 +127,21 @@ class MapTable {
   static constexpr Pba kIdentityHome = kInvalidPba - 1;
 
   Pba raw(Lba lba) const {
-    return lba < table_.size() ? table_[static_cast<std::size_t>(lba)]
+    return lba < table_.size() ? ~table_[static_cast<std::size_t>(lba)]
                                : kInvalidPba;
   }
 
-  std::vector<Pba> table_;
+  /// Grows the table to at least `slots` (reserve() makes this a no-op on
+  /// the replay path); at least doubles, so set() without reserve stays
+  /// amortised O(1).
+  void grow_to(std::size_t slots) {
+    if (slots > table_.size()) resize(std::max(slots, 2 * table_.size()));
+  }
+  /// Moves the table into a zeroed array of `slots` (> size()).
+  void resize(std::size_t slots);
+
+  /// Complemented values: ~table_[lba] is the decoded slot.
+  ZeroedArray<Pba> table_;
   std::size_t entries_ = 0;
   std::size_t max_entries_ = 0;
 };

@@ -16,11 +16,12 @@ inline std::uint64_t mix(std::uint64_t z) {
 
 }  // namespace
 
-OnDiskIndex::OnDiskIndex(const Config& cfg) : cfg_(cfg) {
+OnDiskIndex::OnDiskIndex(const Config& cfg)
+    : cfg_(cfg),
+      bloom_(static_cast<std::size_t>((cfg.bloom_bits + 63) / 64)) {
   POD_CHECK(cfg_.region_blocks > 0);
   POD_CHECK(cfg_.insert_batch > 0);
   POD_CHECK(cfg_.bloom_bits >= 64);
-  bloom_.assign(static_cast<std::size_t>((cfg_.bloom_bits + 63) / 64), 0);
   if (cfg_.expected_entries > 0)
     table_.reserve(static_cast<std::size_t>(cfg_.expected_entries));
 }

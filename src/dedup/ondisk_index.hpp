@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/flat_hash_map.hpp"
+#include "common/mapped.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -107,7 +107,7 @@ class OnDiskIndex {
   Config cfg_;
   FlatHashMap<Fingerprint, Pba, FingerprintHash> table_;
   MetadataJournal* journal_ = nullptr;
-  std::vector<std::uint64_t> bloom_;
+  ZeroedArray<std::uint64_t> bloom_;
   std::uint32_t pending_inserts_ = 0;
   mutable std::uint64_t bloom_negatives_ = 0;
   mutable std::uint64_t disk_lookups_ = 0;

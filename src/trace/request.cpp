@@ -50,8 +50,19 @@ std::span<const Fingerprint> FingerprintArena::append(
   return dst;
 }
 
+void FingerprintArena::adopt(FileImage image,
+                             std::span<const Fingerprint> fps) {
+  POD_CHECK(image_.empty());
+  image_ = std::move(image);
+  image_fps_ = fps;
+  size_ += fps.size();
+}
+
 bool FingerprintArena::owns(std::span<const Fingerprint> s) const {
   if (s.empty()) return true;
+  if (s.data() >= image_fps_.data() &&
+      s.data() + s.size() <= image_fps_.data() + image_fps_.size())
+    return true;
   for (const Block& b : blocks_) {
     const Fingerprint* begin = b.data.get();
     if (s.data() >= begin && s.data() + s.size() <= begin + b.used) return true;

@@ -7,8 +7,9 @@
 // Storage layout (structure-of-arrays): a Trace keeps every fingerprint in
 // one FingerprintArena; each IoRequest carries only a
 // std::span<const Fingerprint> view into that arena. Requests are 64-byte
-// plain values with no per-request heap allocation, and the arena is loaded
-// from the binary trace format with a single bulk read.
+// plain values with no per-request heap allocation. A trace loaded from the
+// binary format copies no fingerprints at all: the arena adopts the mapped
+// file image and the spans point into its fingerprint blob.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -50,10 +52,9 @@ bool same_chunks(std::span<const Fingerprint> a, std::span<const Fingerprint> b)
 /// Bump allocator for fingerprints with stable addresses.
 ///
 /// Fingerprints are appended in blocks that never move or shrink, so spans
-/// handed out by append()/alloc() stay valid for the arena's lifetime (and
-/// across moves of the arena). reserve()ing the total up front yields one
-/// flat contiguous block — the layout the binary trace loader fills with a
-/// single read.
+/// handed out by append()/alloc()/adopt() stay valid for the arena's
+/// lifetime (and across moves of the arena). reserve()ing the total up
+/// front yields one flat contiguous block.
 class FingerprintArena {
  public:
   FingerprintArena() = default;
@@ -73,10 +74,18 @@ class FingerprintArena {
   /// Copies `fps` into the arena and returns the stable view.
   std::span<const Fingerprint> append(std::span<const Fingerprint> fps);
 
+  /// Takes ownership of a loaded file image and makes `fps`, a range
+  /// inside it, a read-only block of this arena (no copy). At most one
+  /// image per arena.
+  void adopt(FileImage image, std::span<const Fingerprint> fps);
+
   /// Total fingerprints stored.
   std::size_t size() const { return size_; }
-  /// Number of backing blocks (1 when reserve() preceded all appends).
-  std::size_t block_count() const { return blocks_.size(); }
+  /// Number of backing blocks, an adopted image included (1 when reserve()
+  /// preceded all appends, or for a trace loaded from a file image).
+  std::size_t block_count() const {
+    return blocks_.size() + (image_fps_.empty() ? 0 : 1);
+  }
   /// True when `s` points into this arena's storage (debug/test invariant).
   bool owns(std::span<const Fingerprint> s) const;
 
@@ -94,6 +103,8 @@ class FingerprintArena {
   Block& block_with_room(std::size_t n);
 
   std::vector<Block> blocks_;
+  FileImage image_;
+  std::span<const Fingerprint> image_fps_;
   std::size_t size_ = 0;
 };
 

@@ -39,9 +39,10 @@ void put_dist(std::ostringstream& os, const SizeDist& d) {
 }
 
 /// Canonical serialization of every field the generator consumes.
-std::string canonical_profile(const WorkloadProfile& p) {
+std::string canonical_profile(const WorkloadProfile& p, int format_version) {
   std::ostringstream os;
-  os << "gen" << kTraceCacheGenVersion << ';' << p.name << ';';
+  os << "gen" << kTraceCacheGenVersion << ";fmt" << format_version << ';'
+     << p.name << ';';
   put_u64(os, p.seed);
   put_u64(os, p.measured_requests);
   put_u64(os, p.warmup_requests);
@@ -88,8 +89,9 @@ std::string trace_cache_dir() {
   return env == nullptr ? std::string{} : std::string{env};
 }
 
-std::string trace_cache_key(const WorkloadProfile& profile) {
-  const std::string canon = canonical_profile(profile);
+std::string trace_cache_key(const WorkloadProfile& profile,
+                            int format_version) {
+  const std::string canon = canonical_profile(profile, format_version);
   const std::uint64_t h = fnv1a64(
       reinterpret_cast<const std::uint8_t*>(canon.data()), canon.size());
   return profile.name + "-" + hex16(h) + ".podtrc";

@@ -1,6 +1,7 @@
 #include "trace/trace_io.hpp"
 
 #include <charconv>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -9,61 +10,148 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/check.hpp"
-#include "hash/fnv.hpp"
+#include "common/mapped.hpp"
+#include "hash/xx64.hpp"
 
 namespace pod {
 
 namespace {
 
-// v1: per-request records with inline fingerprints (read-compatibility).
-constexpr char kBinaryMagicV1[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '1'};
-// v2: structure-of-arrays — fixed-size request records followed by one
-// contiguous fingerprint blob, loaded straight into the trace arena.
-constexpr char kBinaryMagicV2[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '2'};
-// v3: the v2 layout prefixed with a u64 FNV-1a checksum of every body byte
-// after the checksum field. Detects silent cache-file corruption (the trace
-// cache falls back to regeneration on mismatch). v1/v2 stay readable.
-constexpr char kBinaryMagicV3[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '3'};
-// v4: v3 plus a u32 stream (tenant) id per request record. Older files
-// (v1-v3) stay readable and load with stream 0.
-constexpr char kBinaryMagicV4[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '4'};
+constexpr char kMagic[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '5'};
+static_assert(kMagic[6] - '0' == kTraceFormatVersion / 10 &&
+                  kMagic[7] - '0' == kTraceFormatVersion % 10,
+              "the magic spells the format version the cache key uses");
+/// The checksum covers every byte after its own field.
+constexpr std::size_t kChecksummedFrom =
+    offsetof(TraceImageHeader, checksum) + sizeof(std::uint64_t);
+/// Column bytes per request (arrival, lba, nblocks, stream, type): bounds
+/// the header's request count by the file size.
+constexpr std::uint64_t kRequestBytes =
+    sizeof(SimTime) + sizeof(Lba) + 2 * sizeof(std::uint32_t) + 1;
 
-/// Streaming FNV-1a accumulator: both the writer and the reader feed the
-/// body byte sequences through this in identical order, so the stored and
-/// recomputed sums agree iff every body byte round-tripped.
-struct BodyChecksum {
-  std::uint64_t h = kFnvOffset;
-  void feed(const void* data, std::size_t len) {
-    h = fnv1a64(static_cast<const std::uint8_t*>(data), len, h);
-  }
-  template <typename T>
-  void feed_pod(const T& v) {
-    feed(&v, sizeof(v));
-  }
-};
+/// The one column layout for the given counts: the writer emits it and the
+/// reader refuses anything else. Callers bound the counts first, so no sum
+/// here can overflow.
+TraceImageHeader layout_for(std::uint64_t requests, std::uint64_t fingerprints,
+                            std::uint64_t name_bytes) {
+  TraceImageHeader h{};
+  std::memcpy(h.magic, kMagic, sizeof(kMagic));
+  h.requests = requests;
+  h.fingerprints = fingerprints;
+  h.name_bytes = name_bytes;
+  std::uint64_t end = sizeof(TraceImageHeader) + name_bytes;
+  const auto column = [&end](std::uint64_t bytes) {
+    const std::uint64_t at =
+        (end + kTraceColumnAlign - 1) / kTraceColumnAlign * kTraceColumnAlign;
+    end = at + bytes;
+    return at;
+  };
+  h.arrival_off = column(requests * sizeof(SimTime));
+  h.lba_off = column(requests * sizeof(Lba));
+  h.nblocks_off = column(requests * sizeof(std::uint32_t));
+  h.stream_off = column(requests * sizeof(std::uint32_t));
+  h.type_off = column(requests);
+  h.fp_off = column(fingerprints * sizeof(Fingerprint));
+  h.file_bytes = end;
+  return h;
+}
 
-/// Fixed-size on-disk request record of the v2/v3 formats.
-#pragma pack(push, 1)
-struct DiskRecord {
-  SimTime arrival;
-  std::uint8_t type;
-  Lba lba;
-  std::uint32_t nblocks;
-  std::uint32_t nfp;
-};
-/// v4 record: v2/v3 plus the stream id.
-struct DiskRecordV4 {
-  SimTime arrival;
-  std::uint8_t type;
-  Lba lba;
-  std::uint32_t nblocks;
-  std::uint32_t stream;
-  std::uint32_t nfp;
-};
-#pragma pack(pop)
-static_assert(sizeof(DiskRecord) == 25);
-static_assert(sizeof(DiskRecordV4) == 29);
+OpType op_from_byte(std::uint8_t b) {
+  if (b != static_cast<std::uint8_t>(OpType::kRead) &&
+      b != static_cast<std::uint8_t>(OpType::kWrite))
+    throw std::runtime_error("bad op byte in binary trace");
+  return static_cast<OpType>(b);
+}
+
+/// Validates a whole PODTRC05 image, then builds the trace over it: the
+/// request loop reads the typed columns in place and the chunk spans point
+/// into the image's fingerprint blob, which the trace's arena adopts.
+Trace parse_trace_image(FileImage image) {
+  const auto* base =
+      reinterpret_cast<const unsigned char*>(image.bytes().data());
+  const std::size_t size = image.bytes().size();
+  if (size < sizeof(kMagic) || std::memcmp(base, kMagic, 6) != 0)
+    throw std::runtime_error("not a pod binary trace");
+  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0)
+    throw std::runtime_error(
+        "unsupported binary trace version " +
+        std::string(reinterpret_cast<const char*>(base), sizeof(kMagic)) +
+        " (this build reads PODTRC05 only)");
+  if (size < sizeof(TraceImageHeader))
+    throw std::runtime_error("truncated binary trace header");
+  TraceImageHeader h;
+  std::memcpy(&h, base, sizeof(h));
+
+  // Structure first, against the real file size and before any allocation:
+  // a corrupt count must surface as a refusal, not as a giant reserve.
+  if (h.file_bytes != size)
+    throw std::runtime_error(size < h.file_bytes
+                                 ? "truncated binary trace"
+                                 : "binary trace longer than its header says");
+  if (h.name_bytes > size || h.requests > size / kRequestBytes ||
+      h.fingerprints > size / sizeof(Fingerprint))
+    throw std::runtime_error("binary trace header counts exceed the file size");
+  if (h.warmup > h.requests) throw std::runtime_error("bad warmup count");
+  const TraceImageHeader want =
+      layout_for(h.requests, h.fingerprints, h.name_bytes);
+  for (const std::uint64_t off : {h.arrival_off, h.lba_off, h.nblocks_off,
+                                  h.stream_off, h.type_off, h.fp_off})
+    if (off % kTraceColumnAlign != 0)
+      throw std::runtime_error("misaligned column in binary trace");
+  if (h.arrival_off != want.arrival_off || h.lba_off != want.lba_off ||
+      h.nblocks_off != want.nblocks_off || h.stream_off != want.stream_off ||
+      h.type_off != want.type_off || h.fp_off != want.fp_off ||
+      want.file_bytes != size)
+    throw std::runtime_error(
+        "binary trace column layout does not match its counts");
+
+  if (xx64(base + kChecksummedFrom, size - kChecksummedFrom) != h.checksum)
+    throw std::runtime_error("binary trace checksum mismatch");
+
+  Trace trace;
+  trace.name.assign(
+      reinterpret_cast<const char*>(base + sizeof(TraceImageHeader)),
+      static_cast<std::size_t>(h.name_bytes));
+  trace.warmup_count = static_cast<std::size_t>(h.warmup);
+  const auto* arrival = reinterpret_cast<const SimTime*>(base + h.arrival_off);
+  const auto* lba = reinterpret_cast<const Lba*>(base + h.lba_off);
+  const auto* nblocks =
+      reinterpret_cast<const std::uint32_t*>(base + h.nblocks_off);
+  const auto* stream =
+      reinterpret_cast<const std::uint32_t*>(base + h.stream_off);
+  const std::uint8_t* type = base + h.type_off;
+  const auto* blob = reinterpret_cast<const Fingerprint*>(base + h.fp_off);
+  const auto count = static_cast<std::size_t>(h.requests);
+  const auto total_fps = static_cast<std::size_t>(h.fingerprints);
+
+  trace.requests.reserve(count);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    IoRequest r;
+    r.id = i;
+    r.arrival = arrival[i];
+    r.type = op_from_byte(type[i]);
+    r.lba = lba[i];
+    r.nblocks = nblocks[i];
+    r.stream = stream[i];
+    if (r.nblocks == 0) throw std::runtime_error("zero-length request");
+    if (r.is_write()) {
+      if (r.nblocks > total_fps - offset)
+        throw std::runtime_error("fingerprint blob overrun");
+      r.chunks = {blob + offset, r.nblocks};
+      offset += r.nblocks;
+    }
+    trace.requests.push_back(r);
+  }
+  if (offset != total_fps)
+    throw std::runtime_error("fingerprint blob underrun");
+  // The requests now hold everything the columns did; only the blob stays
+  // referenced, so the column pages need not stay resident.
+  image.release(static_cast<std::size_t>(h.arrival_off),
+                static_cast<std::size_t>(h.fp_off - h.arrival_off));
+  trace.arena().adopt(std::move(image), {blob, total_fps});
+  return trace;
+}
 
 std::string hex16(std::uint64_t v) {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -97,142 +185,6 @@ T parse_uint(const std::string& s) {
   if (ec != std::errc{} || ptr != end)
     throw std::runtime_error("bad numeric field: " + s);
   return v;
-}
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) throw std::runtime_error("truncated binary trace");
-  return v;
-}
-
-OpType op_from_byte(std::uint8_t b) {
-  if (b != static_cast<std::uint8_t>(OpType::kRead) &&
-      b != static_cast<std::uint8_t>(OpType::kWrite))
-    throw std::runtime_error("bad op byte in binary trace");
-  return static_cast<OpType>(b);
-}
-
-/// v1 body: per-request records with inline fingerprint bytes.
-Trace read_trace_binary_v1(std::istream& in) {
-  Trace trace;
-  const auto name_len = read_pod<std::uint32_t>(in);
-  trace.name.resize(name_len);
-  in.read(trace.name.data(), name_len);
-  const auto count = read_pod<std::uint64_t>(in);
-  trace.warmup_count = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  if (trace.warmup_count > count) throw std::runtime_error("bad warmup count");
-  trace.requests.reserve(count);
-  std::vector<Fingerprint> scratch;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    IoRequest r;
-    r.id = i;
-    r.arrival = read_pod<SimTime>(in);
-    r.type = op_from_byte(read_pod<std::uint8_t>(in));
-    r.lba = read_pod<Lba>(in);
-    r.nblocks = read_pod<std::uint32_t>(in);
-    const auto nfp = read_pod<std::uint32_t>(in);
-    scratch.clear();
-    scratch.reserve(nfp);
-    for (std::uint32_t c = 0; c < nfp; ++c) {
-      std::array<std::uint8_t, Fingerprint::kSize> bytes{};
-      in.read(reinterpret_cast<char*>(bytes.data()), bytes.size());
-      if (!in) throw std::runtime_error("truncated binary trace");
-      Fingerprint fp;
-      static_assert(sizeof(Fingerprint) == Fingerprint::kSize);
-      std::memcpy(&fp, bytes.data(), bytes.size());
-      scratch.push_back(fp);
-    }
-    trace.append(r, scratch);
-  }
-  return trace;
-}
-
-/// v2/v3/v4 body: bulk-read request records (`Record` selects the layout),
-/// then the fingerprint arena in one contiguous read; spans are assigned by
-/// walking per-request counts. When `ck` is non-null (v3/v4), every body
-/// byte is fed through it in read order.
-template <typename Record>
-Trace read_trace_binary_v2(std::istream& in, BodyChecksum* ck = nullptr) {
-  Trace trace;
-  const auto name_len = read_pod<std::uint32_t>(in);
-  if (name_len > (1u << 20))
-    throw std::runtime_error("implausible trace name length");
-  trace.name.resize(name_len);
-  in.read(trace.name.data(), name_len);
-  if (!in) throw std::runtime_error("truncated binary trace");
-  const auto count = read_pod<std::uint64_t>(in);
-  trace.warmup_count = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const auto total_fps = read_pod<std::uint64_t>(in);
-  if (ck != nullptr) {
-    ck->feed_pod(name_len);
-    ck->feed(trace.name.data(), name_len);
-    ck->feed_pod(count);
-    ck->feed_pod(static_cast<std::uint64_t>(trace.warmup_count));
-    ck->feed_pod(total_fps);
-  }
-  if (trace.warmup_count > count) throw std::runtime_error("bad warmup count");
-
-  // Bound the bulk allocations by the bytes actually left in the stream —
-  // a corrupted count must surface as "truncated", not as a giant alloc.
-  const auto body_pos = in.tellg();
-  if (body_pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const auto end_pos = in.tellg();
-    in.seekg(body_pos);
-    if (end_pos != std::istream::pos_type(-1)) {
-      const auto remaining =
-          static_cast<std::uint64_t>(end_pos - body_pos);
-      if (count > remaining / sizeof(Record) ||
-          total_fps > remaining / sizeof(Fingerprint))
-        throw std::runtime_error("truncated binary trace");
-    }
-  }
-
-  std::vector<Record> records(count);
-  in.read(reinterpret_cast<char*>(records.data()),
-          static_cast<std::streamsize>(count * sizeof(Record)));
-  if (!in) throw std::runtime_error("truncated binary trace");
-  if (ck != nullptr) ck->feed(records.data(), count * sizeof(Record));
-
-  trace.arena().reserve(total_fps);
-  const std::span<Fingerprint> arena = trace.arena().alloc(total_fps);
-  in.read(reinterpret_cast<char*>(arena.data()),
-          static_cast<std::streamsize>(arena.size_bytes()));
-  if (!in) throw std::runtime_error("truncated binary trace");
-  if (ck != nullptr) ck->feed(arena.data(), arena.size_bytes());
-
-  trace.requests.reserve(count);
-  std::uint64_t offset = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Record& rec = records[i];
-    IoRequest r;
-    r.id = i;
-    r.arrival = rec.arrival;
-    r.type = op_from_byte(rec.type);
-    r.lba = rec.lba;
-    r.nblocks = rec.nblocks;
-    if constexpr (requires { rec.stream; }) r.stream = rec.stream;
-    if (r.nblocks == 0) throw std::runtime_error("zero-length request");
-    if (r.is_write() && rec.nfp != rec.nblocks)
-      throw std::runtime_error("write fingerprint count != nblocks");
-    if (r.is_read() && rec.nfp != 0)
-      throw std::runtime_error("read request carries fingerprints");
-    if (offset + rec.nfp > total_fps)
-      throw std::runtime_error("fingerprint blob overrun");
-    r.chunks = arena.subspan(offset, rec.nfp);
-    offset += rec.nfp;
-    trace.requests.push_back(r);
-  }
-  if (offset != total_fps)
-    throw std::runtime_error("fingerprint blob underrun");
-  return trace;
 }
 
 }  // namespace
@@ -312,76 +264,50 @@ Trace read_trace_csv(std::istream& in, std::string name) {
 }
 
 void write_trace_binary(std::ostream& out, const Trace& trace) {
-  const std::uint32_t name_len = static_cast<std::uint32_t>(trace.name.size());
-  const std::uint64_t count = trace.requests.size();
-  const std::uint64_t warmup = trace.warmup_count;
   std::uint64_t total_fps = 0;
-  for (const IoRequest& r : trace.requests) total_fps += r.chunks.size();
-
-  std::vector<DiskRecordV4> records;
-  records.reserve(trace.requests.size());
   for (const IoRequest& r : trace.requests) {
-    records.push_back(DiskRecordV4{r.arrival, static_cast<std::uint8_t>(r.type),
-                                   r.lba, r.nblocks, r.stream,
-                                   static_cast<std::uint32_t>(r.chunks.size())});
+    // The format implies each request's fingerprint count from its type.
+    if (r.chunks.size() != (r.is_write() ? r.nblocks : 0u))
+      throw std::runtime_error(
+          "cannot serialize a request whose fingerprint count is not "
+          "nblocks (write) or 0 (read)");
+    total_fps += r.chunks.size();
   }
+  TraceImageHeader h =
+      layout_for(trace.requests.size(), total_fps, trace.name.size());
+  h.warmup = trace.warmup_count;
 
-  // Checksum the body without buffering it: feed exactly the byte sequence
-  // written below, in the same order.
-  BodyChecksum ck;
-  ck.feed_pod(name_len);
-  ck.feed(trace.name.data(), name_len);
-  ck.feed_pod(count);
-  ck.feed_pod(warmup);
-  ck.feed_pod(total_fps);
-  ck.feed(records.data(), records.size() * sizeof(DiskRecordV4));
-  for (const IoRequest& r : trace.requests)
-    ck.feed(r.chunks.data(), r.chunks.size_bytes());
-
-  out.write(kBinaryMagicV4, sizeof(kBinaryMagicV4));
-  write_pod(out, ck.h);
-  write_pod(out, name_len);
-  out.write(trace.name.data(), name_len);
-  write_pod(out, count);
-  write_pod(out, warmup);
-  write_pod(out, total_fps);
-  out.write(reinterpret_cast<const char*>(records.data()),
-            static_cast<std::streamsize>(records.size() *
-                                         sizeof(DiskRecordV4)));
-  // Fingerprint blob, in request order (== arena order for traces built
-  // append-only, but written from the spans so any layout serializes
-  // correctly).
-  for (const IoRequest& r : trace.requests) {
-    out.write(reinterpret_cast<const char*>(r.chunks.data()),
-              static_cast<std::streamsize>(r.chunks.size_bytes()));
+  std::vector<unsigned char> image(static_cast<std::size_t>(h.file_bytes));
+  unsigned char* base = image.data();
+  std::memcpy(base + sizeof(TraceImageHeader), trace.name.data(),
+              trace.name.size());
+  std::size_t fp_at = static_cast<std::size_t>(h.fp_off);
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    const IoRequest& r = trace.requests[i];
+    const auto type = static_cast<std::uint8_t>(r.type);
+    std::memcpy(base + h.arrival_off + i * sizeof(SimTime), &r.arrival,
+                sizeof(SimTime));
+    std::memcpy(base + h.lba_off + i * sizeof(Lba), &r.lba, sizeof(Lba));
+    std::memcpy(base + h.nblocks_off + i * sizeof(std::uint32_t), &r.nblocks,
+                sizeof(std::uint32_t));
+    std::memcpy(base + h.stream_off + i * sizeof(std::uint32_t), &r.stream,
+                sizeof(std::uint32_t));
+    base[h.type_off + i] = type;
+    // Written from the spans, so any arena layout serializes correctly.
+    if (!r.chunks.empty())
+      std::memcpy(base + fp_at, r.chunks.data(), r.chunks.size_bytes());
+    fp_at += r.chunks.size_bytes();
   }
+  std::memcpy(base, &h, sizeof(h));
+  h.checksum = xx64(base + kChecksummedFrom, image.size() - kChecksummedFrom);
+  std::memcpy(base + offsetof(TraceImageHeader, checksum), &h.checksum,
+              sizeof(h.checksum));
+  out.write(reinterpret_cast<const char*>(base),
+            static_cast<std::streamsize>(image.size()));
 }
 
 Trace read_trace_binary(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in) throw std::runtime_error("not a pod binary trace");
-  if (std::memcmp(magic, kBinaryMagicV4, sizeof(magic)) == 0) {
-    const auto stored = read_pod<std::uint64_t>(in);
-    BodyChecksum ck;
-    Trace trace = read_trace_binary_v2<DiskRecordV4>(in, &ck);
-    if (ck.h != stored)
-      throw std::runtime_error("binary trace checksum mismatch");
-    return trace;
-  }
-  if (std::memcmp(magic, kBinaryMagicV3, sizeof(magic)) == 0) {
-    const auto stored = read_pod<std::uint64_t>(in);
-    BodyChecksum ck;
-    Trace trace = read_trace_binary_v2<DiskRecord>(in, &ck);
-    if (ck.h != stored)
-      throw std::runtime_error("binary trace checksum mismatch");
-    return trace;
-  }
-  if (std::memcmp(magic, kBinaryMagicV2, sizeof(magic)) == 0)
-    return read_trace_binary_v2<DiskRecord>(in);
-  if (std::memcmp(magic, kBinaryMagicV1, sizeof(magic)) == 0)
-    return read_trace_binary_v1(in);
-  throw std::runtime_error("not a pod binary trace");
+  return parse_trace_image(FileImage::read(in));
 }
 
 namespace {
@@ -414,8 +340,7 @@ void save_trace_binary(const std::string& path, const Trace& trace) {
 }
 
 Trace load_trace_binary(const std::string& path) {
-  auto in = open_in(path, std::ios::in | std::ios::binary);
-  return read_trace_binary(in);
+  return parse_trace_image(FileImage::map(path));
 }
 
 }  // namespace pod

@@ -1,11 +1,13 @@
 // FingerprintArena invariants, and the arena-span contract of the binary
 // trace reader: every request's chunk span must point into the trace's own
-// arena, bulk loads must land in one flat block, and truncated inputs must
-// fail loudly instead of yielding short spans.
+// arena (a loaded trace's arena is the adopted file image), and truncated
+// or structurally inconsistent inputs must fail loudly instead of yielding
+// short spans.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "image_bytes.hpp"
 #include "trace/request.hpp"
 #include "trace/trace_io.hpp"
 
@@ -107,7 +109,7 @@ TEST(BinaryTraceArena, LoadedSpansPointIntoLoadedArena) {
     total_fps += r.chunks.size();
   }
   EXPECT_EQ(back.arena().size(), total_fps);
-  // The reader reserves the exact total before the bulk read: flat arena.
+  // The reader adopts the image's fingerprint blob: one flat block.
   EXPECT_EQ(back.arena().block_count(), 1u);
 }
 
@@ -126,52 +128,56 @@ TEST(BinaryTraceArena, EveryTruncationPointThrows) {
   std::stringstream full;
   write_trace_binary(full, mixed_trace(40));
   const std::string bytes = full.str();
-  // Cut in the magic, the header, the record array, and the fingerprint
-  // blob; all must throw, never produce a short trace.
-  for (const std::size_t cut :
-       {std::size_t{4}, std::size_t{20}, bytes.size() / 3, bytes.size() / 2,
-        bytes.size() - 1}) {
+  // Every cut — in the magic, the header, the name, each column, the
+  // padding and the fingerprint blob — must throw, never produce a short
+  // trace.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::stringstream truncated(bytes.substr(0, cut));
     EXPECT_THROW(read_trace_binary(truncated), std::runtime_error)
         << "cut at " << cut << " of " << bytes.size();
   }
 }
 
-// v2 layout: 8B magic, u32 name_len, name bytes, u64 count, u64 warmup,
-// u64 total_fps, then 25-byte records {i64 arrival, u8 type, u64 lba,
-// u32 nblocks, u32 nfp}, then the fingerprint blob. mixed_trace interleaves
-// write,read so record 0 is a write and record 1 a read.
-std::size_t record_offset(const std::string& name, std::size_t index) {
-  return 8 + 4 + name.size() + 3 * 8 + index * 25;
-}
+// Structural corruption with a valid checksum: the edits below reseal the
+// image, so each refusal comes from the loader's per-request validation
+// rather than from the checksum. mixed_trace interleaves write,read, so
+// request 0 is a 1-block write and request 1 a 2-block read.
+using test::expect_refused;
+using test::header_of;
+using test::reseal;
+
+std::string mixed_image() { return test::image_of(mixed_trace(10)); }
 
 TEST(BinaryTraceArena, RejectsCorruptOpByte) {
-  std::stringstream ss;
-  write_trace_binary(ss, mixed_trace(10));
-  std::string bytes = ss.str();
-  bytes[record_offset("arena", 0) + 8] = 77;  // type byte: neither R nor W
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(read_trace_binary(corrupted), std::runtime_error);
+  std::string bytes = mixed_image();
+  bytes[header_of(bytes).type_off] = 77;  // neither R nor W
+  reseal(bytes);
+  expect_refused(bytes, "bad op byte");
 }
 
 TEST(BinaryTraceArena, RejectsReadRecordClaimingFingerprints) {
-  std::stringstream ss;
-  write_trace_binary(ss, mixed_trace(10));
-  std::string bytes = ss.str();
-  // Record 1 is a read; give its little-endian nfp field a nonzero value.
-  bytes[record_offset("arena", 1) + 21] = 2;
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(read_trace_binary(corrupted), std::runtime_error);
+  // Turning the last request (a read) into a write makes it claim nblocks
+  // fingerprints the blob does not hold.
+  std::string bytes = mixed_image();
+  const TraceImageHeader h = header_of(bytes);
+  bytes[h.type_off + h.requests - 1] = static_cast<char>(OpType::kWrite);
+  reseal(bytes);
+  expect_refused(bytes, "fingerprint blob overrun");
 }
 
 TEST(BinaryTraceArena, RejectsWriteFingerprintCountMismatch) {
-  std::stringstream ss;
-  write_trace_binary(ss, mixed_trace(10));
-  std::string bytes = ss.str();
-  // Record 0 is a 1-block write (nfp == 1); claim an extra fingerprint.
-  bytes[record_offset("arena", 0) + 21] = 2;
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(read_trace_binary(corrupted), std::runtime_error);
+  // Request 0 is a 1-block write; growing it to 2 blocks shifts every later
+  // write's span, so the blob runs out before the last write.
+  std::string bytes = mixed_image();
+  bytes[header_of(bytes).nblocks_off] = 2;
+  reseal(bytes);
+  expect_refused(bytes, "fingerprint blob overrun");
+  // Shrinking a write instead leaves fingerprints no request claims.
+  bytes = mixed_image();
+  const TraceImageHeader h = header_of(bytes);
+  bytes[h.nblocks_off + 2 * sizeof(std::uint32_t)] = 1;  // request 2: 2 -> 1
+  reseal(bytes);
+  expect_refused(bytes, "fingerprint blob underrun");
 }
 
 }  // namespace

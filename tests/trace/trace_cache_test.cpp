@@ -63,6 +63,43 @@ TEST(TraceCache, KeyCoversGeneratorRelevantFields) {
   EXPECT_NE(trace_cache_key(base), trace_cache_key(p));
 }
 
+TEST(TraceCache, KeyCarriesTheBinaryFormatVersion) {
+  // Builds that read different formats must never share a cache file: each
+  // side would find the other's file, fail to load it, and never replace it.
+  const WorkloadProfile p = cache_profile();
+  EXPECT_EQ(trace_cache_key(p), trace_cache_key(p, kTraceFormatVersion));
+  EXPECT_NE(trace_cache_key(p, kTraceFormatVersion),
+            trace_cache_key(p, kTraceFormatVersion - 1));
+  EXPECT_NE(trace_cache_key(p, kTraceFormatVersion),
+            trace_cache_key(p, kTraceFormatVersion + 1));
+}
+
+TEST(TraceCache, OlderFormatEntryIsAMissNamingItsVersion) {
+  const WorkloadProfile p = cache_profile();
+  const std::string dir = fresh_dir("pod_cache_old_version");
+  const Trace generated = TraceGenerator(p).generate();
+  ASSERT_TRUE(store_cached_trace(dir, p, generated));
+  const std::string path = trace_cache_path(dir, p);
+  for (const char* magic : {"PODTRC01", "PODTRC02", "PODTRC03", "PODTRC04"}) {
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.write(magic, 8);
+    }
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(try_load_cached_trace(dir, p).has_value()) << magic;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(magic), std::string::npos) << err;
+  }
+  // The miss regenerates and republishes a current-version entry.
+  ASSERT_EQ(setenv("POD_TRACE_CACHE", dir.c_str(), 1), 0);
+  const Trace regenerated = obtain_trace(p);
+  unsetenv("POD_TRACE_CACHE");
+  expect_equal(regenerated, generated);
+  std::optional<Trace> reloaded = try_load_cached_trace(dir, p);
+  ASSERT_TRUE(reloaded.has_value());
+  expect_equal(*reloaded, generated);
+}
+
 TEST(TraceCache, StoreThenLoadRoundTrips) {
   const WorkloadProfile p = cache_profile();
   const std::string dir = fresh_dir("pod_cache_roundtrip");

@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "hash/fnv.hpp"
 
 namespace pod {
 namespace {
@@ -121,10 +120,10 @@ TEST(TraceIo, BinaryRejectsTruncation) {
   EXPECT_THROW(read_trace_binary(truncated), std::runtime_error);
 }
 
-TEST(TraceIo, BinaryWritesChecksummedV4) {
+TEST(TraceIo, BinaryWritesChecksummedV5) {
   std::stringstream ss;
   write_trace_binary(ss, sample_trace());
-  EXPECT_EQ(ss.str().substr(0, 8), "PODTRC04");
+  EXPECT_EQ(ss.str().substr(0, 8), "PODTRC05");
 }
 
 TEST(TraceIo, BinaryDetectsSingleFlippedByte) {
@@ -143,60 +142,23 @@ TEST(TraceIo, BinaryDetectsSingleFlippedByte) {
   }
 }
 
-// Serializes `t` in the legacy v2/v3 body layout — 25-byte packed records
-// with no stream field — so the legacy readers stay covered now that the
-// writer emits v4 records.
-std::string legacy_v2_body(const Trace& t) {
-  std::string out;
-  const auto put = [&out](const void* p, std::size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  const auto name_len = static_cast<std::uint32_t>(t.name.size());
-  put(&name_len, sizeof(name_len));
-  out.append(t.name);
-  const std::uint64_t count = t.requests.size();
-  put(&count, sizeof(count));
-  const std::uint64_t warmup = t.warmup_count;
-  put(&warmup, sizeof(warmup));
-  std::uint64_t total_fps = 0;
-  for (const IoRequest& r : t.requests) total_fps += r.chunks.size();
-  put(&total_fps, sizeof(total_fps));
-  for (const IoRequest& r : t.requests) {
-    put(&r.arrival, sizeof(r.arrival));
-    const auto type = static_cast<std::uint8_t>(r.type);
-    put(&type, sizeof(type));
-    put(&r.lba, sizeof(r.lba));
-    put(&r.nblocks, sizeof(r.nblocks));
-    const auto nfp = static_cast<std::uint32_t>(r.chunks.size());
-    put(&nfp, sizeof(nfp));
+TEST(TraceIo, BinaryRefusesOlderVersionsByName) {
+  // The v1-v4 readers are gone: the cache regenerates instead. An old file
+  // is refused with a message naming its version, whatever follows the
+  // magic.
+  std::stringstream ss;
+  write_trace_binary(ss, sample_trace());
+  const std::string body = ss.str().substr(8);
+  for (const char* magic : {"PODTRC01", "PODTRC02", "PODTRC03", "PODTRC04"}) {
+    std::stringstream in(magic + body);
+    try {
+      read_trace_binary(in);
+      ADD_FAILURE() << magic << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(magic), std::string::npos)
+          << e.what();
+    }
   }
-  for (const IoRequest& r : t.requests)
-    put(r.chunks.data(), r.chunks.size_bytes());
-  return out;
-}
-
-TEST(TraceIo, BinaryStillReadsLegacyV2) {
-  // A hand-built v2 stream (no checksum, no stream ids) must keep loading.
-  const Trace t = sample_trace();
-  std::stringstream in(std::string("PODTRC02") + legacy_v2_body(t));
-  const Trace back = read_trace_binary(in);
-  expect_equal(t, back);
-}
-
-TEST(TraceIo, BinaryStillReadsLegacyV3) {
-  // A hand-built v3 stream (checksummed v2 body) must keep loading, with
-  // every request on the default stream 0.
-  const Trace t = sample_trace();
-  const std::string body = legacy_v2_body(t);
-  const std::uint64_t ck = fnv1a64(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
-  std::string bytes = "PODTRC03";
-  bytes.append(reinterpret_cast<const char*>(&ck), sizeof(ck));
-  bytes += body;
-  std::stringstream in(bytes);
-  const Trace back = read_trace_binary(in);
-  expect_equal(t, back);
-  for (const IoRequest& r : back.requests) EXPECT_EQ(r.stream, 0u);
 }
 
 TEST(TraceIo, StreamIdRoundTripsBinaryAndCsv) {

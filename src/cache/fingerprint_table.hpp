@@ -21,11 +21,23 @@
 // (common/ctrl_group.hpp): {slot, tag} buckets plus control bytes
 // group-scanned 16 lanes at a time, linear probing, backward-shift
 // deletion. Buckets hold tags, so deletion never touches the slot pool,
-// and it runs up to 7/8 load (kMaxLoadNum/kMaxLoadDen). A slot is 56
-// bytes: key, entry, resident and ghost links, and one word holding the
-// ghost sequence number and the membership bits. The spill links and
-// payload live in a side array that exists only once enable_spill() gives
-// the spill list a capacity, so engines without iCache pay nothing for it.
+// and it runs up to 7/8 load (kMaxLoadNum/kMaxLoadDen). Each key's state
+// is split by who reads it:
+//
+//   slot  (32 B, 32-byte aligned): key, packed PBA, Count, resident links
+//         and the three membership bits — all a probe or a resident hit
+//         reads, in one cache line;
+//   ghost (12 B, parallel array): ghost links and the 32-bit eviction
+//         sequence number;
+//   spill (12 B, parallel array): spill links and the spilled PBA. It
+//         exists only once enable_spill() gives the spill list a
+//         capacity, so engines without iCache pay nothing for it.
+//
+// A key costs 44 B of slot and side entries (56 B with spill) plus its
+// share of the probe index. All three arrays and the index live in OS
+// pages (common/mapped.hpp), reserved up front for the lists' capacities,
+// so only slots in use become resident and a freed table leaves the
+// process instead of staying in the heap.
 //
 // Membership rules (the semantics of three independent LRU maps):
 //   * insert: resident put. A key already resident is overwritten (Count
@@ -39,20 +51,39 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/ctrl_group.hpp"
+#include "common/mapped.hpp"
+#include "common/packed_pba.hpp"
 #include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
 namespace pod {
 
-struct IndexEntry {
-  Pba pba = kInvalidPba;
-  std::uint32_t count = 0;
+class FingerprintTable;
+
+/// A resident index entry: the block holding the chunk and its write
+/// popularity (Count, paper Figure 6). It lives inside the table's probe
+/// slot; the word that holds Count also carries the slot's three list
+/// membership bits, which are the table's business, not the entry's.
+class IndexEntry {
+ public:
+  Pba pba() const { return widen_pba(pba_); }
+  /// Hits since the entry was (re)inserted; saturates at kMaxCount.
+  std::uint32_t count() const { return word_ & kMaxCount; }
+
+  static constexpr std::uint32_t kCountBits = 29;
+  static constexpr std::uint32_t kMaxCount = (1u << kCountBits) - 1;
+
+ private:
+  friend class FingerprintTable;
+
+  PackedPba pba_;
+  std::uint32_t word_;  // Count (low kCountBits) | membership bits (top 3)
 };
+static_assert(sizeof(IndexEntry) == 8);
 
 class FingerprintTable {
  public:
@@ -72,28 +103,36 @@ class FingerprintTable {
   FingerprintTable(std::size_t resident_capacity, std::size_t ghost_capacity)
       : lists_{ListState{resident_capacity}, ListState{ghost_capacity},
                ListState{0}} {
-    // Both lists run at capacity for most of a replay: size the table and
-    // the slot pool for them now, so neither rehashes nor reallocates (and
-    // copies) on the per-chunk insert path. (+1: an insert adds its key
-    // before it evicts.)
-    reserve(resident_capacity + ghost_capacity + 1);
-    slots_.reserve(resident_capacity + ghost_capacity + 1);
+    // Both lists run at capacity for most of a replay: size the index and
+    // the slot arrays for them now, so the per-chunk insert path neither
+    // rehashes nor grows. (+1: an insert adds its key before it evicts.)
+    // Reserving costs address space only; pages fill as slots are used.
+    const std::size_t keys = resident_capacity + ghost_capacity + 1;
+    reserve(keys);
+    slots_.reserve(keys);
+    ghost_.reserve(keys);
   }
 
-  /// Gives the spill list a capacity and allocates its side array. (The
-  /// table is not grown for it: every eviction lands on the ghost and the
-  /// spill list together, so the two mostly hold the same keys.)
+  /// Gives the spill list a capacity and sizes its side array to the slot
+  /// pool. (The index is not grown for it: every eviction lands on the
+  /// ghost and the spill list together, so the two mostly hold the same
+  /// keys.)
   void enable_spill(std::size_t capacity) {
     POD_CHECK(lists_[kSpill].size == 0);
     lists_[kSpill].capacity = capacity;
-    spill_.assign(capacity > 0 ? slots_.size() : 0, SpillSlot{});
-    if (capacity > 0) spill_.reserve(slots_.capacity());
+    spill_.clear();
+    if (capacity == 0) return;
+    spill_.reserve(lists_[kResident].capacity + lists_[kGhost].capacity + 1);
+    spill_.extend_to(slots_.size());
   }
 
   std::size_t size(List l) const { return lists_[l].size; }
   std::size_t capacity(List l) const { return lists_[l].capacity; }
   /// Distinct keys in the table (on at least one list).
   std::size_t keys() const { return live_; }
+  /// Slots ever handed out: the high-water mark of keys(), and the length
+  /// of the slot and side arrays.
+  std::size_t slots_used() const { return slots_.size(); }
 
   // --- probing ---
 
@@ -118,17 +157,14 @@ class FingerprintTable {
     return r.found ? Found{index_.at(r.pos).slot, r.pos} : Found{};
   }
 
-  bool on(List l, std::uint32_t s) const {
-    return (slots_[s].lists & bit(l)) != 0;
-  }
+  bool on(List l, std::uint32_t s) const { return (lists(s) & bit(l)) != 0; }
   const Fingerprint& key(std::uint32_t s) const { return slots_[s].key; }
   /// The resident entry (meaningful while the slot is resident).
-  IndexEntry& entry(std::uint32_t s) { return slots_[s].entry; }
   const IndexEntry& entry(std::uint32_t s) const { return slots_[s].entry; }
   /// The spilled payload's PBA (meaningful while the slot is on spill).
-  Pba spilled_pba(std::uint32_t s) const { return spill_[s].pba; }
+  Pba spilled_pba(std::uint32_t s) const { return widen_pba(spill_[s].pba); }
   /// Eviction sequence number stamped when the key joined the ghost list.
-  std::uint64_t ghost_seq(std::uint32_t s) const { return slots_[s].ghost_seq; }
+  std::uint64_t ghost_seq(std::uint32_t s) const { return ghost_[s].seq; }
   /// Ghost remembers so far (the next eviction's sequence number).
   std::uint64_t ghost_clock() const { return ghost_clock_; }
 
@@ -136,6 +172,20 @@ class FingerprintTable {
 
   /// Moves a resident slot to resident MRU.
   void promote(std::uint32_t s) { to_front(kResident, s); }
+
+  /// A resident hit: bumps Count (saturating) and promotes.
+  const IndexEntry& hit(std::uint32_t s) {
+    IndexEntry& e = slots_[s].entry;
+    if ((e.word_ & IndexEntry::kMaxCount) != IndexEntry::kMaxCount) ++e.word_;
+    promote(s);
+    return e;
+  }
+
+  /// Points a resident entry at a new block (Count kept) and promotes it.
+  void rebind(std::uint32_t s, Pba pba) {
+    slots_[s].entry.pba_ = narrow_pba(pba);
+    promote(s);
+  }
 
   /// Resident put of {pba, Count 0}, evicting resident LRU entries into
   /// the ghost and spill lists while the resident list is over capacity.
@@ -152,14 +202,14 @@ class FingerprintTable {
     std::uint32_t s;
     if (r.found) {
       s = index_.at(r.pos).slot;
-      slots_[s].entry = IndexEntry{pba, 0};
+      reset_entry(s, pba);
       if (on(kResident, s)) {
         promote(s);
         return;
       }
     } else {
       s = add(r.pos, tag, fp);
-      slots_[s].entry = IndexEntry{pba, 0};
+      reset_entry(s, pba);
     }
     link_front(kResident, s);
     while (lists_[kResident].size > lists_[kResident].capacity) evict_resident();
@@ -176,7 +226,7 @@ class FingerprintTable {
   /// when that was its last list.
   void drop(List l, Found f) {
     unlink(l, f.slot);
-    if (slots_[f.slot].lists == 0) erase_at(f.pos);
+    if (lists(f.slot) == 0) erase_at(f.pos);
   }
 
   /// Takes the found slot off every list in `mask` it is on (one table
@@ -184,7 +234,7 @@ class FingerprintTable {
   void drop_all(std::uint8_t mask, Found f) {
     for (List l : {kResident, kGhost, kSpill})
       if ((mask & bit(l)) != 0 && on(l, f.slot)) unlink(l, f.slot);
-    if (slots_[f.slot].lists == 0) erase_at(f.pos);
+    if (lists(f.slot) == 0) erase_at(f.pos);
   }
 
   /// Sets the resident capacity, evicting resident LRU entries as needed.
@@ -207,32 +257,38 @@ class FingerprintTable {
 
  private:
   struct Links {
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+    std::uint32_t prev;
+    std::uint32_t next;
   };
 
-  /// Everything a probe, a resident hit or an eviction into the ghost list
-  /// touches, in 56 bytes: the membership bits share a word with the ghost
-  /// sequence number (kMaxGhostClock bounds it).
-  struct Slot {
+  /// Everything a probe, a resident hit or a resident eviction reads, in
+  /// 32 bytes at 32-byte alignment: a slot never straddles two lines.
+  struct alignas(32) Slot {
     Fingerprint key;
-    std::uint64_t ghost_seq : 56 = 0;
-    std::uint64_t lists : 8 = 0;  // bit(l) set while on list l
     IndexEntry entry;
-    Links res;    // resident list; on a free slot, res.next links free slots
-    Links ghost;  // ghost list
+    Links res;  // resident list; on a free slot, res.next links free slots
   };
-  static_assert(sizeof(Slot) == 56);
+  static_assert(sizeof(Slot) == 32);
 
-  /// Ghost remembers a table can stamp (one per resident eviction: 2^56 is
-  /// decades of evictions at any rate this simulator reaches).
-  static constexpr std::uint64_t kMaxGhostClock = std::uint64_t{1} << 56;
-
-  /// Spill side array entry, parallel to slots_ (allocated on demand).
-  struct SpillSlot {
+  /// Ghost side entry, parallel to slots_.
+  struct GhostSide {
     Links link;
-    Pba pba = kInvalidPba;
+    std::uint32_t seq;  // eviction sequence number (< kMaxGhostClock)
   };
+  static_assert(sizeof(GhostSide) == 12);
+
+  /// Spill side entry, parallel to slots_ while the spill list has a
+  /// capacity.
+  struct SpillSide {
+    Links link;
+    PackedPba pba;
+  };
+  static_assert(sizeof(SpillSide) == 12);
+
+  /// Ghost remembers a table can stamp (one per resident eviction): the
+  /// 32-bit sequence field. The mail replay at POD_SCALE=0.25 stamps about
+  /// 0.6 million.
+  static constexpr std::uint64_t kMaxGhostClock = std::uint64_t{1} << 32;
 
   struct ListState {
     std::size_t capacity = 0;
@@ -246,13 +302,24 @@ class FingerprintTable {
   static constexpr std::size_t kMaxLoadNum = 7;
   static constexpr std::size_t kMaxLoadDen = 8;
 
+  std::uint32_t lists(std::uint32_t s) const {
+    return slots_[s].entry.word_ >> IndexEntry::kCountBits;
+  }
+
+  /// {pba, Count 0}, keeping the membership bits.
+  void reset_entry(std::uint32_t s, Pba pba) {
+    IndexEntry& e = slots_[s].entry;
+    e.pba_ = narrow_pba(pba);
+    e.word_ &= ~IndexEntry::kMaxCount;
+  }
+
   Links& links(List l, std::uint32_t s) {
-    return l == kSpill ? spill_[s].link
-                       : (l == kResident ? slots_[s].res : slots_[s].ghost);
+    return l == kResident ? slots_[s].res
+                          : (l == kGhost ? ghost_[s].link : spill_[s].link);
   }
   const Links& links(List l, std::uint32_t s) const {
-    return l == kSpill ? spill_[s].link
-                       : (l == kResident ? slots_[s].res : slots_[s].ghost);
+    return l == kResident ? slots_[s].res
+                          : (l == kGhost ? ghost_[s].link : spill_[s].link);
   }
 
   /// Takes slot `s` off list `l` and clears its membership bit.
@@ -264,7 +331,7 @@ class FingerprintTable {
     if (n.next != kNil) links(l, n.next).prev = n.prev;
     else st.tail = n.prev;
     --st.size;
-    slots_[s].lists &= ~std::uint64_t{bit(l)};
+    slots_[s].entry.word_ &= ~(std::uint32_t{bit(l)} << IndexEntry::kCountBits);
   }
 
   /// Puts slot `s` at list `l`'s MRU end and sets its membership bit.
@@ -277,7 +344,7 @@ class FingerprintTable {
     st.head = s;
     if (st.tail == kNil) st.tail = s;
     ++st.size;
-    slots_[s].lists |= bit(l);
+    slots_[s].entry.word_ |= std::uint32_t{bit(l)} << IndexEntry::kCountBits;
   }
 
   void to_front(List l, std::uint32_t s) {
@@ -306,42 +373,46 @@ class FingerprintTable {
   void evict_resident() {
     const std::uint32_t s = lists_[kResident].tail;
     unlink(kResident, s);
-    shadow_evicted(s, slots_[s].entry.pba);
+    shadow_evicted(s, slots_[s].entry.pba());
     release_if_unused(s);
     prefetch_next_victim(kResident);
   }
 
+  /// The side entry of list `l` (ghost or spill) for slot `s`.
+  const void* side(List l, std::uint32_t s) const {
+    return l == kGhost ? static_cast<const void*>(&ghost_[s])
+                       : static_cast<const void*>(&spill_[s]);
+  }
+
   /// Warms what the next LRU drops from list `l` touch. Full lists drop
   /// one member per eviction, so each hint has at least an insert's time
-  /// to land: the next victim's slot, its predecessor's slot (and spill
-  /// links) for the drop after, and the next victim's home group, since a
+  /// to land: the next victim's slot (and, for a resident victim, the
+  /// ghost entry its eviction fills), its predecessor's slot and side
+  /// entry for the drop after, and the next victim's home group, since a
   /// ghost or spill drop erases the key from the table when that was its
-  /// last list (its slot, and so its key, was warmed by the previous
-  /// call).
+  /// last list (its slot and side entry, and so its key and links, were
+  /// warmed by the previous call).
   void prefetch_next_victim(List l) {
     const std::uint32_t t = lists_[l].tail;
     if (t == kNil) return;
     prefetch_slot(t);
-    if (l != kResident) prefetch_tag(hash_tag(slots_[t].key));
+    if (l == kResident) prefetch_read(&ghost_[t]);
+    else prefetch_tag(hash_tag(slots_[t].key));
     const std::uint32_t p = links(l, t).prev;
     if (p == kNil) return;
     prefetch_slot(p);
-    if (l == kSpill) prefetch_read(&spill_[p]);
+    if (l != kResident) prefetch_read(side(l, p));
   }
 
-  /// Prefetches both cache lines a 56-byte slot can straddle.
-  void prefetch_slot(std::uint32_t s) const {
-    const char* p = reinterpret_cast<const char*>(&slots_[s]);
-    prefetch_read(p);
-    prefetch_read(p + sizeof(Slot) - 1);
-  }
+  /// A slot sits inside one cache line: one prefetch covers it.
+  void prefetch_slot(std::uint32_t s) const { prefetch_read(&slots_[s]); }
 
   /// What an eviction from the resident list leaves behind: the key on
   /// the ghost list, then {fp, pba} on the spill list.
   void shadow_evicted(std::uint32_t s, Pba pba) {
     ghost_put(s);
     if (lists_[kSpill].capacity == 0) return;
-    spill_[s].pba = pba;
+    spill_[s].pba = narrow_pba(pba);
     put(kSpill, s);
   }
 
@@ -351,7 +422,7 @@ class FingerprintTable {
     const std::uint64_t seq = ghost_clock_++;
     POD_CHECK(seq < kMaxGhostClock);
     if (lists_[kGhost].capacity == 0) return;
-    slots_[s].ghost_seq = seq;
+    ghost_[s].seq = static_cast<std::uint32_t>(seq);
     put(kGhost, s);
   }
 
@@ -370,13 +441,14 @@ class FingerprintTable {
     while (buckets * kMaxLoadNum < keys * kMaxLoadDen) buckets <<= 1;
     index_.reset(buckets);
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].lists == 0) continue;
+      if (lists(s) == 0) continue;
       const Tag tag = hash_tag(slots_[s].key);
       index_.set(index_.first_empty(tag), s, tag);
     }
   }
 
-  /// Places a new key (known absent) at the probe's empty bucket `pos`.
+  /// Places a new key (known absent) at the probe's empty bucket `pos`,
+  /// on no list yet.
   std::uint32_t add(std::size_t pos, Tag tag, const Fingerprint& fp) {
     std::uint32_t s;
     if (free_ != kNil) {
@@ -385,11 +457,12 @@ class FingerprintTable {
     } else {
       s = static_cast<std::uint32_t>(slots_.size());
       POD_CHECK(s < kNil);
-      slots_.emplace_back();
-      if (lists_[kSpill].capacity > 0) spill_.emplace_back();
+      slots_.push_back(Slot{});
+      ghost_.push_back(GhostSide{});
+      if (lists_[kSpill].capacity > 0) spill_.push_back(SpillSide{});
     }
     slots_[s].key = fp;
-    slots_[s].lists = 0;
+    slots_[s].entry.word_ = 0;
     index_.set(pos, s, tag);
     ++live_;
     return s;
@@ -403,7 +476,7 @@ class FingerprintTable {
 
   /// Erases slot `s` from the table once it is on no list.
   void release_if_unused(std::uint32_t s) {
-    if (slots_[s].lists != 0) return;
+    if (lists(s) != 0) return;
     const CtrlProbeResult r = index_.probe(
         hash_tag(slots_[s].key), [s](std::uint32_t x) { return x == s; });
     POD_DCHECK(r.found);
@@ -422,8 +495,9 @@ class FingerprintTable {
 
   ListState lists_[3];
   CtrlIndex index_;
-  std::vector<Slot> slots_;
-  std::vector<SpillSlot> spill_;
+  PagedVector<Slot> slots_;
+  PagedVector<GhostSide> ghost_;
+  PagedVector<SpillSide> spill_;
   std::uint32_t free_ = kNil;
   std::size_t live_ = 0;
   std::uint64_t ghost_clock_ = 0;

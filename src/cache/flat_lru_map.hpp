@@ -11,10 +11,11 @@
 //             bytes
 //   slots_  : entry pool; erased slots are recycled via free_, and the
 //             intrusive list is threaded by index, so index-table rehashes
-//             never move entries. Value pointers follow vector rules:
-//             valid until an insert grows the pool (use them immediately,
-//             as all callers here do; LruMap remains for callers that need
-//             unconditional stability).
+//             never move entries. Trivially copyable entries live in OS
+//             pages (common/mapped.hpp). Value pointers follow vector
+//             rules: valid until an insert grows the pool (use them
+//             immediately, as all callers here do; LruMap remains for
+//             callers that need unconditional stability).
 //
 // The tag is the scrambled hash: probes compare tags before touching the
 // slot pool at all, so a miss or a displaced-cluster scan costs sequential
@@ -48,12 +49,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/ctrl_group.hpp"
-#include "common/prefetch.hpp"
+#include "common/mapped.hpp"
 
 namespace pod {
 
@@ -66,13 +68,15 @@ class FlatLruMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Pre-sizes the index table for `expected` live entries. Fixed-capacity
-  /// caches that always fill (index/read/ghost caches) reserve their
-  /// capacity up front so steady growth pays no incremental rehashes.
+  /// Pre-sizes the index table and the slot pool for `expected` live
+  /// entries. Fixed-capacity caches that always fill (read and ghost
+  /// caches) reserve their capacity up front so steady growth pays no
+  /// incremental rehashes.
   void reserve(std::size_t expected) {
     std::size_t required = 16;
     while (required < 2 * (expected + 1)) required <<= 1;
     if (index_.buckets() < required) rebuild_table(required);
+    slots_.reserve(expected);
   }
 
   /// Looks up `key`; promotes to MRU on hit.
@@ -167,74 +171,6 @@ class FlatLruMap {
     while (size_ > capacity_) evict_lru(on_evict);
   }
 
-  /// Request-scoped bulk insert: equivalent to `put(keys[i], values[i],
-  /// on_evict)` for every i in order — same final map contents, same LRU
-  /// order, same eviction sequence — but amortized: tags are hashed and
-  /// home buckets prefetched up front, the index table is pre-reserved so
-  /// no rehash lands mid-batch, inserted/overwritten entries collect onto
-  /// a detached recency chain published with ONE splice, and evictions are
-  /// detached from the table at the exact per-put points the scalar loop
-  /// would evict them (so probe outcomes match bit-for-bit) while their
-  /// `on_evict` callbacks are staged and delivered together after the
-  /// batch. Requires copy-constructible V (values are read from an array);
-  /// `on_evict` must not reenter this map.
-  template <typename EvictFn>
-  void put_batch(const K* keys, const V* values, std::size_t n,
-                 EvictFn&& on_evict) {
-    if (n == 0) return;
-    if (capacity_ == 0) {
-      for (std::size_t i = 0; i < n; ++i) on_evict(keys[i], V(values[i]));
-      return;
-    }
-    reserve(size_ + n);  // no rebuild mid-batch: chained slots are off-list
-    std::uint32_t chain_front = kNil;
-    std::uint32_t chain_back = kNil;
-    tag_scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t tag = tag_of(keys[i]);
-      tag_scratch_[i] = tag;
-      index_.prefetch(tag);
-    }
-    if (size_ + n > capacity_ && tail_ != kNil) prefetch_read(&slots_[tail_]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t tag = tag_scratch_[i];
-      const CtrlProbeResult r = probe(tag, keys[i]);
-      if (r.found) {  // overwrite + promote; size unchanged, no evict
-        const std::uint32_t hit = index_.at(r.pos).slot;
-        slots_[hit].value = values[i];
-        chain_promote(hit, chain_front, chain_back);
-        continue;
-      }
-      const std::uint32_t s = alloc_slot(keys[i], V(values[i]));
-      index_.set(r.pos, s, tag);
-      slots_[s].tpos = static_cast<std::uint32_t>(r.pos);
-      chain_push_front(s, chain_front, chain_back);
-      ++size_;
-      while (size_ > capacity_) {
-        // Victim selection mirrors the scalar loop: the global LRU is the
-        // old list's tail until the batch drains it, then the oldest entry
-        // of this batch (the chain back).
-        std::uint32_t victim;
-        if (tail_ != kNil) {
-          victim = tail_;
-          unlink(victim);
-        } else {
-          victim = chain_back;
-          chain_unlink(victim, chain_front, chain_back);
-        }
-        // Move key/value out NOW: the freed slot may be recycled by a
-        // later insert of this same batch.
-        evicted_scratch_.emplace_back(slots_[victim].key,
-                                      std::move(slots_[victim].value));
-        detach_table(victim);
-        if (tail_ != kNil) prefetch_read(&slots_[tail_]);
-      }
-    }
-    splice_chain_front(chain_front, chain_back);
-    for (auto& [k, v] : evicted_scratch_) on_evict(k, std::move(v));
-    evicted_scratch_.clear();
-  }
-
   /// Removes a specific key; returns true if it was present.
   bool erase(const K& key) {
     const std::uint32_t s = find_slot(key);
@@ -303,12 +239,11 @@ class FlatLruMap {
     std::uint32_t prev;
     std::uint32_t next;
     std::uint32_t tpos;  // current bucket in index_ (updated on shifts)
-    // Nonzero while the slot sits on a batch's detached recency chain;
-    // splice_chain_front() and chain_unlink() clear it, so outside a batch
-    // every slot reads 0. One byte (vs a 64-bit epoch) keeps the slot
-    // compact — it usually hides in the struct's tail padding.
-    std::uint8_t in_chain = 0;
   };
+  /// Trivially copyable entries (every production instantiation) live in
+  /// OS pages; others, such as test maps of strings, in a std::vector.
+  using SlotPool = std::conditional_t<std::is_trivially_copyable_v<Slot>,
+                                      PagedVector<Slot>, std::vector<Slot>>;
 
   /// Scrambled-hash tag; the home bucket is `tag & mask`.
   std::uint32_t tag_of(const K& key) const {
@@ -355,66 +290,6 @@ class FlatLruMap {
     push_front(s);
   }
 
-  // --- detached recency chain (batch operations) ---
-  //
-  // Batched ops collect touched slots onto a private doubly-linked chain
-  // threaded through the same prev/next fields (front = most recent).
-  // splice_chain_front() then publishes the whole chain at MRU with one
-  // head update. The chain is ordered exactly as sequential promotes would
-  // have left those entries, so the spliced list is bit-identical to the
-  // scalar loop's result.
-
-  void chain_push_front(std::uint32_t s, std::uint32_t& chain_front,
-                        std::uint32_t& chain_back) {
-    Slot& slot = slots_[s];
-    slot.in_chain = 1;
-    slot.prev = kNil;
-    slot.next = chain_front;
-    if (chain_front != kNil) slots_[chain_front].prev = s;
-    chain_front = s;
-    if (chain_back == kNil) chain_back = s;
-  }
-
-  void chain_unlink(std::uint32_t s, std::uint32_t& chain_front,
-                    std::uint32_t& chain_back) {
-    Slot& slot = slots_[s];
-    slot.in_chain = 0;
-    if (slot.prev != kNil) slots_[slot.prev].next = slot.next;
-    else chain_front = slot.next;
-    if (slot.next != kNil) slots_[slot.next].prev = slot.prev;
-    else chain_back = slot.prev;
-  }
-
-  /// Moves slot `s` (live, possibly already chained) to the chain front —
-  /// the batched equivalent of promote(s).
-  void chain_promote(std::uint32_t s, std::uint32_t& chain_front,
-                     std::uint32_t& chain_back) {
-    if (chain_front == s) return;
-    if (slots_[s].in_chain) {
-      chain_unlink(s, chain_front, chain_back);
-    } else {
-      unlink(s);
-    }
-    chain_push_front(s, chain_front, chain_back);
-  }
-
-  /// Publishes the chain (front = newest) ahead of the current head. Also
-  /// clears every member's in_chain flag — an O(batch) walk over lines the
-  /// batch just touched, restoring the all-zeros invariant between batches.
-  void splice_chain_front(std::uint32_t chain_front,
-                          std::uint32_t chain_back) {
-    if (chain_front == kNil) return;
-    for (std::uint32_t s = chain_front;; s = slots_[s].next) {
-      slots_[s].in_chain = 0;
-      if (s == chain_back) break;
-    }
-    slots_[chain_back].next = head_;
-    if (head_ != kNil) slots_[head_].prev = chain_back;
-    else tail_ = chain_back;
-    slots_[chain_front].prev = kNil;
-    head_ = chain_front;
-  }
-
   /// Places slot `s` (whose key is known absent) into the index table.
   void place(std::uint32_t s) {
     const std::uint32_t tag = tag_of(slots_[s].key);
@@ -457,8 +332,7 @@ class FlatLruMap {
   }
 
   /// Removes slot `s` from the index table (backward-shift) and recycles
-  /// it. The caller has already unlinked it from whichever recency list —
-  /// main or batch chain — held it.
+  /// it. The caller has already unlinked it from the recency list.
   void detach_table(std::uint32_t s) {
     free_.push_back(s);
     --size_;
@@ -478,14 +352,11 @@ class FlatLruMap {
 
   std::size_t capacity_;
   CtrlIndex index_;
-  std::vector<Slot> slots_;
+  SlotPool slots_;
   std::vector<std::uint32_t> free_;
   std::size_t size_ = 0;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  // put_batch staging (kept across calls so steady state allocates nothing).
-  std::vector<std::uint32_t> tag_scratch_;
-  std::vector<std::pair<K, V>> evicted_scratch_;
 };
 
 }  // namespace pod

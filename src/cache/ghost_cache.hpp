@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "cache/flat_lru_map.hpp"
 
@@ -28,18 +27,6 @@ class GhostCache {
   /// Records an eviction from the actual cache.
   void remember(const K& key) {
     entries_.put(key, seq_++, [](const K&, std::uint64_t&&) {});
-  }
-
-  /// Records a request's worth of evictions: equivalent to remember() on
-  /// each key in order (same sequence numbers, same ghost LRU state), with
-  /// one LRU splice and one eviction sweep via put_batch.
-  void remember_batch(const K* keys, std::size_t n) {
-    if (n == 0) return;
-    seq_scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) seq_scratch_[i] = seq_ + i;
-    seq_ += n;
-    entries_.put_batch(keys, seq_scratch_.data(), n,
-                       [](const K&, std::uint64_t&&) {});
   }
 
   /// Probes for `key`; on hit the entry is consumed (the actual cache is
@@ -112,8 +99,6 @@ class GhostCache {
   std::uint64_t near_hits_ = 0;
   std::uint64_t near_threshold_ = ~std::uint64_t{0};
   std::uint64_t epoch_base_ = 0;
-  // remember_batch value staging (steady state allocates nothing).
-  std::vector<std::uint64_t> seq_scratch_;
 };
 
 }  // namespace pod

@@ -12,13 +12,10 @@ IndexCache::IndexCache(std::uint64_t capacity_bytes,
                        std::uint64_t ghost_capacity_bytes)
     : table_(entries_for(capacity_bytes), entries_for(ghost_capacity_bytes)) {}
 
-IndexEntry* IndexCache::resolve(Table::Found f) {
+const IndexEntry* IndexCache::resolve(Table::Found f) {
   if (f.slot != Table::kNil && table_.on(Table::kResident, f.slot)) {
     ++hits_;
-    table_.promote(f.slot);
-    IndexEntry& e = table_.entry(f.slot);
-    ++e.count;
-    return &e;
+    return &table_.hit(f.slot);
   }
   ++misses_;
   return nullptr;
@@ -112,15 +109,14 @@ void IndexCache::invalidate(const Fingerprint& fp) {
 void IndexCache::invalidate_if(const Fingerprint& fp, Pba pba) {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
   if (f.slot != Table::kNil && table_.on(Table::kResident, f.slot) &&
-      table_.entry(f.slot).pba == pba)
+      table_.entry(f.slot).pba() == pba)
     table_.drop(Table::kResident, f);
 }
 
 void IndexCache::rebind(const Fingerprint& fp, Pba pba) {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
   if (f.slot == Table::kNil || !table_.on(Table::kResident, f.slot)) return;
-  table_.promote(f.slot);
-  table_.entry(f.slot).pba = pba;
+  table_.rebind(f.slot, pba);
 }
 
 void IndexCache::resize(std::uint64_t capacity_bytes) {

@@ -170,7 +170,7 @@ class IndexCache {
 
   /// Resolves one probe against the resident list: a hit counts, bumps
   /// Count and promotes; a miss counts. (Callers consume the ghost entry.)
-  IndexEntry* resolve(FingerprintTable::Found f);
+  const IndexEntry* resolve(FingerprintTable::Found f);
   bool consume_ghost(FingerprintTable::Found f);
 
   FingerprintTable table_;

@@ -39,8 +39,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/mapped.hpp"
 #include "common/prefetch.hpp"
 #include "hash/simd.hpp"
 
@@ -161,7 +161,11 @@ inline CtrlProbeResult ctrl_probe(const std::uint8_t* ctrl, std::size_t mask,
 /// linear probing, backward-shift deletion. Entries live in the owner's
 /// slot pool; a bucket carries the entry's full 32-bit scrambled-hash tag,
 /// so a probe compares tags before it touches a slot, the home bucket is
-/// `tag & mask`, and deletion never leaves the index.
+/// `tag & mask`, and deletion never leaves the index. Both arrays are
+/// OS-zeroed (common/mapped.hpp) and all-zero means empty: a control byte
+/// of 0, and a bucket whose stored slot is the complement of kEmpty. So
+/// reset() costs no fill pass, and buckets the table never reaches never
+/// become resident.
 class CtrlIndex {
  public:
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -179,23 +183,23 @@ class CtrlIndex {
   }
 
   std::size_t buckets() const { return table_.size(); }
-  bool empty() const { return table_.empty(); }
-  Bucket at(std::size_t i) const { return table_[i]; }
+  bool empty() const { return table_.size() == 0; }
+  Bucket at(std::size_t i) const { return decode(table_[i]); }
   /// The home bucket of a tag (where its probe starts).
-  Bucket home(std::uint32_t tag) const { return table_[tag & mask_]; }
+  Bucket home(std::uint32_t tag) const { return at(tag & mask_); }
 
   /// Discards every entry and sizes the index to `buckets` (a power of two,
   /// at least kCtrlGroup), all empty.
   void reset(std::size_t buckets) {
-    table_.assign(buckets, Bucket{kEmpty, 0});
-    ctrl_.assign(buckets + kCtrlPad, 0);
+    table_ = ZeroedArray<Stored>(buckets);
+    ctrl_ = ZeroedArray<std::uint8_t>(buckets + kCtrlPad);
     mask_ = buckets - 1;
     wide_ = wide_ctrl_groups();
   }
 
   void clear() {
-    table_.clear();
-    ctrl_.clear();
+    table_ = ZeroedArray<Stored>();
+    ctrl_ = ZeroedArray<std::uint8_t>();
     mask_ = 0;
   }
 
@@ -212,8 +216,8 @@ class CtrlIndex {
   CtrlProbeResult probe(std::uint32_t tag, SlotEq&& slot_eq) const {
     return ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag), wide_,
                       [&](std::size_t j) {
-                        const Bucket b = table_[j];
-                        return b.tag == tag && slot_eq(b.slot);
+                        const Stored b = table_[j];
+                        return b.tag == tag && slot_eq(~b.nslot);
                       });
   }
 
@@ -225,7 +229,7 @@ class CtrlIndex {
   /// Writes a bucket and its control byte, maintaining the wraparound
   /// mirror of the first kCtrlPad control bytes.
   void set(std::size_t i, std::uint32_t slot, std::uint32_t tag) {
-    table_[i] = Bucket{slot, tag};
+    table_[i] = Stored{~slot, tag};
     const std::uint8_t c = slot == kEmpty ? std::uint8_t{0} : ctrl_of(tag);
     ctrl_[i] = c;
     if (i < kCtrlPad) ctrl_[mask_ + 1 + i] = c;
@@ -243,7 +247,7 @@ class CtrlIndex {
       std::size_t j = i;
       for (;;) {
         j = (j + 1) & mask_;
-        const Bucket b = table_[j];
+        const Bucket b = at(j);
         if (b.slot == kEmpty) break;
         const std::size_t h = b.tag & mask_;
         if (((i - h) & mask_) < ((j - h) & mask_)) {
@@ -258,16 +262,24 @@ class CtrlIndex {
   }
 
  private:
+  /// A bucket as stored: the slot complemented, so a zero page is empty.
+  struct Stored {
+    std::uint32_t nslot;
+    std::uint32_t tag;
+  };
+
+  static Bucket decode(Stored b) { return Bucket{~b.nslot, b.tag}; }
+
   /// Control byte for a tag: its top 7 bits, remapped off 0 (= empty).
   static std::uint8_t ctrl_of(std::uint32_t tag) {
     const std::uint8_t c = static_cast<std::uint8_t>(tag >> 25);
     return c == 0 ? std::uint8_t{0x7F} : c;
   }
 
-  std::vector<Bucket> table_;
+  ZeroedArray<Stored> table_;
   /// One control byte per bucket (0 = empty, else ctrl_of(tag)), plus
   /// kCtrlPad wraparound mirror bytes.
-  std::vector<std::uint8_t> ctrl_;
+  ZeroedArray<std::uint8_t> ctrl_;
   std::size_t mask_ = 0;
   /// AVX2 continuation groups enabled (cached at reset so probes never
   /// touch dispatch state).

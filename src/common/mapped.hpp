@@ -1,16 +1,23 @@
-// Page-granular memory straight from the OS, for the two set-up paths that
-// used to pay a user-space pass over every byte before any work started.
+// Page-granular memory straight from the OS, for the engine tables and the
+// trace image.
 //
-// ZeroedArray<T>: a fixed-size array whose storage is anonymous mmap. The
-// kernel hands out zero pages on first touch, so construction is O(1)
-// instead of a memset of the whole array, and untouched pages never become
-// resident. Not calloc: glibc's dynamic mmap threshold rises after the
-// first large free, so a second 10-30 MB calloc comes from the heap and is
-// memset again. Arrays of 2 MB and more ask for transparent huge pages:
-// the replay then takes one fault per 2 MB instead of per 4 KB, and its
-// random probes into these arrays miss the TLB far less. T must be
-// trivially copyable, and its all-zero byte pattern must be its
-// value-initialised state (integers, Fingerprint).
+// ZeroedArray<T>: an array whose storage is anonymous mmap. The kernel
+// hands out zero pages on first touch, so construction is O(1) instead of
+// a memset of the whole array, and untouched pages never become resident.
+// Not calloc: glibc's dynamic mmap threshold rises after the first large
+// free, so a second 10-30 MB calloc comes from the heap and is memset
+// again, and freed heap memory stays in the process between passes.
+// Arrays of 2 MB and more ask for transparent huge pages: the replay then
+// takes one fault per 2 MB instead of per 4 KB, and its random probes
+// into these arrays miss the TLB far less. resize() copies the contents
+// into a fresh zeroed array. T must be trivially copyable, and its
+// all-zero byte pattern must be its value-initialised state (integers,
+// Fingerprint).
+//
+// PagedVector<T>: a push_back array over a ZeroedArray, for slot pools
+// that grow one entry at a time. Storage past size() is never written,
+// so it stays zero and off the resident set: a table can reserve what its
+// capacities allow up front for the cost of address space.
 //
 // FileImage: the read-only bytes of one whole file, mapped with
 // MAP_POPULATE (one kernel pass, no copy through a stream buffer), or of a
@@ -21,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <iosfwd>
 #include <new>
 #include <span>
@@ -67,6 +75,16 @@ class ZeroedArray {
   T* data() { return data_; }
   const T* data() const { return data_; }
 
+  /// Resizes to `n` elements, keeping the first min(size(), n) and zeroing
+  /// the rest: a copy into fresh zero pages, so only the kept elements'
+  /// pages become resident. Pointers into the array are invalidated.
+  void resize(std::size_t n) {
+    ZeroedArray other(n);
+    const std::size_t keep = size_ < n ? size_ : n;
+    if (keep > 0) std::memcpy(other.data_, data_, keep * sizeof(T));
+    *this = std::move(other);
+  }
+
  private:
   static std::size_t bytes_for(std::size_t n) {
     if (n > static_cast<std::size_t>(-1) / sizeof(T))
@@ -75,6 +93,41 @@ class ZeroedArray {
   }
 
   T* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+template <typename T>
+class PagedVector {
+ public:
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return buf_[i]; }
+  const T& operator[](std::size_t i) const { return buf_[i]; }
+
+  /// Makes room for `n` elements; pages past size() stay untouched.
+  void reserve(std::size_t n) {
+    if (n > buf_.size()) buf_.resize(n);
+  }
+
+  void push_back(const T& v) {
+    if (size_ == buf_.size()) reserve(size_ < 64 ? 64 : 2 * size_);
+    buf_[size_++] = v;
+  }
+
+  /// Appends zero elements up to `n` (they need no write: never-written
+  /// storage is zero).
+  void extend_to(std::size_t n) {
+    reserve(n);
+    if (n > size_) size_ = n;
+  }
+
+  /// Drops every element and returns the pages to the OS.
+  void clear() {
+    buf_ = ZeroedArray<T>();
+    size_ = 0;
+  }
+
+ private:
+  ZeroedArray<T> buf_;
   std::size_t size_ = 0;
 };
 

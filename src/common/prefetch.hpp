@@ -1,7 +1,7 @@
 // Software-prefetch shim for the prefetch-pipelined table paths.
 //
 // The fused index lookup (IndexCache::lookup_fused) and the bulk inserts
-// (FlatLruMap::put_batch) warm home buckets before the probes that need
+// (IndexCache::insert_batch) warm home buckets before the probes that need
 // them, turning a chain of dependent cache misses into a pipelined pass.
 // Prefetching is purely a hint: correctness never depends on it, so the shim
 // degrades to a no-op on compilers without __builtin_prefetch.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/packed_pba.hpp"
 #include "fault/journal.hpp"
 
 namespace pod {
@@ -96,8 +97,10 @@ BlockStore::BlockStore(const Config& cfg)
                           static_cast<double>(cfg.logical_blocks) *
                           cfg.pool_fraction))),
       refs_(static_cast<std::size_t>(data_region_blocks())),
-      fps_(static_cast<std::size_t>(data_region_blocks())) {
+      fps_(cfg.fingerprints ? static_cast<std::size_t>(data_region_blocks())
+                            : 0) {
   POD_CHECK(logical_blocks_ > 0);
+  check_packed_pba_range(data_region_blocks());
   map_.reserve(logical_blocks_);
 }
 
@@ -115,10 +118,16 @@ void BlockStore::unref(Pba pba) {
     POD_DCHECK(live_physical_ > 0);
     --live_physical_;
     if (restoring_) return;  // recovery: no observers, pool rebuilt later
-    // Copy the fingerprint out: the content-gone observers may place new
-    // content indirectly, which can overwrite fps_[pba] under us.
-    const Fingerprint fp = fps_[static_cast<std::size_t>(pba)];
-    if (on_content_gone) on_content_gone(pba, fp);
+    if (on_content_gone) {
+      if (keeps_fingerprints()) {
+        // Copy the fingerprint out: the content-gone observers may place
+        // new content indirectly, which can overwrite fps_[pba] under us.
+        const Fingerprint fp = fps_[static_cast<std::size_t>(pba)];
+        on_content_gone(pba, &fp);
+      } else {
+        on_content_gone(pba, nullptr);
+      }
+    }
     if (pool_.in_pool(pba)) pool_.free_block(pba);
   }
 }
@@ -155,7 +164,7 @@ Pba BlockStore::place_write(Lba lba, const Fingerprint& fp, Pba prev_pba) {
   POD_CHECK(target < refs_.size());
   POD_CHECK(refs_[static_cast<std::size_t>(target)] == 0);
   refs_[static_cast<std::size_t>(target)] = 1;
-  fps_[static_cast<std::size_t>(target)] = fp;
+  set_fingerprint(target, fp);
   ++live_physical_;
   bind(lba, target);
   if (journal_ != nullptr) journal_->bind(lba, target, fp);
@@ -221,7 +230,7 @@ void BlockStore::place_write_run(Lba lba0, std::span<const Fingerprint> fps,
     POD_DCHECK(target < refs_.size());
     POD_DCHECK(refs_[static_cast<std::size_t>(target)] == 0);
     refs_[static_cast<std::size_t>(target)] = 1;
-    fps_[static_cast<std::size_t>(target)] = fps[k];
+    set_fingerprint(target, fps[k]);
     ++live_physical_;
     out[base + k] = target;
     prev = target;
@@ -241,7 +250,7 @@ Pba BlockStore::place_chunk_write(Lba lba0, std::uint32_t nblocks,
     const std::size_t home = static_cast<std::size_t>(lba);
     POD_DCHECK(refs_[home] == 0);
     refs_[home] = 1;
-    fps_[home] = fp;
+    set_fingerprint(home, fp);
     ++live_physical_;
     ++live_count_;
     if (journal_ != nullptr) journal_->bind(lba, static_cast<Pba>(lba), fp);
@@ -279,8 +288,10 @@ void BlockStore::dedup_to(Lba lba, Pba pba) {
   const Pba old = resolve(lba);
   if (old == pba) return;  // already mapped there (same-content overwrite)
   ++refs_[static_cast<std::size_t>(pba)];
-  if (journal_ != nullptr)
-    journal_->bind(lba, pba, fps_[static_cast<std::size_t>(pba)]);
+  if (journal_ != nullptr) {
+    const Fingerprint* fp = fingerprint_of(pba);
+    journal_->bind(lba, pba, fp != nullptr ? *fp : Fingerprint{});
+  }
   if (old != kInvalidPba) {
     unref(old);
   } else {
@@ -322,11 +333,11 @@ void BlockStore::restore_bind(Lba lba, Pba pba, const Fingerprint& fp) {
     // In-place content replacement (the live path unrefs to zero and
     // immediately re-places at the same block): refcounts are unchanged,
     // but the block now holds the new content.
-    fps_[static_cast<std::size_t>(pba)] = fp;
+    set_fingerprint(pba, fp);
   } else {
     std::uint32_t& refs = refs_[static_cast<std::size_t>(pba)];
     if (refs == 0) {
-      fps_[static_cast<std::size_t>(pba)] = fp;
+      set_fingerprint(pba, fp);
       ++live_physical_;
     }
     ++refs;

@@ -8,9 +8,14 @@
 // consistency to prevent the referenced data from being overwritten").
 //
 // BlockStore tracks, per physical block, a reference count (how many LBAs
-// map to it) and the fingerprint of its current content, and owns the Map
-// table. It performs no I/O itself; engines turn its placement decisions
-// into volume operations.
+// map to it) and, for the engines that read it, the fingerprint of its
+// current content, and owns the Map table. It performs no I/O itself;
+// engines turn its placement decisions into volume operations.
+//
+// Host bytes per physical block: 4 (refcount) + 16 (fingerprint, only when
+// Config::fingerprints) + 4 per LBA in the Map table, all in OS-zeroed
+// pages. Native dedups nothing, so nothing ever revalidates or indexes a
+// block's content there, and it keeps no fingerprints.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +83,10 @@ class BlockStore {
     std::uint64_t logical_blocks = 0;
     /// Pool sizing as a fraction of the logical space.
     double pool_fraction = 0.25;
+    /// Keep each live block's fingerprint (fingerprint_of, revalidation,
+    /// content-gone observers). Off: fingerprint_of is always null and
+    /// on_content_gone receives a null fingerprint.
+    bool fingerprints = true;
   };
 
   explicit BlockStore(const Config& cfg);
@@ -194,13 +203,17 @@ class BlockStore {
   void prefetch_block(Pba pba) const {
     if (pba < refs_.size()) {
       prefetch_read(&refs_[static_cast<std::size_t>(pba)]);
-      prefetch_read(&fps_[static_cast<std::size_t>(pba)]);
+      if (pba < fps_.size()) prefetch_read(&fps_[static_cast<std::size_t>(pba)]);
     }
   }
-  /// Fingerprint of the live content at `pba`, or nullptr.
+  /// Fingerprint of the live content at `pba`, or nullptr (always nullptr
+  /// in a store that keeps no fingerprints).
   const Fingerprint* fingerprint_of(Pba pba) const {
-    return refcount(pba) > 0 ? &fps_[static_cast<std::size_t>(pba)] : nullptr;
+    return pba < fps_.size() && refs_[static_cast<std::size_t>(pba)] > 0
+               ? &fps_[static_cast<std::size_t>(pba)]
+               : nullptr;
   }
+  bool keeps_fingerprints() const { return fps_.size() > 0; }
 
   /// Number of distinct physical blocks holding live data (Figure 10's
   /// "storage capacity used").
@@ -231,11 +244,17 @@ class BlockStore {
 
   /// Fired when a physical block's content is replaced or released; engines
   /// use it to invalidate stale fingerprint-index entries and cached reads.
-  std::function<void(Pba, const Fingerprint&)> on_content_gone;
+  /// The fingerprint is the released content's, or null in a store that
+  /// keeps none.
+  std::function<void(Pba, const Fingerprint*)> on_content_gone;
 
  private:
   void unref(Pba pba);
   void bind(Lba lba, Pba pba);
+  /// Records `fp` as the content of `pba` (a no-op without fingerprints).
+  void set_fingerprint(Pba pba, const Fingerprint& fp) {
+    if (pba < fps_.size()) fps_[static_cast<std::size_t>(pba)] = fp;
+  }
   /// Applies a run's deferred binds; detects the all-identity and
   /// all-sequential-redirect shapes and uses the Map table's run ops.
   void bind_run(Lba lba0, const Pba* targets, std::size_t n);
@@ -248,10 +267,11 @@ class BlockStore {
   bool identity_live(Lba lba) const { return map_.is_identity(lba); }
   // Per-PBA state, direct-indexed over the dense data region
   // [0, data_region_blocks()): refcount and fingerprint of live content
-  // (fps_[pba] is meaningful only while refs_[pba] > 0). The flat layout
-  // keeps the replay write path — refcount/unref/place_write are its
-  // hottest calls — free of hashing, probing and rehash pauses. Both come
-  // zeroed from the OS, so construction touches none of their pages.
+  // (fps_[pba] is meaningful only while refs_[pba] > 0; fps_ is empty when
+  // Config::fingerprints is off). The flat layout keeps the replay write
+  // path — refcount/unref/place_write are its hottest calls — free of
+  // hashing, probing and rehash pauses. Both come zeroed from the OS, so
+  // construction touches none of their pages.
   ZeroedArray<std::uint32_t> refs_;
   ZeroedArray<Fingerprint> fps_;
   std::uint64_t live_physical_ = 0;

@@ -65,7 +65,7 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
 
     bool deduped = false;
     if (e != nullptr) {
-      deduped = store_.dedup_chunk_to(cursor_, e->pba, nblocks, fp);
+      deduped = store_.dedup_chunk_to(cursor_, e->pba(), nblocks, fp);
       if (!deduped) ++stats_.stale_hits;
     }
     if (!deduped) {

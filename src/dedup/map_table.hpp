@@ -9,8 +9,9 @@
 // The logical space is dense and bounded, so the table is a flat
 // PBA-per-LBA array (kInvalidPba = unredirected) rather than a hash map:
 // lookup — the hottest operation on the replay write path — is one
-// bounds-checked load. entries()/bytes() still report only the redirected
-// count, matching the paper's NVRAM accounting.
+// bounds-checked load. Each slot is the 32-bit packed PBA
+// (common/packed_pba.hpp), 4 bytes per LBA. entries()/bytes() still report
+// only the redirected count, matching the paper's NVRAM accounting.
 //
 // The table also tracks which unredirected LBAs are *live at their
 // identity home* (written, but mapped to PBA == LBA) using a reserved
@@ -20,16 +21,19 @@
 // are invisible to lookup()/entries()/for_each_entry(): they carry no
 // NVRAM cost (no redirection is stored for them in the modelled system).
 //
-// Slots hold the bitwise complement of the value, so the all-zero page the
-// OS hands out reads as kInvalidPba ("dead"): the table is an OS-zeroed
-// array (common/mapped.hpp) and sizing it costs no fill pass. Decoding is
-// one NOT on the load.
+// Slots hold the bitwise complement of the packed value, so the all-zero
+// page the OS hands out reads as kPackedInvalid ("dead"): the table is an
+// OS-zeroed array (common/mapped.hpp) and sizing it or growing it costs no
+// fill pass. Decoding is one NOT on the load; the identity mark is the
+// packed form's reserved kPackedMark, so every PBA below kPackedPbaLimit
+// can be a redirection target.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
 #include "common/mapped.hpp"
+#include "common/packed_pba.hpp"
 #include "common/types.hpp"
 
 namespace pod {
@@ -46,8 +50,8 @@ class MapTable {
   /// PBA an LBA redirects to, or kInvalidPba when unredirected (dead or
   /// identity-live — neither carries a stored redirection).
   Pba lookup(Lba lba) const {
-    const Pba v = raw(lba);
-    return v < kIdentityHome ? v : kInvalidPba;
+    const PackedPba v = raw(lba);
+    return v < kIdentityHome ? Pba{v} : kInvalidPba;
   }
 
   bool is_redirected(Lba lba) const { return raw(lba) < kIdentityHome; }
@@ -55,8 +59,8 @@ class MapTable {
   /// Physical location of a live LBA in one load: the redirected PBA, the
   /// identity home (PBA == LBA), or kInvalidPba when dead.
   Pba resolve(Lba lba) const {
-    const Pba v = raw(lba);
-    if (v < kIdentityHome) return v;
+    const PackedPba v = raw(lba);
+    if (v < kIdentityHome) return Pba{v};
     return v == kIdentityHome ? static_cast<Pba>(lba) : kInvalidPba;
   }
 
@@ -73,16 +77,16 @@ class MapTable {
     const std::size_t in_range =
         table_.size() - start < n ? table_.size() - start : n;
     for (std::size_t i = 0; i < in_range; ++i) {
-      const Pba v = ~table_[start + i];
+      const PackedPba v = ~table_[start + i];
       out[i] = v < kIdentityHome
-                   ? v
+                   ? Pba{v}
                    : (v == kIdentityHome ? static_cast<Pba>(lba0 + i)
                                          : kInvalidPba);
     }
     for (std::size_t i = in_range; i < n; ++i) out[i] = kInvalidPba;
   }
 
-  /// Installs/overwrites a redirection.
+  /// Installs/overwrites a redirection (`pba` below kPackedPbaLimit).
   void set(Lba lba, Pba pba);
 
   /// Marks an LBA live at its identity home (drops any redirection).
@@ -109,8 +113,8 @@ class MapTable {
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
     for (std::size_t i = 0; i < table_.size(); ++i) {
-      const Pba v = ~table_[i];
-      if (v < kIdentityHome) fn(static_cast<Lba>(i), v);
+      const PackedPba v = ~table_[i];
+      if (v < kIdentityHome) fn(static_cast<Lba>(i), Pba{v});
     }
   }
 
@@ -121,27 +125,27 @@ class MapTable {
   std::uint64_t max_bytes() const { return max_entries_ * kEntryBytes; }
 
  private:
-  /// In-slot sentinel for "live at identity home". Every real PBA is far
-  /// below it (the sentinel sits just under kInvalidPba at the top of the
-  /// 64-bit range), so `v < kIdentityHome` tests "stores a redirection".
-  static constexpr Pba kIdentityHome = kInvalidPba - 1;
+  /// In-slot sentinel for "live at identity home": the packed form's
+  /// reserved mark, just under kPackedInvalid. Every real PBA is below it,
+  /// so `v < kIdentityHome` tests "stores a redirection".
+  static constexpr PackedPba kIdentityHome = kPackedMark;
 
-  Pba raw(Lba lba) const {
+  /// The decoded packed slot (kPackedInvalid past the table's end).
+  PackedPba raw(Lba lba) const {
     return lba < table_.size() ? ~table_[static_cast<std::size_t>(lba)]
-                               : kInvalidPba;
+                               : kPackedInvalid;
   }
 
   /// Grows the table to at least `slots` (reserve() makes this a no-op on
   /// the replay path); at least doubles, so set() without reserve stays
-  /// amortised O(1).
+  /// amortised O(1). The new tail is zero, so it reads as dead.
   void grow_to(std::size_t slots) {
-    if (slots > table_.size()) resize(std::max(slots, 2 * table_.size()));
+    if (slots > table_.size())
+      table_.resize(std::max(slots, 2 * table_.size()));
   }
-  /// Moves the table into a zeroed array of `slots` (> size()).
-  void resize(std::size_t slots);
 
-  /// Complemented values: ~table_[lba] is the decoded slot.
-  ZeroedArray<Pba> table_;
+  /// Complemented packed values: ~table_[lba] is the decoded slot.
+  ZeroedArray<PackedPba> table_;
   std::size_t entries_ = 0;
   std::size_t max_entries_ = 0;
 };

@@ -66,17 +66,17 @@ OnDiskIndex::Lookup OnDiskIndex::lookup(const Fingerprint& fp) const {
   ++disk_lookups_;
   out.needs_disk_read = true;
   out.bucket = bucket_of(fp);
-  const Pba* p = table_.find(fp);
+  const PackedPba* p = table_.find(fp);
   if (p != nullptr) {
     out.found = true;
-    out.pba = *p;
+    out.pba = widen_pba(*p);
   }
   return out;
 }
 
 std::optional<Pba> OnDiskIndex::insert(const Fingerprint& fp, Pba pba) {
   if (journal_ != nullptr) journal_->index_put(fp, pba);
-  table_.insert_or_assign(fp, pba);
+  table_.insert_or_assign(fp, narrow_pba(pba));
   bloom_set(fp);
   if (++pending_inserts_ >= cfg_.insert_batch) {
     pending_inserts_ = 0;
@@ -86,8 +86,10 @@ std::optional<Pba> OnDiskIndex::insert(const Fingerprint& fp, Pba pba) {
   return std::nullopt;
 }
 
-const Pba* OnDiskIndex::peek(const Fingerprint& fp) const {
-  return table_.find(fp);
+std::optional<Pba> OnDiskIndex::peek(const Fingerprint& fp) const {
+  const PackedPba* p = table_.find(fp);
+  if (p == nullptr) return std::nullopt;
+  return widen_pba(*p);
 }
 
 void OnDiskIndex::erase(const Fingerprint& fp) {
@@ -95,13 +97,16 @@ void OnDiskIndex::erase(const Fingerprint& fp) {
 }
 
 void OnDiskIndex::erase_if(const Fingerprint& fp, Pba pba) {
-  if (table_.erase_if(fp, [pba](Pba stored) { return stored == pba; }) &&
+  if (table_.erase_if(fp,
+                      [pba](PackedPba stored) {
+                        return widen_pba(stored) == pba;
+                      }) &&
       journal_ != nullptr)
     journal_->index_del(fp);
 }
 
 void OnDiskIndex::restore_entry(const Fingerprint& fp, Pba pba) {
-  table_.insert_or_assign(fp, pba);
+  table_.insert_or_assign(fp, narrow_pba(pba));
   bloom_set(fp);
 }
 

@@ -17,6 +17,7 @@
 
 #include "common/flat_hash_map.hpp"
 #include "common/mapped.hpp"
+#include "common/packed_pba.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -64,8 +65,8 @@ class OnDiskIndex {
   std::optional<Pba> insert(const Fingerprint& fp, Pba pba);
 
   /// Administrative probe: no Bloom consultation, no disk-traffic
-  /// accounting. Returns the stored PBA or nullptr.
-  const Pba* peek(const Fingerprint& fp) const;
+  /// accounting. Returns the stored PBA, if any.
+  std::optional<Pba> peek(const Fingerprint& fp) const;
 
   /// Drops an entry (freed physical block). Bloom bits are not cleared —
   /// subsequent lookups may pay a false-positive disk read, as in reality.
@@ -83,10 +84,13 @@ class OnDiskIndex {
   /// disk-traffic accounting and no re-journaling.
   void restore_entry(const Fingerprint& fp, Pba pba);
 
-  /// Iterates all entries (unspecified order; cold path: fsck).
+  /// Iterates all entries as `fn(fp, pba)` (unspecified order; cold path:
+  /// fsck).
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    table_.for_each(static_cast<Fn&&>(fn));
+    table_.for_each([&fn](const Fingerprint& fp, PackedPba pba) {
+      fn(fp, widen_pba(pba));
+    });
   }
 
   std::size_t entries() const { return table_.size(); }
@@ -105,7 +109,8 @@ class OnDiskIndex {
   void bloom_set(const Fingerprint& fp);
 
   Config cfg_;
-  FlatHashMap<Fingerprint, Pba, FingerprintHash> table_;
+  /// Values are packed PBAs (common/packed_pba.hpp): 20-byte slots.
+  FlatHashMap<Fingerprint, PackedPba, FingerprintHash> table_;
   MetadataJournal* journal_ = nullptr;
   ZeroedArray<std::uint64_t> bloom_;
   std::uint32_t pending_inserts_ = 0;

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/packed_pba.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pod {
@@ -47,12 +48,26 @@ EngineStats EngineStats::delta(const EngineStats& after, const EngineStats& befo
   return d;
 }
 
-DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg)
+namespace {
+
+/// The config, once the volume is known to fit 32-bit block addresses
+/// (checked before any member sizes an array from it).
+const EngineConfig& checked_config(const Volume& volume,
+                                   const EngineConfig& cfg) {
+  check_packed_pba_range(volume.capacity_blocks());
+  return cfg;
+}
+
+}  // namespace
+
+DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg,
+                         bool keep_fingerprints)
     : sim_(sim),
       volume_(volume),
-      cfg_(cfg),
+      cfg_(checked_config(volume, cfg)),
       hash_(cfg.hash),
-      store_(BlockStore::Config{cfg.logical_blocks, cfg.pool_fraction}),
+      store_(BlockStore::Config{cfg.logical_blocks, cfg.pool_fraction,
+                                keep_fingerprints}),
       read_cache_(static_cast<std::uint64_t>(
                       static_cast<double>(cfg.memory_bytes) *
                       (1.0 - cfg.index_fraction)),
@@ -65,7 +80,7 @@ DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg
                                    cfg_.index_fraction),
         /*ghost_capacity_bytes=*/cfg_.memory_bytes);
   }
-  store_.on_content_gone = [this](Pba pba, const Fingerprint& fp) {
+  store_.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
     on_content_gone(pba, fp);
   };
   if (cfg_.journal_metadata) {
@@ -101,9 +116,9 @@ void DedupEngine::record_op_fault(const OpSpec& op, IoStatus s) {
   }
 }
 
-void DedupEngine::on_content_gone(Pba pba, const Fingerprint& fp) {
+void DedupEngine::on_content_gone(Pba pba, const Fingerprint* fp) {
   read_cache_.invalidate(pba);
-  if (index_cache_) index_cache_->invalidate_if(fp, pba);
+  if (index_cache_) index_cache_->invalidate_if(*fp, pba);
 }
 
 bool DedupEngine::candidate_valid(const Fingerprint& fp, Pba pba) const {
@@ -224,8 +239,8 @@ void DedupEngine::probe_dups(const IoRequest& req, WriteScratch& s) {
     // Reference path: per-chunk lookup, ghost probe on miss.
     for (std::uint32_t i = 0; i < req.nblocks; ++i) {
       if (const IndexEntry* e = index_cache_->lookup(req.chunks[i])) {
-        if (candidate_valid(req.chunks[i], e->pba))
-          s.dups[i] = ChunkDup{true, e->pba};
+        if (candidate_valid(req.chunks[i], e->pba()))
+          s.dups[i] = ChunkDup{true, e->pba()};
       } else {
         index_cache_->ghost_probe(req.chunks[i]);
       }
@@ -236,8 +251,8 @@ void DedupEngine::probe_dups(const IoRequest& req, WriteScratch& s) {
   index_cache_->lookup_fused(req.chunks, s.probes.data());
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {
     const IndexEntry* e = s.probes[i];
-    if (e != nullptr && candidate_valid(req.chunks[i], e->pba))
-      s.dups[i] = ChunkDup{true, e->pba};
+    if (e != nullptr && candidate_valid(req.chunks[i], e->pba()))
+      s.dups[i] = ChunkDup{true, e->pba()};
   }
   if (Telemetry* t = sim_.telemetry()) {
     if (!telem_.init) init_telemetry(*t);

@@ -159,7 +159,12 @@ struct EngineStats {
 
 class DedupEngine {
  public:
-  DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg);
+  /// `keep_fingerprints` is false only for engines that never dedup, so
+  /// never revalidate a block's content (Native): their BlockStore keeps
+  /// no per-block fingerprints. Aborts, naming both numbers, when the
+  /// volume has more blocks than 32-bit block addresses reach.
+  DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg,
+              bool keep_fingerprints = true);
   virtual ~DedupEngine() = default;
 
   DedupEngine(const DedupEngine&) = delete;
@@ -381,8 +386,9 @@ class DedupEngine {
 
   /// Invoked when a physical block's content is replaced or freed. The
   /// base invalidates read-cache and index-cache entries; subclasses extend
-  /// (e.g. Full-Dedupe erases the on-disk index entry).
-  virtual void on_content_gone(Pba pba, const Fingerprint& fp);
+  /// (e.g. Full-Dedupe erases the on-disk index entry). `fp` is null when
+  /// the store keeps no fingerprints (then there is no index either).
+  virtual void on_content_gone(Pba pba, const Fingerprint* fp);
 
   Simulator& sim_;
   Volume& volume_;

@@ -34,11 +34,11 @@ FullDedupeEngine::FullDedupeEngine(Simulator& sim, Volume& volume,
   ondisk_.set_journal(metadata_journal());
 }
 
-void FullDedupeEngine::on_content_gone(Pba pba, const Fingerprint& fp) {
+void FullDedupeEngine::on_content_gone(Pba pba, const Fingerprint* fp) {
   DedupEngine::on_content_gone(pba, fp);
   // Drop the authoritative entry only if it still points at this block
   // (metadata maintenance piggybacks on the data path; no disk charge).
-  ondisk_.erase_if(fp, pba);
+  ondisk_.erase_if(*fp, pba);
 }
 
 DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
@@ -75,8 +75,8 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
     const IndexEntry* e =
         fused ? index_cache_->lookup_tagged(tag, fp) : index_cache_->lookup(fp);
     if (e != nullptr) {
-      if (candidate_valid(fp, e->pba)) {
-        s.dups[i] = ChunkDup{true, e->pba};
+      if (candidate_valid(fp, e->pba())) {
+        s.dups[i] = ChunkDup{true, e->pba()};
         s.set_mask(i);
       }
       continue;

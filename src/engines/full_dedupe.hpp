@@ -23,7 +23,7 @@ class FullDedupeEngine : public DedupEngine {
 
  protected:
   IoPlan process_write(const IoRequest& req) override;
-  void on_content_gone(Pba pba, const Fingerprint& fp) override;
+  void on_content_gone(Pba pba, const Fingerprint* fp) override;
 
  private:
   OnDiskIndex ondisk_;

@@ -10,7 +10,8 @@ EngineConfig all_memory_to_read_cache(EngineConfig cfg) {
 }  // namespace
 
 NativeEngine::NativeEngine(Simulator& sim, Volume& volume, EngineConfig cfg)
-    : DedupEngine(sim, volume, all_memory_to_read_cache(std::move(cfg))) {}
+    : DedupEngine(sim, volume, all_memory_to_read_cache(std::move(cfg)),
+                  /*keep_fingerprints=*/false) {}
 
 DedupEngine::IoPlan NativeEngine::process_write(const IoRequest& req) {
   IoPlan plan;

@@ -46,8 +46,8 @@ void expect_same_state(IndexCache& a, IndexCache& b, std::uint64_t key_range) {
     const IndexEntry* eb = b.peek(fp(k));
     ASSERT_EQ(ea == nullptr, eb == nullptr) << k;
     if (ea != nullptr) {
-      EXPECT_EQ(ea->pba, eb->pba);
-      EXPECT_EQ(ea->count, eb->count);
+      EXPECT_EQ(ea->pba(), eb->pba());
+      EXPECT_EQ(ea->count(), eb->count());
     }
     ASSERT_EQ(a.ghost_contains(fp(k)), b.ghost_contains(fp(k))) << k;
   }
@@ -96,8 +96,8 @@ TEST(IndexCacheFused, MatchesScalarWithEvictedKeysInGhost) {
     SCOPED_TRACE(i);
     ASSERT_EQ(out_f[i] == nullptr, out_s[i] == nullptr);
     if (out_f[i] != nullptr) {
-      EXPECT_EQ(out_f[i]->pba, out_s[i]->pba);
-      EXPECT_EQ(out_f[i]->count, out_s[i]->count);
+      EXPECT_EQ(out_f[i]->pba(), out_s[i]->pba());
+      EXPECT_EQ(out_f[i]->count(), out_s[i]->count());
     }
   }
   expect_same_state(fused, scalar, 24);
@@ -128,7 +128,7 @@ TEST(IndexCacheFused, DuplicateFingerprintsConsumeGhostOnce) {
   for (std::size_t i = 0; i < request.size(); ++i)
     ASSERT_EQ(out_f[i] == nullptr, out_s[i] == nullptr) << i;
   expect_same_state(fused, scalar, 20);
-  EXPECT_EQ(fused.peek(fp(1))->count, 2u);
+  EXPECT_EQ(fused.peek(fp(1))->count(), 2u);
   EXPECT_EQ(fused.ghost_hits(), 1u);  // fp(2)'s entry consumed exactly once
 }
 

@@ -7,9 +7,13 @@
 // rebinds, resizes and swap-in re-admission — runs against both at small
 // capacities, where keys are constantly on several lists at once. After
 // every operation the hit/miss/ghost/near counters and all three lists in
-// MRU order must agree.
+// MRU order must agree. The iCache variants also replay ICache's own
+// step (shrink and spill, or grow and re-admit the spilled MRU), and the
+// largest one holds many more keys than the constructor reserved, so the
+// slot and side arrays grow and freed slots are reused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,39 +49,63 @@ void expect_same(const IndexCache& c, const ReferenceIndexCache& ref,
   ASSERT_EQ(c.spill_size(), want.spill.size());
 }
 
-void expect_same_entry(const IndexEntry* a, const IndexEntry* b) {
+void expect_same_entry(const IndexEntry* a, const testing::RefEntry* b) {
   ASSERT_EQ(a == nullptr, b == nullptr);
   if (a != nullptr) {
-    EXPECT_EQ(a->pba, b->pba);
-    EXPECT_EQ(a->count, b->count);
+    EXPECT_EQ(a->pba(), b->pba);
+    EXPECT_EQ(a->count(), b->count);
   }
 }
 
-void run_seed(int seed, bool spill) {
+/// Shape of one seeded run. The defaults are the small-capacity runs; the
+/// iCache runs add ICache-style resize steps, and can scale up the spill
+/// list and key universe past what the constructor reserves.
+struct RunShape {
+  bool spill = false;
+  bool icache_steps = false;
+  std::uint64_t max_spill = 18;
+  std::uint64_t max_keys = 40;
+  std::uint64_t max_resident = 12;
+  int ops = 1500;
+};
+
+/// Statistics of one run, for assertions about the table's growth.
+struct RunStats {
+  std::size_t reserved = 0;    // keys the constructor sized the table for
+  std::size_t slots_used = 0;  // slots the table handed out
+  std::size_t max_keys = 0;    // most keys on the table after an op
+  std::size_t inserts = 0;     // insert and readmit calls
+};
+
+void run_seed(int seed, const RunShape& shape, RunStats* out = nullptr) {
   Rng rng(0xD1FFu + static_cast<std::uint64_t>(seed));
   const std::uint64_t res = rng.uniform(0, 10);
   const std::uint64_t ghost = rng.uniform(0, 14);
-  const std::uint64_t spill_cap = spill ? rng.uniform(0, 18) : 0;
-  const std::uint64_t keys = 8 + rng.uniform(0, 40);
+  const std::uint64_t spill_cap =
+      shape.spill ? rng.uniform(0, shape.max_spill) : 0;
+  const std::uint64_t keys = 8 + rng.uniform(0, shape.max_keys);
+  RunStats stats;
+  stats.reserved = res + ghost + 1;
   IndexCache c(res * kE, ghost * kE);
   ReferenceIndexCache ref(res * kE, ghost * kE);
   const std::uint64_t near = rng.uniform(0, 6);
   c.set_ghost_near_threshold(near);
   ref.set_ghost_near_threshold(near);
-  if (spill) {
+  if (shape.spill) {
     c.enable_spill(spill_cap);
     ref.enable_spill(spill_cap);
   }
   const auto key = [&] { return fp(rng.uniform(0, keys - 1)); };
   const auto pba = [&] { return static_cast<Pba>(rng.uniform(0, 7)); };
+  std::uint64_t resident_cap = res;
 
-  for (int op = 0; op < 1500; ++op) {
-    switch (rng.uniform(0, 12)) {
+  for (int op = 0; op < shape.ops; ++op) {
+    switch (rng.uniform(0, shape.icache_steps ? 13 : 12)) {
       case 0:
       case 1: {  // scalar lookup (+ ghost probe on miss, like the engines)
         const Fingerprint k = key();
         const IndexEntry* a = c.lookup(k);
-        const IndexEntry* b = ref.lookup(k);
+        const testing::RefEntry* b = ref.lookup(k);
         expect_same_entry(a, b);
         if (a == nullptr && rng.uniform(0, 1) == 0) {
           ASSERT_EQ(c.ghost_probe(k), ref.ghost_probe(k));
@@ -90,11 +118,11 @@ void run_seed(int seed, bool spill) {
         std::vector<const IndexEntry*> out(span.size());
         c.lookup_fused(span, out.data());
         for (std::size_t i = 0; i < span.size(); ++i) {
-          const IndexEntry* b = ref.lookup(span[i]);
+          const testing::RefEntry* b = ref.lookup(span[i]);
           if (b == nullptr) ref.ghost_probe(span[i]);
           ASSERT_EQ(out[i] == nullptr, b == nullptr) << i;
           if (b != nullptr) {
-            EXPECT_EQ(out[i]->pba, b->pba);
+            EXPECT_EQ(out[i]->pba(), b->pba);
           }
         }
         break;
@@ -104,7 +132,7 @@ void run_seed(int seed, bool spill) {
         const IndexCache::Tag tag = c.hash_tag(k);
         c.prefetch_tag(tag);
         const IndexEntry* a = c.lookup_tagged(tag, k);
-        const IndexEntry* b = ref.lookup(k);
+        const testing::RefEntry* b = ref.lookup(k);
         if (b == nullptr) ref.ghost_probe(k);
         expect_same_entry(a, b);
         if (a == nullptr && rng.uniform(0, 1) == 0) {
@@ -125,6 +153,7 @@ void run_seed(int seed, bool spill) {
         const Pba p = pba();
         c.insert(k, p);
         ref.insert(k, p);
+        ++stats.inserts;
         break;
       }
       case 7: {
@@ -137,6 +166,7 @@ void run_seed(int seed, bool spill) {
         }
         c.insert_batch(fps.data(), pbas.data(), n);
         for (std::size_t i = 0; i < n; ++i) ref.insert(fps[i], pbas[i]);
+        stats.inserts += n;
         break;
       }
       case 8: {
@@ -159,9 +189,9 @@ void run_seed(int seed, bool spill) {
         break;
       }
       case 10: {
-        const std::uint64_t cap = rng.uniform(0, 12) * kE;
-        c.resize(cap);
-        ref.resize(cap);
+        resident_cap = rng.uniform(0, shape.max_resident);
+        c.resize(resident_cap * kE);
+        ref.resize(resident_cap * kE);
         break;
       }
       case 11: {  // iCache swap-in
@@ -171,6 +201,7 @@ void run_seed(int seed, bool spill) {
         const auto expected = ref.readmit(want);
         ASSERT_TRUE(got == expected) << "op " << op;
         for (const auto& [f, p] : got) c.readmit(f, p);
+        stats.inserts += got.size();
         break;
       }
       case 12: {
@@ -179,26 +210,85 @@ void run_seed(int seed, bool spill) {
         ref.ghost_remember(k);
         break;
       }
+      case 13: {  // one ICache step (ICache::apply_target)
+        const std::uint64_t target = rng.uniform(0, shape.max_resident);
+        c.resize(target * kE);
+        ref.resize(target * kE);
+        if (target > resident_cap) {
+          // Grow: re-admit up to the new room, MRU-first, the way
+          // ICache::readmit_index_entries collects before it re-inserts.
+          const std::size_t budget = target - resident_cap;
+          std::vector<std::pair<Fingerprint, Pba>> got;
+          c.collect_spilled(std::min(budget, c.spill_size()), got);
+          const auto expected = ref.readmit(budget);
+          ASSERT_TRUE(got == expected) << "op " << op;
+          for (const auto& [f, p] : got) c.readmit(f, p);
+          stats.inserts += got.size();
+        }
+        resident_cap = target;
+        break;
+      }
     }
     expect_same(c, ref, seed, op);
     if (::testing::Test::HasFatalFailure()) return;
+    stats.max_keys = std::max(stats.max_keys, c.table().keys());
     const Fingerprint k = key();
     expect_same_entry(c.peek(k), ref.peek(k));
   }
+  stats.slots_used = c.table().slots_used();
+  if (out != nullptr) *out = stats;
 }
 
 TEST(IndexCacheDiff, MatchesThreeMapModelWithoutSpill) {
   for (int seed = 0; seed < 40; ++seed) {
-    run_seed(seed, /*spill=*/false);
+    run_seed(seed, RunShape{});
     if (HasFatalFailure()) return;
   }
 }
 
 TEST(IndexCacheDiff, MatchesThreeMapModelWithSpill) {
+  RunShape shape;
+  shape.spill = true;
   for (int seed = 0; seed < 60; ++seed) {
-    run_seed(seed, /*spill=*/true);
+    run_seed(seed, shape);
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(IndexCacheDiff, MatchesThreeMapModelThroughICacheSteps) {
+  RunShape shape;
+  shape.spill = true;
+  shape.icache_steps = true;
+  for (int seed = 0; seed < 60; ++seed) {
+    run_seed(100 + seed, shape);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IndexCacheDiff, GrowsPastReserveAndReusesSlots) {
+  // A spill list and a resident list far larger than the constructor's
+  // reserve (resident + ghost + 1 keys): the slot, ghost and spill arrays
+  // grow mid-run and the probe index rehashes, while the
+  // model keeps agreeing after every operation. Slots are reused: the
+  // table hands out no more slots than it ever held keys (+1 for an
+  // insert's key before its eviction), over many more inserts than that.
+  RunShape shape;
+  shape.spill = true;
+  shape.icache_steps = true;
+  shape.max_spill = 600;
+  shape.max_keys = 1200;
+  shape.max_resident = 300;
+  shape.ops = 6000;
+  bool grew = false;
+  for (int seed = 0; seed < 8; ++seed) {
+    RunStats st;
+    run_seed(200 + seed, shape, &st);
+    if (HasFatalFailure()) return;
+    EXPECT_LE(st.slots_used, st.max_keys + 1) << "seed " << seed;
+    EXPECT_GT(st.inserts, 4 * st.slots_used) << "seed " << seed;
+    grew = grew || st.slots_used > 2 * st.reserved;
+  }
+  EXPECT_TRUE(grew);
 }
 
 TEST(IndexCacheDiff, TableHoldsEachKeyOnce) {
@@ -218,7 +308,7 @@ TEST(IndexCacheDiff, TableHoldsEachKeyOnce) {
   ASSERT_EQ(spilled.size(), 3u);  // fp(2) was evicted by the re-insert
   EXPECT_EQ(spilled[0].first, fp(2));
   EXPECT_EQ(spilled[2], std::make_pair(fp(0), Pba{0}));
-  EXPECT_EQ(c.peek(fp(0))->pba, 9u);
+  EXPECT_EQ(c.peek(fp(0))->pba(), 9u);
 }
 
 }  // namespace

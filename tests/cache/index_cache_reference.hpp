@@ -20,6 +20,12 @@
 
 namespace pod::testing {
 
+/// A resident entry of the reference model.
+struct RefEntry {
+  Pba pba = kInvalidPba;
+  std::uint32_t count = 0;
+};
+
 /// MRU-first contents of the three lists plus the probe counters.
 struct IndexCacheState {
   std::vector<std::tuple<Fingerprint, Pba, std::uint32_t>> resident;
@@ -36,7 +42,7 @@ struct IndexCacheState {
 class ReferenceIndexCache {
   /// The eviction callback: remember the key, then spill the payload.
   auto evict() {
-    return [this](const Fingerprint& fp, IndexEntry&& e) {
+    return [this](const Fingerprint& fp, RefEntry&& e) {
       ghost_.remember(fp);
       spilled_.put(fp, e);
     };
@@ -52,8 +58,8 @@ class ReferenceIndexCache {
   void enable_spill(std::size_t capacity) { spilled_.set_capacity(capacity); }
   void set_ghost_near_threshold(std::uint64_t n) { ghost_.set_near_threshold(n); }
 
-  const IndexEntry* lookup(const Fingerprint& fp) {
-    IndexEntry* e = entries_.get(fp);
+  const RefEntry* lookup(const Fingerprint& fp) {
+    RefEntry* e = entries_.get(fp);
     if (e != nullptr) {
       ++hits_;
       ++e->count;
@@ -63,24 +69,24 @@ class ReferenceIndexCache {
     return nullptr;
   }
 
-  const IndexEntry* peek(const Fingerprint& fp) const { return entries_.peek(fp); }
+  const RefEntry* peek(const Fingerprint& fp) const { return entries_.peek(fp); }
 
   bool ghost_probe(const Fingerprint& fp) { return ghost_.probe_and_consume(fp); }
   void ghost_remember(const Fingerprint& fp) { ghost_.remember(fp); }
 
   void insert(const Fingerprint& fp, Pba pba) {
-    entries_.put(fp, IndexEntry{pba, 0}, evict());
+    entries_.put(fp, RefEntry{pba, 0}, evict());
   }
 
   void invalidate(const Fingerprint& fp) { entries_.erase(fp); }
 
   void invalidate_if(const Fingerprint& fp, Pba pba) {
-    const IndexEntry* e = entries_.peek(fp);
+    const RefEntry* e = entries_.peek(fp);
     if (e != nullptr && e->pba == pba) entries_.erase(fp);
   }
 
   void rebind(const Fingerprint& fp, Pba pba) {
-    IndexEntry* e = entries_.get(fp);
+    RefEntry* e = entries_.get(fp);
     if (e != nullptr) e->pba = pba;
   }
 
@@ -93,7 +99,7 @@ class ReferenceIndexCache {
   /// ghost list and re-insert it.
   std::vector<std::pair<Fingerprint, Pba>> readmit(std::size_t want) {
     std::vector<std::pair<Fingerprint, Pba>> to_admit;
-    spilled_.for_each([&](const Fingerprint& fp, const IndexEntry& e) {
+    spilled_.for_each([&](const Fingerprint& fp, const RefEntry& e) {
       if (to_admit.size() < want) to_admit.emplace_back(fp, e.pba);
     });
     for (const auto& [fp, pba] : to_admit) {
@@ -106,11 +112,11 @@ class ReferenceIndexCache {
 
   IndexCacheState state() const {
     IndexCacheState s;
-    entries_.for_each([&](const Fingerprint& fp, const IndexEntry& e) {
+    entries_.for_each([&](const Fingerprint& fp, const RefEntry& e) {
       s.resident.emplace_back(fp, e.pba, e.count);
     });
     ghost_.for_each([&](const Fingerprint& fp) { s.ghost.push_back(fp); });
-    spilled_.for_each([&](const Fingerprint& fp, const IndexEntry& e) {
+    spilled_.for_each([&](const Fingerprint& fp, const RefEntry& e) {
       s.spill.emplace_back(fp, e.pba);
     });
     s.hits = hits_;
@@ -121,9 +127,9 @@ class ReferenceIndexCache {
   }
 
  private:
-  FlatLruMap<Fingerprint, IndexEntry, FingerprintHash> entries_;
+  FlatLruMap<Fingerprint, RefEntry, FingerprintHash> entries_;
   GhostCache<Fingerprint, FingerprintHash> ghost_;
-  FlatLruMap<Fingerprint, IndexEntry, FingerprintHash> spilled_;
+  FlatLruMap<Fingerprint, RefEntry, FingerprintHash> spilled_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
@@ -134,7 +140,8 @@ inline IndexCacheState state_of(const IndexCache& c) {
   const Table& t = c.table();
   IndexCacheState s;
   t.for_each(Table::kResident, [&](std::uint32_t slot) {
-    s.resident.emplace_back(t.key(slot), t.entry(slot).pba, t.entry(slot).count);
+    s.resident.emplace_back(t.key(slot), t.entry(slot).pba(),
+                            t.entry(slot).count());
     return true;
   });
   t.for_each(Table::kGhost, [&](std::uint32_t slot) {

@@ -15,7 +15,7 @@ TEST(IndexCache, InsertLookup) {
   c.insert(fp(1), 42);
   const IndexEntry* e = c.lookup(fp(1));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->pba, 42u);
+  EXPECT_EQ(e->pba(), 42u);
 }
 
 TEST(IndexCache, CountStartsAtZeroAndIncrements) {
@@ -23,17 +23,17 @@ TEST(IndexCache, CountStartsAtZeroAndIncrements) {
   // hit — used as the popularity / pinning signal.
   IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
   c.insert(fp(1), 7);
-  EXPECT_EQ(c.peek(fp(1))->count, 0u);
+  EXPECT_EQ(c.peek(fp(1))->count(), 0u);
   (void)c.lookup(fp(1));
   (void)c.lookup(fp(1));
-  EXPECT_EQ(c.peek(fp(1))->count, 2u);
+  EXPECT_EQ(c.peek(fp(1))->count(), 2u);
 }
 
 TEST(IndexCache, PeekDoesNotCount) {
   IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
   c.insert(fp(1), 7);
   (void)c.peek(fp(1));
-  EXPECT_EQ(c.peek(fp(1))->count, 0u);
+  EXPECT_EQ(c.peek(fp(1))->count(), 0u);
   EXPECT_EQ(c.hits(), 0u);
 }
 
@@ -108,7 +108,7 @@ TEST(IndexCache, InvalidateIfOtherPbaKeepsEntry) {
   c.insert(fp(1), 1);
   c.invalidate_if(fp(1), 2);  // entry already rebound elsewhere
   ASSERT_NE(c.peek(fp(1)), nullptr);
-  EXPECT_EQ(c.peek(fp(1))->pba, 1u);
+  EXPECT_EQ(c.peek(fp(1))->pba(), 1u);
 }
 
 TEST(IndexCache, InvalidateIfAbsentIsNoOp) {
@@ -126,7 +126,7 @@ TEST(IndexCache, RebindUpdatesPba) {
   IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.rebind(fp(1), 99);
-  EXPECT_EQ(c.peek(fp(1))->pba, 99u);
+  EXPECT_EQ(c.peek(fp(1))->pba(), 99u);
 }
 
 TEST(IndexCache, ResizeShrinkEvictsAndSpills) {

@@ -199,7 +199,7 @@ TEST(TagCollisionStorm, FusedLookupMatchesScalarUnderCollisions) {
       const IndexEntry* e = scalar.lookup(request[i]);
       ASSERT_EQ(out_f[i] == nullptr, e == nullptr) << "round " << round;
       if (e == nullptr) (void)scalar.ghost_probe(request[i]);
-      else EXPECT_EQ(out_f[i]->pba, e->pba);
+      else EXPECT_EQ(out_f[i]->pba(), e->pba());
     }
     // Keep churn flowing through the chain.
     const std::uint64_t id = ids[rng.uniform(0, ids.size() - 1)];
@@ -214,7 +214,7 @@ TEST(TagCollisionStorm, FusedLookupMatchesScalarUnderCollisions) {
     const IndexEntry* ef = fused.peek(fp(id));
     const IndexEntry* es = scalar.peek(fp(id));
     ASSERT_EQ(ef == nullptr, es == nullptr) << id;
-    if (ef != nullptr) EXPECT_EQ(ef->pba, es->pba);
+    if (ef != nullptr) EXPECT_EQ(ef->pba(), es->pba());
   }
 }
 

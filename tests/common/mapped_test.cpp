@@ -50,6 +50,38 @@ TEST(ZeroedArray, MoveTransfersTheStorage) {
   EXPECT_EQ(c[7], 42u);
 }
 
+TEST(ZeroedArray, ResizeKeepsContentsAndZeroesTheTail) {
+  ZeroedArray<std::uint32_t> a;
+  a.resize(1000);  // from empty
+  for (std::uint32_t i = 0; i < 1000; ++i) a[i] = i + 1;
+  a.resize(std::size_t{3} << 20);  // past a huge-page span
+  ASSERT_EQ(a.size(), std::size_t{3} << 20);
+  for (std::uint32_t i = 0; i < 1000; ++i) ASSERT_EQ(a[i], i + 1) << i;
+  EXPECT_EQ(a[1000], 0u);
+  EXPECT_EQ(a[a.size() - 1], 0u);
+  a.resize(10);  // shrink keeps the head
+  EXPECT_EQ(a[9], 10u);
+  a.resize(0);
+  EXPECT_EQ(a.data(), nullptr);
+}
+
+TEST(PagedVector, PushBackGrowsWithoutLosingElements) {
+  PagedVector<std::uint64_t> v;
+  EXPECT_EQ(v.size(), 0u);
+  for (std::uint64_t i = 0; i < 100000; ++i) v.push_back(i * 3);
+  ASSERT_EQ(v.size(), 100000u);
+  for (std::uint64_t i = 0; i < 100000; ++i) ASSERT_EQ(v[i], i * 3) << i;
+  v.extend_to(100010);  // appended elements read as zero
+  EXPECT_EQ(v.size(), 100010u);
+  EXPECT_EQ(v[100009], 0u);
+  v.extend_to(5);  // never shrinks
+  EXPECT_EQ(v.size(), 100010u);
+  v.clear();
+  EXPECT_EQ(v.size(), 0u);
+  v.push_back(7);
+  EXPECT_EQ(v[0], 7u);
+}
+
 TEST(FileImage, StreamReadIsAlignedAndExact) {
   std::stringstream in(std::string("\x01\x02\x03pod", 6));
   const FileImage image = FileImage::read(in);

@@ -133,12 +133,32 @@ TEST(BlockStore, RefcountDropsAndFrees) {
 TEST(BlockStore, ContentGoneHookFires) {
   BlockStore s(small_cfg());
   std::vector<std::pair<Pba, Fingerprint>> gone;
-  s.on_content_gone = [&](Pba p, const Fingerprint& f) { gone.emplace_back(p, f); };
+  s.on_content_gone = [&](Pba p, const Fingerprint* f) {
+    ASSERT_NE(f, nullptr);
+    gone.emplace_back(p, *f);
+  };
   (void)s.place_write(10, fp(1));
   (void)s.place_write(10, fp(2));  // in-place overwrite releases fp(1)
   ASSERT_EQ(gone.size(), 1u);
   EXPECT_EQ(gone[0].first, 10u);
   EXPECT_EQ(gone[0].second, fp(1));
+}
+
+TEST(BlockStore, WithoutFingerprintsKeepsNone) {
+  BlockStore::Config cfg = small_cfg();
+  cfg.fingerprints = false;
+  BlockStore s(cfg);
+  EXPECT_FALSE(s.keeps_fingerprints());
+  std::vector<std::pair<Pba, const Fingerprint*>> gone;
+  s.on_content_gone = [&](Pba p, const Fingerprint* f) { gone.emplace_back(p, f); };
+  (void)s.place_write(10, fp(1));
+  EXPECT_EQ(s.refcount(10), 1u);
+  EXPECT_EQ(s.fingerprint_of(10), nullptr);
+  (void)s.place_write(10, fp(2));  // in-place overwrite releases block 10
+  ASSERT_EQ(gone.size(), 1u);
+  EXPECT_EQ(gone[0].first, 10u);
+  EXPECT_EQ(gone[0].second, nullptr);
+  EXPECT_EQ(s.refcount(10), 1u);
 }
 
 TEST(BlockStore, DedupToSamePbaIsNoop) {

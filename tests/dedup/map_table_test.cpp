@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace pod {
@@ -34,6 +35,40 @@ TEST(MapTable, ClearRestoresIdentity) {
   m.clear(5);
   EXPECT_EQ(m.lookup(5), kInvalidPba);
   EXPECT_EQ(m.entries(), 0u);
+}
+
+TEST(MapTable, LargestAdmissiblePbaNextToSentinels) {
+  // The top of the packed range sits right under the two reserved values
+  // (the identity mark and the packed invalid PBA): all three must decode
+  // to what was stored.
+  MapTable m;
+  const Pba top = kPackedPbaLimit - 1;
+  m.set(1, top);
+  m.set_identity(2);
+  EXPECT_EQ(m.lookup(1), top);
+  EXPECT_EQ(m.resolve(1), top);
+  EXPECT_TRUE(m.is_redirected(1));
+  EXPECT_FALSE(m.is_identity(1));
+  EXPECT_EQ(m.lookup(2), kInvalidPba);
+  EXPECT_EQ(m.resolve(2), 2u);
+  EXPECT_TRUE(m.is_identity(2));
+  EXPECT_EQ(m.resolve(3), kInvalidPba);  // never written
+  EXPECT_FALSE(m.is_identity(3));
+  m.set_run(4, top - 2, 3);
+  Pba out[8];
+  m.resolve_run(0, 8, out);
+  const Pba want[8] = {kInvalidPba, top,     2u,      kInvalidPba,
+                       top - 2,     top - 1, top,     kInvalidPba};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], want[i]) << i;
+  std::vector<std::pair<Lba, Pba>> seen;
+  m.for_each_entry([&](Lba l, Pba p) { seen.emplace_back(l, p); });
+  const std::vector<std::pair<Lba, Pba>> redirects = {
+      {1, top}, {4, top - 2}, {5, top - 1}, {6, top}};
+  EXPECT_EQ(seen, redirects);
+  EXPECT_EQ(m.entries(), 4u);
+  m.clear(1);
+  EXPECT_EQ(m.resolve(1), kInvalidPba);
+  EXPECT_EQ(m.entries(), 3u);
 }
 
 TEST(MapTable, ManyToOneAllowed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "fault/journal.hpp"
 
 namespace pod {
@@ -69,7 +71,7 @@ TEST(OnDiskIndex, EraseIfMatchingPbaErasesAndJournals) {
   idx.set_journal(&journal);
   (void)idx.insert(fp(1), 42);
   idx.erase_if(fp(1), 42);
-  EXPECT_EQ(idx.peek(fp(1)), nullptr);
+  EXPECT_EQ(idx.peek(fp(1)), std::nullopt);
   EXPECT_EQ(idx.entries(), 0u);
   // The same index_del record erase() writes.
   ASSERT_EQ(journal.records().size(), 2u);
@@ -84,7 +86,7 @@ TEST(OnDiskIndex, EraseIfOtherPbaKeepsEntryAndJournalsNothing) {
   idx.set_journal(&journal);
   (void)idx.insert(fp(1), 42);
   idx.erase_if(fp(1), 43);  // entry already rebound elsewhere
-  ASSERT_NE(idx.peek(fp(1)), nullptr);
+  ASSERT_NE(idx.peek(fp(1)), std::nullopt);
   EXPECT_EQ(*idx.peek(fp(1)), 42u);
   EXPECT_EQ(journal.records().size(), 1u);
 }
@@ -102,10 +104,10 @@ TEST(OnDiskIndex, EraseIfAbsentIsNoOp) {
 TEST(OnDiskIndex, PeekDoesNotCharge) {
   OnDiskIndex idx(small_cfg());
   (void)idx.insert(fp(1), 42);
-  const Pba* p = idx.peek(fp(1));
-  ASSERT_NE(p, nullptr);
+  const std::optional<Pba> p = idx.peek(fp(1));
+  ASSERT_NE(p, std::nullopt);
   EXPECT_EQ(*p, 42u);
-  EXPECT_EQ(idx.peek(fp(2)), nullptr);
+  EXPECT_EQ(idx.peek(fp(2)), std::nullopt);
   EXPECT_EQ(idx.disk_lookups(), 0u);
 }
 

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dedup/allocator.hpp"
 #include "dedup/ondisk_index.hpp"
 #include "fault/journal.hpp"
+#include "replay/replayer.hpp"
+#include "synth/generator.hpp"
 
 namespace pod {
 namespace {
@@ -75,9 +79,8 @@ struct World {
     index.set_journal(&journal);
     // Engine contract (see FullDedupeEngine::on_content_gone): when a
     // block's content is released, the matching index entry is dropped.
-    store.on_content_gone = [this](Pba pba, const Fingerprint& fp) {
-      const Pba* stored = index.peek(fp);
-      if (stored != nullptr && *stored == pba) index.erase(fp);
+    store.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
+      if (index.peek(*fp) == pba) index.erase(*fp);
     };
   }
 };
@@ -201,7 +204,7 @@ TEST(JournalRecovery, StaleIndexEntryIsRepairedNotFatal) {
 
   report = run_fsck(recovered, &rindex, /*repair=*/true);
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(rindex.peek(fp_of(1)), nullptr);
+  EXPECT_EQ(rindex.peek(fp_of(1)), std::nullopt);
 }
 
 TEST(JournalRecovery, CrashPointZeroIsEmptyButConsistent) {
@@ -216,6 +219,74 @@ TEST(JournalRecovery, CrashPointZeroIsEmptyButConsistent) {
   recover_from_journal(w.journal, recovered, &rindex);
   EXPECT_EQ(recovered.live_logical_blocks(), 0u);
   EXPECT_TRUE(run_fsck(recovered, &rindex, true).clean());
+}
+
+/// A Native engine's BlockStore keeps no fingerprints, but its journal
+/// still records every bind and unbind. Replays a small trace with the
+/// journal crashed at `crash` records (-1: no crash) and returns the
+/// engine with its journal.
+std::unique_ptr<DedupEngine> replay_native(Simulator& sim, const Trace& trace,
+                                           std::unique_ptr<Volume>& volume,
+                                           const RunSpec& spec,
+                                           std::int64_t crash) {
+  volume = make_volume(sim, spec);
+  std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
+  engine->metadata_journal()->set_crash_point(crash);
+  Replayer replayer;
+  (void)replayer.replay(sim, *engine, trace);
+  return engine;
+}
+
+TEST(JournalRecovery, NativeRecoversWithoutFingerprints) {
+  WorkloadProfile p = tiny_test_profile();
+  p.measured_requests = 1500;
+  p.warmup_requests = 500;
+  const Trace trace = TraceGenerator(p).generate();
+  RunSpec spec;
+  spec.engine = EngineKind::kNative;
+  spec.engine_cfg.logical_blocks = p.volume_blocks;
+  spec.engine_cfg.memory_bytes = 2 * kMiB;
+  spec.engine_cfg.journal_metadata = true;
+  BlockStore::Config store_cfg;
+  store_cfg.logical_blocks = spec.engine_cfg.logical_blocks;
+  store_cfg.pool_fraction = spec.engine_cfg.pool_fraction;
+  store_cfg.fingerprints = false;
+
+  // Full journal: recovery reproduces the live store exactly.
+  Simulator sim;
+  std::unique_ptr<Volume> volume;
+  const auto full = replay_native(sim, trace, volume, spec, -1);
+  ASSERT_FALSE(full->store().keeps_fingerprints());
+  const MetadataJournal& journal = *full->metadata_journal();
+  const std::uint64_t total = journal.appended();
+  ASSERT_GT(total, 1000u);
+  {
+    BlockStore recovered(store_cfg);
+    recover_from_journal(journal, recovered, nullptr);
+    EXPECT_EQ(recovered.live_logical_blocks(),
+              full->store().live_logical_blocks());
+    EXPECT_EQ(recovered.live_physical_blocks(),
+              full->store().live_physical_blocks());
+    for (Lba lba = 0; lba < store_cfg.logical_blocks; ++lba)
+      ASSERT_EQ(recovered.resolve(lba), full->store().resolve(lba)) << lba;
+    EXPECT_TRUE(run_fsck(recovered, nullptr, /*repair=*/false).clean());
+  }
+
+  // Crashes at random records: every prefix recovers fsck-clean.
+  Rng rng(0x4E47u);
+  for (int i = 0; i < 6; ++i) {
+    const auto crash = static_cast<std::int64_t>(rng.uniform(0, total));
+    Simulator csim;
+    std::unique_ptr<Volume> cvolume;
+    const auto engine = replay_native(csim, trace, cvolume, spec, crash);
+    ASSERT_EQ(engine->metadata_journal()->appended(), total);
+    BlockStore recovered(store_cfg);
+    recover_from_journal(*engine->metadata_journal(), recovered, nullptr);
+    const FsckReport report = run_fsck(recovered, nullptr, /*repair=*/true);
+    EXPECT_TRUE(report.clean())
+        << "crash point " << crash << ": "
+        << (report.messages.empty() ? "?" : report.messages.front());
+  }
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST(ICache, ReadmitReinsertsSpilledPayloadsMruFirst) {
   for (std::uint64_t i = 0; i <= 100; ++i) {
     const IndexEntry* e = f.index.peek(fp(i));
     ASSERT_NE(e, nullptr) << i;
-    EXPECT_EQ(e->pba, 1000 + i);
+    EXPECT_EQ(e->pba(), 1000 + i);
   }
 }
 

@@ -96,7 +96,6 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
                        corpus.total_bytes / min_chunk +
                        corpus.objects.size() + 64;
   cfg.index_cache_bytes = 8 * kMiB;
-  cfg.ghost_bytes = 2 * kMiB;
   cfg.scalar_probes = scalar_probes;
 
   CdcStore store(cfg);

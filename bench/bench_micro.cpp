@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/flat_lru_map.hpp"
 #include "cache/index_cache.hpp"
-#include "cache/lru_cache.hpp"
 #include "common/flat_hash_map.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
@@ -134,34 +132,6 @@ void BM_FingerprintOfContentId(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintOfContentId);
 
-void BM_LruMapPutGet(benchmark::State& state) {
-  LruMap<std::uint64_t, std::uint64_t> map(
-      static_cast<std::size_t>(state.range(0)));
-  Rng rng(1);
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    map.put(k, k);
-    benchmark::DoNotOptimize(map.get(rng.uniform(0, k)));
-    ++k;
-  }
-}
-BENCHMARK(BM_LruMapPutGet)->Arg(1024)->Arg(65536);
-
-// Same access pattern as BM_LruMapPutGet — the flat map's win over the
-// node-based LruMap is this pair's ratio.
-void BM_FlatLruMapPutGet(benchmark::State& state) {
-  FlatLruMap<std::uint64_t, std::uint64_t> map(
-      static_cast<std::size_t>(state.range(0)));
-  Rng rng(1);
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    map.put(k, k);
-    benchmark::DoNotOptimize(map.get(rng.uniform(0, k)));
-    ++k;
-  }
-}
-BENCHMARK(BM_FlatLruMapPutGet)->Arg(1024)->Arg(65536);
-
 // Fingerprint -> Pba probe against the flat on-disk-index table: half the
 // probes hit, half miss (the bloom-negative path's companion case).
 void BM_FingerprintIndexProbe(benchmark::State& state) {
@@ -200,8 +170,8 @@ BENCHMARK(BM_IndexProbe_Scalar)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 void BM_IndexCacheLookup(benchmark::State& state) {
   IndexCache cache(static_cast<std::uint64_t>(state.range(0)) *
-                       IndexCache::kEntryBytes,
-                   1024 * IndexCache::kEntryBytes);
+                   IndexCache::kEntryBytes);
+  cache.enable_ghost(1024);
   for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(state.range(0)); ++i)
     cache.insert(Fingerprint::of_content_id(i), i);
   Rng rng(2);
@@ -229,9 +199,8 @@ IndexCache& lookup_bench_cache(std::uint64_t entries) {
   static std::map<std::uint64_t, std::unique_ptr<IndexCache>> caches;
   auto& slot = caches[entries];
   if (!slot) {
-    slot = std::make_unique<IndexCache>(entries * IndexCache::kEntryBytes,
-                                        (entries / 4 + 1024) *
-                                            IndexCache::kEntryBytes);
+    slot = std::make_unique<IndexCache>(entries * IndexCache::kEntryBytes);
+    slot->enable_ghost(static_cast<std::size_t>(entries / 4 + 1024));
     // 2x inserts: the first half spills into the ghost list.
     for (std::uint64_t i = 0; i < 2 * entries; ++i)
       slot->insert(Fingerprint::of_content_id(i), i);
@@ -293,8 +262,8 @@ BENCHMARK(BM_IndexLookup_Fused)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22)->Arg(1 <
 // the first insert resolves.
 void BM_IndexInsert_Scalar(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
-  IndexCache cache(entries * IndexCache::kEntryBytes,
-                   entries * IndexCache::kEntryBytes);
+  IndexCache cache(entries * IndexCache::kEntryBytes);
+  cache.enable_ghost(static_cast<std::size_t>(entries));
   for (std::uint64_t i = 0; i < entries; ++i)
     cache.insert(Fingerprint::of_content_id(i + (1ull << 40)), i);
   Rng rng(34);
@@ -316,8 +285,8 @@ BENCHMARK(BM_IndexInsert_Scalar)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 
 
 void BM_IndexInsert_Batch(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
-  IndexCache cache(entries * IndexCache::kEntryBytes,
-                   entries * IndexCache::kEntryBytes);
+  IndexCache cache(entries * IndexCache::kEntryBytes);
+  cache.enable_ghost(static_cast<std::size_t>(entries));
   for (std::uint64_t i = 0; i < entries; ++i)
     cache.insert(Fingerprint::of_content_id(i + (1ull << 40)), i);
   Rng rng(34);
@@ -342,8 +311,8 @@ BENCHMARK(BM_IndexInsert_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 2
 // those drops its own LRU (erasing keys that leave their last list).
 void BM_IndexInsertEvict(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
-  IndexCache cache(entries * IndexCache::kEntryBytes,
-                   2 * entries * IndexCache::kEntryBytes);
+  IndexCache cache(entries * IndexCache::kEntryBytes);
+  cache.enable_ghost(static_cast<std::size_t>(2 * entries));
   cache.enable_spill(static_cast<std::size_t>(2 * entries));
   std::uint64_t next = 0;
   for (; next < 5 * entries; ++next)

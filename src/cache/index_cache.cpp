@@ -8,26 +8,16 @@ namespace {
 using Table = FingerprintTable;
 }  // namespace
 
-IndexCache::IndexCache(std::uint64_t capacity_bytes,
-                       std::uint64_t ghost_capacity_bytes)
-    : table_(entries_for(capacity_bytes), entries_for(ghost_capacity_bytes)) {}
+IndexCache::IndexCache(std::uint64_t capacity_bytes)
+    : table_(entries_for(capacity_bytes)) {}
 
 const IndexEntry* IndexCache::resolve(Table::Found f) {
-  if (f.slot != Table::kNil && table_.on(Table::kResident, f.slot)) {
+  if (table_.resident(f)) {
     ++hits_;
     return &table_.hit(f.slot);
   }
   ++misses_;
   return nullptr;
-}
-
-bool IndexCache::consume_ghost(Table::Found f) {
-  if (f.slot == Table::kNil || !table_.on(Table::kGhost, f.slot)) return false;
-  const std::uint64_t age = table_.ghost_clock() - table_.ghost_seq(f.slot);
-  table_.drop(Table::kGhost, f);
-  if (age <= ghost_near_threshold_) ++ghost_near_hits_;
-  ++ghost_hits_;
-  return true;
 }
 
 const IndexEntry* IndexCache::lookup(const Fingerprint& fp) {
@@ -36,22 +26,13 @@ const IndexEntry* IndexCache::lookup(const Fingerprint& fp) {
 
 const IndexEntry* IndexCache::peek(const Fingerprint& fp) const {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (f.slot == Table::kNil || !table_.on(Table::kResident, f.slot))
-    return nullptr;
-  return &table_.entry(f.slot);
-}
-
-bool IndexCache::ghost_probe(const Fingerprint& fp) {
-  // Consumption can drain the list entirely between refills; skip the
-  // table walk when there is nothing to find.
-  if (table_.size(Table::kGhost) == 0) return false;
-  return consume_ghost(table_.find(table_.hash_tag(fp), fp));
+  return table_.resident(f) ? &table_.entry(f.slot) : nullptr;
 }
 
 const IndexEntry* IndexCache::lookup_tagged(Tag tag, const Fingerprint& fp) {
   const Table::Found f = table_.find(tag, fp);
   const IndexEntry* e = resolve(f);
-  if (e == nullptr) consume_ghost(f);
+  if (e == nullptr) table_.take_ghost(f);
   return e;
 }
 
@@ -85,7 +66,7 @@ void IndexCache::lookup_fused(std::span<const Fingerprint> fps,
     if (i + kD < n) table_.prefetch_slot_of(tag_scratch_[i + kD]);
     const Table::Found f = table_.find(tag_scratch_[i], fps[i]);
     out[i] = resolve(f);
-    if (out[i] == nullptr) consume_ghost(f);
+    if (out[i] == nullptr) table_.take_ghost(f);
   }
 }
 
@@ -102,21 +83,18 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
 
 void IndexCache::invalidate(const Fingerprint& fp) {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (f.slot != Table::kNil && table_.on(Table::kResident, f.slot))
-    table_.drop(Table::kResident, f);
+  if (table_.resident(f)) table_.drop(Table::kResident, f);
 }
 
 void IndexCache::invalidate_if(const Fingerprint& fp, Pba pba) {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (f.slot != Table::kNil && table_.on(Table::kResident, f.slot) &&
-      table_.entry(f.slot).pba() == pba)
+  if (table_.resident(f) && table_.entry(f.slot).pba() == pba)
     table_.drop(Table::kResident, f);
 }
 
 void IndexCache::rebind(const Fingerprint& fp, Pba pba) {
   const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (f.slot == Table::kNil || !table_.on(Table::kResident, f.slot)) return;
-  table_.rebind(f.slot, pba);
+  if (table_.resident(f)) table_.rebind(f.slot, pba);
 }
 
 void IndexCache::resize(std::uint64_t capacity_bytes) {
@@ -132,14 +110,6 @@ void IndexCache::collect_spilled(
     ++taken;
     return true;
   });
-}
-
-void IndexCache::readmit(const Fingerprint& fp, Pba pba) {
-  const Tag tag = table_.hash_tag(fp);
-  const Table::Found f = table_.find(tag, fp);
-  if (f.slot != Table::kNil)
-    table_.drop_all(Table::bit(Table::kSpill) | Table::bit(Table::kGhost), f);
-  table_.insert(tag, fp, pba);
 }
 
 }  // namespace pod

@@ -2,12 +2,11 @@
 //
 // Maps hot chunk fingerprints to the physical block that stores the chunk,
 // in LRU order, with a per-entry Count that records write popularity
-// (paper Figure 6). Entries evicted from the actual cache leave their key
-// in a ghost list for iCache's cost-benefit estimation and, once iCache
-// enables it, their payload in a spill list (the swap area) for
-// re-admission. All three lists live in one FingerprintTable, so an
-// eviction is a list move and a probe answers hit, ghost hit or miss at
-// once.
+// (paper Figure 6). Under iCache, entries evicted from the actual cache
+// leave their key in a ghost list for the cost-benefit estimation and
+// their payload in a spill list (the swap area) for re-admission. All
+// three lists live in one LruTable, so an eviction is a list move and a
+// probe answers hit, ghost hit or miss at once.
 //
 // Memory accounting: each entry is charged kEntryBytes of the cache's byte
 // budget (fingerprint + PBA + count + list/table overhead ~= 32 B, matching
@@ -19,17 +18,21 @@
 #include <utility>
 #include <vector>
 
-#include "cache/fingerprint_table.hpp"
+#include "cache/lru_table.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
 namespace pod {
 
+using FingerprintTable = LruTable<Fingerprint, FingerprintHash>;
+
 class IndexCache {
  public:
   static constexpr std::uint64_t kEntryBytes = 32;
 
-  IndexCache(std::uint64_t capacity_bytes, std::uint64_t ghost_capacity_bytes);
+  /// A cache without shadow lists; iCache enables them (enable_ghost,
+  /// enable_spill).
+  explicit IndexCache(std::uint64_t capacity_bytes);
 
   /// Looks up a fingerprint; on hit increments Count and promotes to MRU.
   /// Returns nullptr on miss.
@@ -78,12 +81,11 @@ class IndexCache {
   /// Fingerprints probed through lookup_fused (host-side counter).
   std::uint64_t batch_probes() const { return batch_probes_; }
 
-  /// Probes the ghost list (consuming the entry on hit). A hit also counts
-  /// as *near* when at most the near threshold of newer evictions happened
-  /// since the key was remembered — i.e. the access would have been an
-  /// actual hit had the cache been that many entries larger (exact for
-  /// LRU).
-  bool ghost_probe(const Fingerprint& fp);
+  /// Probes the ghost list (consuming the entry on hit; see
+  /// LruTable::take_ghost for near hits).
+  bool ghost_probe(const Fingerprint& fp) {
+    return table_.probe_ghost(table_.hash_tag(fp), fp);
+  }
 
   /// Inserts a fresh entry with Count = 0 (paper: Count initialised to 0 on
   /// insert, incremented on each subsequent write hit). Evictions move the
@@ -125,11 +127,16 @@ class IndexCache {
 
   // --- ghost list ---
 
-  std::uint64_t ghost_hits() const { return ghost_hits_; }
-  std::uint64_t ghost_near_hits() const { return ghost_near_hits_; }
+  /// Gives evicted keys a ghost list of `capacity_entries`; until then
+  /// evictions leave no key behind and ghost probes never hit.
+  void enable_ghost(std::size_t capacity_entries) {
+    table_.enable_ghost(capacity_entries);
+  }
+  std::uint64_t ghost_hits() const { return table_.ghost_hits(); }
+  std::uint64_t ghost_near_hits() const { return table_.ghost_near_hits(); }
   /// Sets the "would a one-step-larger cache have kept it" horizon.
   void set_ghost_near_threshold(std::uint64_t entries) {
-    ghost_near_threshold_ = entries;
+    table_.set_ghost_near_threshold(entries);
   }
   std::size_t ghost_size() const { return table_.size(FingerprintTable::kGhost); }
   bool ghost_contains(const Fingerprint& fp) const {
@@ -158,7 +165,9 @@ class IndexCache {
 
   /// Swap-in of one spilled payload: drops `fp` from the spill and ghost
   /// lists, then insert(fp, pba).
-  void readmit(const Fingerprint& fp, Pba pba);
+  void readmit(const Fingerprint& fp, Pba pba) {
+    table_.readmit(table_.hash_tag(fp), fp, pba);
+  }
 
   /// The underlying table (list walks for tests and state checks).
   const FingerprintTable& table() const { return table_; }
@@ -171,14 +180,10 @@ class IndexCache {
   /// Resolves one probe against the resident list: a hit counts, bumps
   /// Count and promotes; a miss counts. (Callers consume the ghost entry.)
   const IndexEntry* resolve(FingerprintTable::Found f);
-  bool consume_ghost(FingerprintTable::Found f);
 
   FingerprintTable table_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t ghost_hits_ = 0;
-  std::uint64_t ghost_near_hits_ = 0;
-  std::uint64_t ghost_near_threshold_ = ~std::uint64_t{0};
   std::uint64_t batch_probes_ = 0;
   // lookup_fused / insert_batch scratch: one tag per fingerprint of the
   // span (capacity reaches the largest request and stays).

@@ -2,50 +2,37 @@
 
 namespace pod {
 
-namespace {
-std::size_t blocks_for(std::uint64_t bytes) {
-  return static_cast<std::size_t>(bytes / kBlockSize);
-}
-}  // namespace
+ReadCache::ReadCache(std::uint64_t capacity_bytes)
+    : table_(static_cast<std::size_t>(capacity_bytes / kBlockSize)) {}
 
-ReadCache::ReadCache(std::uint64_t capacity_bytes, std::uint64_t ghost_capacity_bytes)
-    : entries_(blocks_for(capacity_bytes)), ghost_(blocks_for(ghost_capacity_bytes)) {
-  // Both maps run at capacity for the whole replay; sizing them now keeps
-  // incremental rehash pauses off the insert path.
-  entries_.reserve(entries_.capacity());
-  ghost_.reserve(ghost_.capacity());
-}
-
-bool ReadCache::lookup(Pba block) {
-  return lookup_tagged(entries_.hash_tag(block), block);
-}
-
-bool ReadCache::lookup_tagged(Tag tag, Pba block) {
-  if (entries_.get_tagged(tag, block) != nullptr) {
+bool ReadCache::resolve(BlockTable::Found f) {
+  if (table_.resident(f)) {
     ++hits_;
+    table_.promote(f.slot);
     return true;
   }
   ++misses_;
   return false;
 }
 
-void ReadCache::insert(Pba block) {
-  insert_tagged(entries_.hash_tag(block), block);
+void ReadCache::invalidate(Pba block) {
+  const BlockTable::Found f = table_.find(table_.hash_tag(block), block);
+  if (table_.resident(f)) table_.drop(BlockTable::kResident, f);
 }
-
-void ReadCache::insert_tagged(Tag tag, Pba block) {
-  entries_.put_tagged(tag, block, Unit{}, [this](const Pba& evicted, Unit&&) {
-    ghost_.remember(evicted);
-  });
-}
-
-void ReadCache::invalidate(Pba block) { entries_.erase(block); }
 
 void ReadCache::resize(std::uint64_t capacity_bytes) {
-  entries_.set_capacity(blocks_for(capacity_bytes),
-                        [this](const Pba& evicted, Unit&&) {
-                          ghost_.remember(evicted);
-                        });
+  table_.set_resident_capacity(
+      static_cast<std::size_t>(capacity_bytes / kBlockSize));
+}
+
+void ReadCache::collect_ghosts(std::size_t limit, std::vector<Pba>& out) const {
+  std::size_t taken = 0;
+  table_.for_each(BlockTable::kGhost, [&](std::uint32_t s) {
+    if (taken == limit) return false;
+    out.push_back(table_.key(s));
+    ++taken;
+    return true;
+  });
 }
 
 }  // namespace pod

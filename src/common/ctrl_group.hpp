@@ -1,6 +1,6 @@
 // Swiss-table-style control-byte group scanning for the flat probe tables.
 //
-// FlatHashMap and FlatLruMap keep one control byte per bucket (0 = empty,
+// FlatHashMap and LruTable keep one control byte per bucket (0 = empty,
 // else a nonzero 7-bit tag of the key's hash) in a contiguous array. A
 // probe no longer walks that array byte-by-byte: it loads a 16-byte group
 // starting at the key's home bucket, compares all lanes against the tag at
@@ -32,8 +32,8 @@
 // reads valid lanes; candidate positions are mapped back with `& mask`.
 // Group starts advance by the group width, tiling the ring with
 // consecutive coverage, and the tables keep load factor <= 1/2 (7/8 for
-// FingerprintTable), so some group always contains an empty byte and every
-// probe terminates.
+// LruTable), so some group always contains an empty byte and every probe
+// terminates.
 #pragma once
 
 #include <bit>
@@ -156,10 +156,9 @@ inline CtrlProbeResult ctrl_probe(const std::uint8_t* ctrl, std::size_t mask,
   }
 }
 
-/// The probe index of the slot-pool tables (FlatLruMap, FingerprintTable):
-/// a power-of-two array of {slot, tag} buckets plus its control bytes,
-/// linear probing, backward-shift deletion. Entries live in the owner's
-/// slot pool; a bucket carries the entry's full 32-bit scrambled-hash tag,
+/// The probe index of LruTable (cache/lru_table.hpp): a power-of-two array
+/// of {slot, tag} buckets plus its control bytes, linear probing,
+/// backward-shift deletion. Entries live in the owner's slot pool; a bucket carries the entry's full 32-bit scrambled-hash tag,
 /// so a probe compares tags before it touches a slot, the home bucket is
 /// `tag & mask`, and deletion never leaves the index. Both arrays are
 /// OS-zeroed (common/mapped.hpp) and all-zero means empty: a control byte
@@ -183,7 +182,6 @@ class CtrlIndex {
   }
 
   std::size_t buckets() const { return table_.size(); }
-  bool empty() const { return table_.size() == 0; }
   Bucket at(std::size_t i) const { return decode(table_[i]); }
   /// The home bucket of a tag (where its probe starts).
   Bucket home(std::uint32_t tag) const { return at(tag & mask_); }
@@ -195,12 +193,6 @@ class CtrlIndex {
     ctrl_ = ZeroedArray<std::uint8_t>(buckets + kCtrlPad);
     mask_ = buckets - 1;
     wide_ = wide_ctrl_groups();
-  }
-
-  void clear() {
-    table_ = ZeroedArray<Stored>();
-    ctrl_ = ZeroedArray<std::uint8_t>();
-    mask_ = 0;
   }
 
   /// Prefetches the home control-byte group and bucket of a tag.
@@ -237,9 +229,7 @@ class CtrlIndex {
 
   /// Empties bucket `i` by backward-shift deletion: displaced successors
   /// slide toward their homes so probe chains stay tombstone-free.
-  /// `moved(slot, pos)` reports each entry that slides.
-  template <typename MovedFn>
-  void erase(std::size_t i, MovedFn&& moved) {
+  void erase(std::size_t i) {
     bool shifting = true;
     while (shifting) {
       set(i, kEmpty, 0);
@@ -252,7 +242,6 @@ class CtrlIndex {
         const std::size_t h = b.tag & mask_;
         if (((i - h) & mask_) < ((j - h) & mask_)) {
           set(i, b.slot, b.tag);
-          moved(b.slot, i);
           i = j;
           shifting = true;
           break;

@@ -103,9 +103,13 @@ class PagedVector {
   T& operator[](std::size_t i) { return buf_[i]; }
   const T& operator[](std::size_t i) const { return buf_[i]; }
 
-  /// Makes room for `n` elements; pages past size() stay untouched.
+  /// Makes room for `n` elements; pages past size() stay untouched (only
+  /// the elements in use are copied, so reserving twice touches nothing).
   void reserve(std::size_t n) {
-    if (n > buf_.size()) buf_.resize(n);
+    if (n <= buf_.size()) return;
+    ZeroedArray<T> grown(n);
+    if (size_ > 0) std::memcpy(grown.data(), buf_.data(), size_ * sizeof(T));
+    buf_ = std::move(grown);
   }
 
   void push_back(const T& v) {

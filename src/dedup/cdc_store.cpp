@@ -21,7 +21,7 @@ CdcStore::CdcStore(const CdcConfig& cfg)
       chunker_(cfg.chunking),
       hash_(cfg.hash),
       store_(store_config(cfg)),
-      index_(cfg.index_cache_bytes, cfg.ghost_bytes) {
+      index_(cfg.index_cache_bytes) {
   POD_CHECK(cfg.logical_blocks > 0);
 }
 

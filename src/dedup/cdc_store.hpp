@@ -12,11 +12,11 @@
 //
 // Probe/insert scheduling mirrors the engines: all index lookups happen up
 // front (lookup_fused: one prefetch-pipelined pass), all index inserts are
-// the object's final metadata action (one insert_batch: one LRU splice,
-// one eviction sweep). `scalar_probes` selects the per-chunk reference
-// path, which performs the same lookups-then-inserts sequence through the
-// scalar cache API — final state is identical by FlatLruMap's batch-op
-// equivalence, which the tests cross-check.
+// the object's final metadata action (one insert_batch). `scalar_probes`
+// selects the per-chunk reference path, which performs the same
+// lookups-then-inserts sequence through the scalar cache API — final state
+// is identical by IndexCache's batch-op equivalence, which the tests
+// cross-check.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,6 @@ struct CdcConfig {
   /// Logical capacity of the append-only extent space, in 4 KB blocks.
   std::uint64_t logical_blocks = 0;
   std::uint64_t index_cache_bytes = 4 * kMiB;
-  std::uint64_t ghost_bytes = 1 * kMiB;
   /// Use the per-chunk scalar cache API instead of the fused lookup and
   /// bulk insert (state-identical; see IndexCache::lookup_fused).
   bool scalar_probes = false;

@@ -69,16 +69,12 @@ DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg
       store_(BlockStore::Config{cfg.logical_blocks, cfg.pool_fraction,
                                 keep_fingerprints}),
       read_cache_(static_cast<std::uint64_t>(
-                      static_cast<double>(cfg.memory_bytes) *
-                      (1.0 - cfg.index_fraction)),
-                  /*ghost_capacity_bytes=*/cfg.memory_bytes) {
+          static_cast<double>(cfg.memory_bytes) * (1.0 - cfg.index_fraction))) {
   POD_CHECK(cfg_.index_fraction >= 0.0 && cfg_.index_fraction <= 1.0);
   POD_CHECK(volume_.capacity_blocks() >= required_volume_blocks(cfg_));
   if (cfg_.index_fraction > 0.0) {
-    index_cache_ = std::make_unique<IndexCache>(
-        static_cast<std::uint64_t>(static_cast<double>(cfg_.memory_bytes) *
-                                   cfg_.index_fraction),
-        /*ghost_capacity_bytes=*/cfg_.memory_bytes);
+    index_cache_ = std::make_unique<IndexCache>(static_cast<std::uint64_t>(
+        static_cast<double>(cfg_.memory_bytes) * cfg_.index_fraction));
   }
   store_.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
     on_content_gone(pba, fp);
@@ -158,8 +154,8 @@ DedupEngine::IoPlan DedupEngine::build_read_plan(const IoRequest& req) {
       s.read_pbas[i] = static_cast<Pba>(req.lba + i);
     }
     if (fused) {
-      // Hash each resolved PBA once, prefetch cache + ghost home groups,
-      // and carry the tag into the probe loop.
+      // Hash each resolved PBA once, prefetch its home group, and carry the
+      // tag into the probe loop.
       const ReadCache::Tag tag = read_cache_.hash_tag(s.read_pbas[i]);
       s.pba_tags[i] = tag;
       read_cache_.prefetch_tag(tag);
@@ -171,12 +167,12 @@ DedupEngine::IoPlan DedupEngine::build_read_plan(const IoRequest& req) {
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {
     const Pba pba = s.read_pbas[i];
     if (fused) {
-      // Tags are pure functions of the PBA, so the inserts and ghost
-      // erasures this loop performs never invalidate them — the probe
-      // sequence is identical to the untagged loop below.
+      // One probe answers hit, ghost hit or miss. Tags are pure functions
+      // of the PBA, so the inserts and ghost erasures this loop performs
+      // never invalidate them — the probe sequence is identical to the
+      // untagged loop below.
       const ReadCache::Tag tag = s.pba_tags[i];
       if (read_cache_.lookup_tagged(tag, pba)) continue;
-      read_cache_.ghost_probe_tagged(tag, pba);
       read_cache_.insert_tagged(tag, pba);
     } else {
       if (read_cache_.lookup(pba)) continue;

@@ -38,12 +38,15 @@ DedupEngine::IoPlan IoDedupEngine::process_read(const IoRequest& req) {
     if (pba == kInvalidPba) pba = static_cast<Pba>(lba);
     const Fingerprint* fp = store_.fingerprint_of(pba);
     const std::uint64_t key = fp != nullptr ? fp->prefix64() : pba;
-    if (content_cache_.get(key) != nullptr) {
+    const auto tag = content_cache_.hash_tag(key);
+    const auto found = content_cache_.find(tag, key);
+    if (content_cache_.resident(found)) {
+      content_cache_.promote(found.slot);
       ++content_hits_;
       continue;
     }
     ++content_misses_;
-    content_cache_.put(key, Unit{});
+    content_cache_.insert(tag, key);
     s.aux_runs.emplace_back(pba, 1);
   }
   coalesce_into(s.aux_runs, OpType::kRead, plan.stage1);

@@ -10,7 +10,7 @@
 // cache alone; DESIGN.md documents the simplification.)
 #pragma once
 
-#include "cache/flat_lru_map.hpp"
+#include "cache/lru_table.hpp"
 #include "engines/engine.hpp"
 
 namespace pod {
@@ -29,10 +29,9 @@ class IoDedupEngine : public DedupEngine {
   IoPlan process_read(const IoRequest& req) override;
 
  private:
-  struct Unit {};
-  /// Content-addressed cache: key = fingerprint prefix (or home PBA for
-  /// never-written blocks).
-  FlatLruMap<std::uint64_t, Unit> content_cache_;
+  /// Content-addressed cache, a resident list only: key = fingerprint
+  /// prefix (or home PBA for never-written blocks).
+  LruTable<std::uint64_t> content_cache_;
   std::uint64_t content_hits_ = 0;
   std::uint64_t content_misses_ = 0;
 };

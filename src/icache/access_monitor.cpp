@@ -10,7 +10,7 @@ AccessMonitor::Snapshot AccessMonitor::take() const {
   s.read_hits = read_.hits();
   s.read_misses = read_.misses();
   s.read_ghost = read_.ghost_hits();
-  s.read_near = read_.ghost().near_hits();
+  s.read_near = read_.ghost_near_hits();
   s.index_hits = index_.hits();
   s.index_misses = index_.misses();
   s.index_ghost = index_.ghost_hits();

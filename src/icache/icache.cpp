@@ -19,23 +19,27 @@ ICache::ICache(const ICacheConfig& cfg, IndexCache& index, ReadCache& read,
   POD_CHECK(cfg_.min_fraction < cfg_.max_fraction);
   POD_CHECK(cfg_.step_fraction > 0.0 && cfg_.step_fraction < 0.5);
 
-  // Index evictions park their payloads on the index cache's spill list
-  // (the swap area) so they can be re-admitted later. (The ghost list
-  // remembers the *keys* for the cost-benefit signal.)
-  index_.enable_spill(
-      static_cast<std::size_t>(cfg_.total_bytes / IndexCache::kEntryBytes));
+  // The shadow lists are iCache's: each cache's ghost list remembers the
+  // keys it evicted, for the cost-benefit signal, and index evictions also
+  // park their payloads on the index cache's spill list (the swap area) so
+  // they can be re-admitted later. Each list represents the whole budget.
+  const auto index_entries =
+      static_cast<std::size_t>(cfg_.total_bytes / IndexCache::kEntryBytes);
+  index_.enable_ghost(index_entries);
+  index_.enable_spill(index_entries);
+  read_.enable_ghost(static_cast<std::size_t>(cfg_.total_bytes / kBlockSize));
 
   const auto ibytes = static_cast<std::uint64_t>(
       static_cast<double>(cfg_.total_bytes) * cfg_.initial_index_fraction);
   index_.resize(ibytes);
   read_.resize(cfg_.total_bytes - ibytes);
   // A few adaptation steps' worth of entries defines the "near" horizon of
-  // each ghost list (see GhostCache::probe_and_consume): growth is worth it
-  // when the hits sit within reach of a short run of same-direction steps.
+  // each ghost list (see LruTable::take_ghost): growth is worth it when the
+  // hits sit within reach of a short run of same-direction steps.
   const auto step = static_cast<std::uint64_t>(
       static_cast<double>(cfg_.total_bytes) * cfg_.step_fraction);
   index_.set_ghost_near_threshold(4 * step / IndexCache::kEntryBytes);
-  read_.ghost().set_near_threshold(4 * step / kBlockSize);
+  read_.set_ghost_near_threshold(4 * step / kBlockSize);
   next_adapt_ = cfg_.interval;
 }
 
@@ -124,15 +128,13 @@ void ICache::prefetch_read_blocks(std::uint64_t budget_blocks) {
   if (budget_blocks == 0) return;
   const std::uint64_t want =
       std::min<std::uint64_t>(budget_blocks, cfg_.max_swap_blocks);
+  // Collect first: the re-inserts below evict onto the ghost list.
   std::vector<Pba> to_fetch;
-  read_.ghost().for_each([&](const Pba& pba) {
-    if (to_fetch.size() < want) to_fetch.push_back(pba);
-  });
+  read_.collect_ghosts(static_cast<std::size_t>(want), to_fetch);
   if (to_fetch.empty()) return;
   swap_io_(OpType::kRead, to_fetch.size());
   for (Pba pba : to_fetch) {
-    read_.ghost().forget(pba);
-    read_.insert(pba);
+    read_.readmit(pba);
     ++stats_.read_blocks_prefetched;
   }
   stats_.swap_blocks_read += to_fetch.size();

@@ -26,10 +26,11 @@ TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
   // MRU-first order is the eviction order) and the ghost state must match
   // the scalar insert loop exactly.
   const std::uint64_t cap = 32 * IndexCache::kEntryBytes;
-  const std::uint64_t ghost_cap = 64 * 16;
-  IndexCache scalar(cap, ghost_cap), bulk(cap, ghost_cap);
-  scalar.enable_spill(256);
-  bulk.enable_spill(256);
+  IndexCache scalar(cap), bulk(cap);
+  for (IndexCache* c : {&scalar, &bulk}) {
+    c->enable_ghost(32);
+    c->enable_spill(256);
+  }
 
   Rng rng(99);
   for (int round = 0; round < 100; ++round) {

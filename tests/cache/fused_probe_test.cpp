@@ -74,10 +74,10 @@ void expect_same_eviction_order(IndexCache& a, IndexCache& b,
 
 TEST(IndexCacheFused, MatchesScalarWithEvictedKeysInGhost) {
   constexpr std::uint64_t kEntries = 8;
-  IndexCache fused(kEntries * IndexCache::kEntryBytes,
-                   kEntries * IndexCache::kEntryBytes);
-  IndexCache scalar(kEntries * IndexCache::kEntryBytes,
-                    kEntries * IndexCache::kEntryBytes);
+  IndexCache fused(kEntries * IndexCache::kEntryBytes);
+  fused.enable_ghost(kEntries);
+  IndexCache scalar(kEntries * IndexCache::kEntryBytes);
+  scalar.enable_ghost(kEntries);
   for (std::uint64_t k = 0; k < 16; ++k) {
     fused.insert(fp(k), 100 + k);
     scalar.insert(fp(k), 100 + k);
@@ -109,8 +109,10 @@ TEST(IndexCacheFused, DuplicateFingerprintsConsumeGhostOnce) {
   // Duplicate misses in one span: the first consumes the ghost entry, the
   // second finds it gone — exactly the scalar interleaving. (This is where
   // a naive "batch the ghost probes too" fusion would diverge.)
-  IndexCache fused(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
-  IndexCache scalar(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache fused(8 * IndexCache::kEntryBytes);
+  fused.enable_ghost(8);
+  IndexCache scalar(8 * IndexCache::kEntryBytes);
+  scalar.enable_ghost(8);
   for (IndexCache* c : {&fused, &scalar}) {
     c->insert(fp(2), 22);
     c->insert(fp(1), 11);
@@ -134,10 +136,10 @@ TEST(IndexCacheFused, DuplicateFingerprintsConsumeGhostOnce) {
 
 TEST(IndexCacheFused, LongRandomSequenceMatchesScalar) {
   constexpr std::uint64_t kEntries = 32;
-  IndexCache fused(kEntries * IndexCache::kEntryBytes,
-                   kEntries * IndexCache::kEntryBytes);
-  IndexCache scalar(kEntries * IndexCache::kEntryBytes,
-                    kEntries * IndexCache::kEntryBytes);
+  IndexCache fused(kEntries * IndexCache::kEntryBytes);
+  fused.enable_ghost(kEntries);
+  IndexCache scalar(kEntries * IndexCache::kEntryBytes);
+  scalar.enable_ghost(kEntries);
   Rng rng(42);
   for (int round = 0; round < 60; ++round) {
     const std::uint64_t k = rng.next() % 128;
@@ -165,10 +167,10 @@ TEST(IndexCacheTagged, SequentialTaggedApiMatchesUntagged) {
   // (promotions later duplicates must see). Tags precomputed up front stay
   // valid across those inserts.
   constexpr std::uint64_t kEntries = 16;
-  IndexCache tagged(kEntries * IndexCache::kEntryBytes,
-                    kEntries * IndexCache::kEntryBytes);
-  IndexCache plain(kEntries * IndexCache::kEntryBytes,
-                   kEntries * IndexCache::kEntryBytes);
+  IndexCache tagged(kEntries * IndexCache::kEntryBytes);
+  tagged.enable_ghost(kEntries);
+  IndexCache plain(kEntries * IndexCache::kEntryBytes);
+  plain.enable_ghost(kEntries);
   for (std::uint64_t k = 0; k < 24; ++k) {
     tagged.insert(fp(k), k);
     plain.insert(fp(k), k);
@@ -208,11 +210,14 @@ TEST(IndexCacheTagged, SequentialTaggedApiMatchesUntagged) {
 }
 
 TEST(ReadCacheTagged, TaggedLoopMatchesPerBlockOriginal) {
-  // The fused read-plan loop: lookup → miss → ghost probe → insert, with
-  // tags precomputed for the whole request. Inserts and ghost consumption
-  // inside the loop must behave exactly like the untagged per-block path.
-  ReadCache tagged(16 * kBlockSize, 32 * kBlockSize);
-  ReadCache plain(16 * kBlockSize, 32 * kBlockSize);
+  // The fused read-plan loop: one tagged probe answers hit, ghost hit or
+  // miss, then a miss inserts, with tags precomputed for the whole request.
+  // Inserts and ghost consumption inside the loop must behave exactly like
+  // the untagged per-block path (lookup → miss → ghost probe → insert).
+  ReadCache tagged(16 * kBlockSize);
+  tagged.enable_ghost(32);
+  ReadCache plain(16 * kBlockSize);
+  plain.enable_ghost(32);
   Rng rng(99);
   for (int round = 0; round < 80; ++round) {
     std::vector<Pba> req;
@@ -229,8 +234,10 @@ TEST(ReadCacheTagged, TaggedLoopMatchesPerBlockOriginal) {
       const bool hit_p = plain.lookup(req[i]);
       ASSERT_EQ(hit_t, hit_p) << "round " << round << " block " << i;
       if (!hit_t) {
-        ASSERT_EQ(tagged.ghost_probe_tagged(tags[i], req[i]),
-                  plain.ghost_probe(req[i]));
+        // The tagged lookup consumed any ghost entry in its own probe.
+        (void)plain.ghost_probe(req[i]);
+        ASSERT_EQ(tagged.ghost_hits(), plain.ghost_hits()) << i;
+        ASSERT_EQ(tagged.ghost_near_hits(), plain.ghost_near_hits()) << i;
         tagged.insert_tagged(tags[i], req[i]);
         plain.insert(req[i]);
       }

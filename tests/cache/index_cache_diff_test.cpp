@@ -86,7 +86,8 @@ void run_seed(int seed, const RunShape& shape, RunStats* out = nullptr) {
   const std::uint64_t keys = 8 + rng.uniform(0, shape.max_keys);
   RunStats stats;
   stats.reserved = res + ghost + 1;
-  IndexCache c(res * kE, ghost * kE);
+  IndexCache c(res * kE);
+  c.enable_ghost(ghost);
   ReferenceIndexCache ref(res * kE, ghost * kE);
   const std::uint64_t near = rng.uniform(0, 6);
   c.set_ghost_near_threshold(near);
@@ -294,7 +295,8 @@ TEST(IndexCacheDiff, GrowsPastReserveAndReusesSlots) {
 TEST(IndexCacheDiff, TableHoldsEachKeyOnce) {
   // A key on several lists occupies one slot: the table's key count is the
   // size of the union of the three lists.
-  IndexCache c(2 * kE, 4 * kE);
+  IndexCache c(2 * kE);
+  c.enable_ghost(4);
   c.enable_spill(4);
   for (std::uint64_t k = 0; k < 4; ++k) c.insert(fp(k), k);
   // fp(0), fp(1) evicted: each on ghost and spill; fp(2), fp(3) resident.

@@ -1,11 +1,10 @@
 // Reference model of IndexCache: three independent LRU maps.
 //
-// Before the index cache, its ghost list and the iCache spill store shared
-// one FingerprintTable, they were composed like this: an entry FlatLruMap
-// whose eviction callback remembered the key in a GhostCache and then put
-// {fp, entry} into a spill FlatLruMap. This model keeps that composition,
-// driven through the scalar per-key calls only, as the oracle the unified
-// table is checked against.
+// An entry LruMap whose eviction callback remembers the key in a ghost
+// list and then puts {fp, entry} into a spill LruMap (lru_map.hpp: node
+// maps that share no code with the LruTable they check). This model keeps
+// that composition, driven through the scalar per-key calls only, as the
+// oracle the unified table is checked against.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +12,9 @@
 #include <utility>
 #include <vector>
 
-#include "cache/flat_lru_map.hpp"
-#include "cache/ghost_cache.hpp"
 #include "cache/index_cache.hpp"
 #include "hash/fingerprint.hpp"
+#include "lru_map.hpp"
 
 namespace pod::testing {
 
@@ -127,9 +125,9 @@ class ReferenceIndexCache {
   }
 
  private:
-  FlatLruMap<Fingerprint, RefEntry, FingerprintHash> entries_;
-  GhostCache<Fingerprint, FingerprintHash> ghost_;
-  FlatLruMap<Fingerprint, RefEntry, FingerprintHash> spilled_;
+  LruMap<Fingerprint, RefEntry, FingerprintHash> entries_;
+  RefGhostList<Fingerprint, FingerprintHash> ghost_;
+  LruMap<Fingerprint, RefEntry, FingerprintHash> spilled_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -11,7 +11,7 @@ namespace {
 Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
 
 TEST(IndexCache, InsertLookup) {
-  IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
+  IndexCache c(16 * IndexCache::kEntryBytes);
   c.insert(fp(1), 42);
   const IndexEntry* e = c.lookup(fp(1));
   ASSERT_NE(e, nullptr);
@@ -21,7 +21,7 @@ TEST(IndexCache, InsertLookup) {
 TEST(IndexCache, CountStartsAtZeroAndIncrements) {
   // Paper Figure 6: Count initialised to 0 on insert, incremented per write
   // hit — used as the popularity / pinning signal.
-  IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
+  IndexCache c(16 * IndexCache::kEntryBytes);
   c.insert(fp(1), 7);
   EXPECT_EQ(c.peek(fp(1))->count(), 0u);
   (void)c.lookup(fp(1));
@@ -30,7 +30,7 @@ TEST(IndexCache, CountStartsAtZeroAndIncrements) {
 }
 
 TEST(IndexCache, PeekDoesNotCount) {
-  IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
+  IndexCache c(16 * IndexCache::kEntryBytes);
   c.insert(fp(1), 7);
   (void)c.peek(fp(1));
   EXPECT_EQ(c.peek(fp(1))->count(), 0u);
@@ -38,14 +38,15 @@ TEST(IndexCache, PeekDoesNotCount) {
 }
 
 TEST(IndexCache, MissCounted) {
-  IndexCache c(16 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
+  IndexCache c(16 * IndexCache::kEntryBytes);
   EXPECT_EQ(c.lookup(fp(9)), nullptr);
   EXPECT_EQ(c.misses(), 1u);
   EXPECT_DOUBLE_EQ(c.hit_rate(), 0.0);
 }
 
 TEST(IndexCache, LruEvictionIntoGhost) {
-  IndexCache c(2 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(2 * IndexCache::kEntryBytes);
+  c.enable_ghost(8);
   c.insert(fp(1), 1);
   c.insert(fp(2), 2);
   c.insert(fp(3), 3);  // evicts fp(1)
@@ -55,7 +56,7 @@ TEST(IndexCache, LruEvictionIntoGhost) {
 }
 
 TEST(IndexCache, LookupPromotes) {
-  IndexCache c(2 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(2 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.insert(fp(2), 2);
   (void)c.lookup(fp(1));
@@ -71,7 +72,8 @@ std::vector<std::pair<Fingerprint, Pba>> spilled(const IndexCache& c) {
 }
 
 TEST(IndexCache, EvictionSpillsPayload) {
-  IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(1 * IndexCache::kEntryBytes);
+  c.enable_ghost(8);
   c.enable_spill(8);
   c.insert(fp(1), 11);
   c.insert(fp(2), 22);  // evicts fp(1) -> ghost, then spill
@@ -82,29 +84,43 @@ TEST(IndexCache, EvictionSpillsPayload) {
 }
 
 TEST(IndexCache, NoSpillListUntilEnabled) {
-  IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(1 * IndexCache::kEntryBytes);
+  c.enable_ghost(8);
   c.insert(fp(1), 11);
   c.insert(fp(2), 22);
   EXPECT_EQ(c.spill_size(), 0u);
   EXPECT_TRUE(c.ghost_contains(fp(1)));
 }
 
+TEST(IndexCache, NoShadowListsUntilEnabled) {
+  // Engines without iCache build their caches like this: an eviction
+  // leaves no key behind, and ghost probes never hit.
+  IndexCache c(1 * IndexCache::kEntryBytes);
+  c.insert(fp(1), 11);
+  c.insert(fp(2), 22);  // evicts fp(1)
+  EXPECT_EQ(c.ghost_size(), 0u);
+  EXPECT_EQ(c.spill_size(), 0u);
+  EXPECT_EQ(c.table().keys(), 1u);
+  EXPECT_FALSE(c.ghost_probe(fp(1)));
+  EXPECT_EQ(c.ghost_hits(), 0u);
+}
+
 TEST(IndexCache, InvalidateRemoves) {
-  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.invalidate(fp(1));
   EXPECT_EQ(c.peek(fp(1)), nullptr);
 }
 
 TEST(IndexCache, InvalidateIfMatchingPba) {
-  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.invalidate_if(fp(1), 1);
   EXPECT_EQ(c.peek(fp(1)), nullptr);
 }
 
 TEST(IndexCache, InvalidateIfOtherPbaKeepsEntry) {
-  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.invalidate_if(fp(1), 2);  // entry already rebound elsewhere
   ASSERT_NE(c.peek(fp(1)), nullptr);
@@ -112,7 +128,8 @@ TEST(IndexCache, InvalidateIfOtherPbaKeepsEntry) {
 }
 
 TEST(IndexCache, InvalidateIfAbsentIsNoOp) {
-  IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(1 * IndexCache::kEntryBytes);
+  c.enable_ghost(8);
   c.insert(fp(1), 1);
   c.insert(fp(2), 2);  // fp(1) now on the ghost list only
   c.invalidate_if(fp(1), 1);
@@ -123,14 +140,15 @@ TEST(IndexCache, InvalidateIfAbsentIsNoOp) {
 }
 
 TEST(IndexCache, RebindUpdatesPba) {
-  IndexCache c(8 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
+  IndexCache c(8 * IndexCache::kEntryBytes);
   c.insert(fp(1), 1);
   c.rebind(fp(1), 99);
   EXPECT_EQ(c.peek(fp(1))->pba(), 99u);
 }
 
 TEST(IndexCache, ResizeShrinkEvictsAndSpills) {
-  IndexCache c(4 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
+  IndexCache c(4 * IndexCache::kEntryBytes);
+  c.enable_ghost(16);
   c.enable_spill(16);
   for (std::uint64_t i = 0; i < 4; ++i) c.insert(fp(i), i);
   c.resize(2 * IndexCache::kEntryBytes);
@@ -144,7 +162,7 @@ TEST(IndexCache, ResizeShrinkEvictsAndSpills) {
 }
 
 TEST(IndexCache, CapacityAccounting) {
-  IndexCache c(10 * IndexCache::kEntryBytes + 7, 0);
+  IndexCache c(10 * IndexCache::kEntryBytes + 7);
   EXPECT_EQ(c.capacity_bytes(), 10 * IndexCache::kEntryBytes);
 }
 

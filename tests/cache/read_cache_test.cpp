@@ -6,7 +6,7 @@ namespace pod {
 namespace {
 
 TEST(ReadCache, MissThenHit) {
-  ReadCache c(16 * kBlockSize, 16 * kBlockSize);
+  ReadCache c(16 * kBlockSize);
   EXPECT_FALSE(c.lookup(100));
   c.insert(100);
   EXPECT_TRUE(c.lookup(100));
@@ -16,14 +16,15 @@ TEST(ReadCache, MissThenHit) {
 }
 
 TEST(ReadCache, CapacityInBlocks) {
-  ReadCache c(4 * kBlockSize, 4 * kBlockSize);
+  ReadCache c(4 * kBlockSize);
   for (Pba p = 0; p < 8; ++p) c.insert(p);
   EXPECT_EQ(c.size_blocks(), 4u);
   EXPECT_EQ(c.capacity_bytes(), 4 * kBlockSize);
 }
 
 TEST(ReadCache, EvictionsEnterGhost) {
-  ReadCache c(2 * kBlockSize, 8 * kBlockSize);
+  ReadCache c(2 * kBlockSize);
+  c.enable_ghost(8);
   c.insert(1);
   c.insert(2);
   c.insert(3);  // evicts 1
@@ -32,15 +33,26 @@ TEST(ReadCache, EvictionsEnterGhost) {
   EXPECT_EQ(c.ghost_hits(), 1u);
 }
 
+TEST(ReadCache, NoGhostListUntilEnabled) {
+  ReadCache c(1 * kBlockSize);
+  c.insert(1);
+  c.insert(2);  // evicts 1, leaving nothing behind
+  EXPECT_EQ(c.ghost_size(), 0u);
+  EXPECT_EQ(c.table().keys(), 1u);
+  EXPECT_FALSE(c.ghost_probe(1));
+  EXPECT_EQ(c.ghost_hits(), 0u);
+}
+
 TEST(ReadCache, InvalidateRemoves) {
-  ReadCache c(4 * kBlockSize, 4 * kBlockSize);
+  ReadCache c(4 * kBlockSize);
   c.insert(5);
   c.invalidate(5);
   EXPECT_FALSE(c.lookup(5));
 }
 
 TEST(ReadCache, ResizeShrinkSpillsToGhost) {
-  ReadCache c(4 * kBlockSize, 16 * kBlockSize);
+  ReadCache c(4 * kBlockSize);
+  c.enable_ghost(16);
   for (Pba p = 0; p < 4; ++p) c.insert(p);
   c.resize(1 * kBlockSize);
   EXPECT_EQ(c.size_blocks(), 1u);
@@ -52,7 +64,7 @@ TEST(ReadCache, ResizeShrinkSpillsToGhost) {
 }
 
 TEST(ReadCache, ResizeGrowAllowsMore) {
-  ReadCache c(1 * kBlockSize, 4 * kBlockSize);
+  ReadCache c(1 * kBlockSize);
   c.insert(1);
   c.resize(4 * kBlockSize);
   c.insert(2);
@@ -63,7 +75,8 @@ TEST(ReadCache, ResizeGrowAllowsMore) {
 }
 
 TEST(ReadCache, ZeroCapacityNeverHits) {
-  ReadCache c(0, 4 * kBlockSize);
+  ReadCache c(0);
+  c.enable_ghost(4);
   c.insert(1);
   EXPECT_FALSE(c.lookup(1));
   // But the eviction-on-insert lands in the ghost list.
@@ -71,7 +84,7 @@ TEST(ReadCache, ZeroCapacityNeverHits) {
 }
 
 TEST(ReadCache, LookupPromotes) {
-  ReadCache c(2 * kBlockSize, 4 * kBlockSize);
+  ReadCache c(2 * kBlockSize);
   c.insert(1);
   c.insert(2);
   EXPECT_TRUE(c.lookup(1));  // 1 -> MRU
@@ -81,7 +94,7 @@ TEST(ReadCache, LookupPromotes) {
 }
 
 TEST(ReadCache, HitRateZeroWhenUntouched) {
-  ReadCache c(kBlockSize, kBlockSize);
+  ReadCache c(kBlockSize);
   EXPECT_DOUBLE_EQ(c.hit_rate(), 0.0);
 }
 

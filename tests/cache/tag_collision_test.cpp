@@ -15,8 +15,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/flat_lru_map.hpp"
 #include "cache/index_cache.hpp"
+#include "cache/lru_table.hpp"
 #include "common/flat_hash_map.hpp"
 #include "common/rng.hpp"
 #include "hash/fingerprint.hpp"
@@ -27,11 +27,11 @@ namespace {
 // Brute-forces `n` uint64 keys whose scrambled tags agree in the ctrl byte
 // (tag >> 25) and the low `home_bits` bits — i.e. identical 7-bit group
 // tag and identical home bucket for any table of <= 2^home_bits buckets.
-// Uses the map's own public hash_tag so the test tracks the real tag
+// Uses the table's own public hash_tag so the test tracks the real tag
 // derivation. FlatHashMap shares the same scramble (its state byte is the
 // same bits), so one key set storms both containers.
 std::vector<std::uint64_t> colliding_keys(std::size_t n, int home_bits) {
-  const FlatLruMap<std::uint64_t, int> probe(1);
+  const LruTable<std::uint64_t> probe(1);
   const std::uint32_t want = probe.hash_tag(0x1234567);
   const std::uint32_t home_mask = (1u << home_bits) - 1;
   std::vector<std::uint64_t> keys;
@@ -102,50 +102,72 @@ TEST(TagCollisionStorm, FlatHashMapInsertFindEraseChurn) {
   EXPECT_EQ(m.size(), truth.size());
 }
 
-TEST(TagCollisionStorm, FlatLruMapProbeEvictTakeChurn) {
+TEST(TagCollisionStorm, LruTableProbeEvictDropChurn) {
+  using Table = LruTable<std::uint64_t>;
   const std::vector<std::uint64_t> keys = colliding_keys(96, 9);
   constexpr std::size_t kCap = 64;
-  FlatLruMap<std::uint64_t, std::uint64_t> m(kCap);
+  const std::size_t evicted = keys.size() - kCap;
+  Table t(kCap);
+  t.enable_ghost(keys.size());
+  const auto find = [&](std::uint64_t k) { return t.find(t.hash_tag(k), k); };
 
   // Fill past capacity: the 32 oldest colliding keys must evict, in insert
-  // order, leaving exactly the 64 newest resident.
-  std::vector<std::uint64_t> evicted;
-  for (std::uint64_t k : keys)
-    m.put(k, k + 1, [&](const std::uint64_t& key, std::uint64_t&&) {
-      evicted.push_back(key);
-    });
-  ASSERT_EQ(evicted.size(), keys.size() - kCap);
-  for (std::size_t i = 0; i < evicted.size(); ++i) EXPECT_EQ(evicted[i], keys[i]);
+  // order, onto the ghost list (MRU first: the last evicted), leaving
+  // exactly the 64 newest resident.
+  for (std::uint64_t k : keys) t.insert(t.hash_tag(k), k, k + 1);
+  std::vector<std::uint64_t> ghosts;
+  t.for_each(Table::kGhost, [&](std::uint32_t s) {
+    ghosts.push_back(t.key(s));
+    return true;
+  });
+  ASSERT_EQ(ghosts.size(), evicted);
+  for (std::size_t i = 0; i < evicted; ++i)
+    EXPECT_EQ(ghosts[i], keys[evicted - 1 - i]);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    std::uint64_t* v = m.get(keys[i]);
-    if (i < keys.size() - kCap) {
-      EXPECT_EQ(v, nullptr) << keys[i];
+    const Table::Found f = find(keys[i]);
+    ASSERT_NE(f.slot, Table::kNil) << keys[i];
+    if (i < evicted) {
+      EXPECT_FALSE(t.resident(f)) << keys[i];
+      EXPECT_TRUE(t.on(Table::kGhost, f.slot)) << keys[i];
     } else {
-      ASSERT_NE(v, nullptr) << keys[i];
-      EXPECT_EQ(*v, keys[i] + 1);
+      ASSERT_TRUE(t.resident(f)) << keys[i];
+      EXPECT_EQ(t.entry(f.slot).pba(), keys[i] + 1);
     }
   }
 
-  // take() consumes from the middle of the same-tag chain (erase +
-  // backward shift); the tagged getters must agree with the untagged ones
-  // throughout.
-  std::size_t taken = 0;
-  for (std::size_t i = keys.size() - kCap; i < keys.size(); i += 3) {
-    const std::uint64_t k = keys[i];
-    const auto got = m.take(k);
-    ASSERT_TRUE(got.has_value()) << k;
-    EXPECT_EQ(*got, k + 1);
-    ++taken;
-    EXPECT_FALSE(m.take(k).has_value());  // consumed
+  // Drops from the middle of the same-tag chain (erase + backward shift):
+  // every third resident key leaves the resident list, and every other
+  // ghost key is consumed by a ghost probe. Probes must agree with the
+  // model throughout.
+  std::size_t dropped = 0;
+  for (std::size_t i = evicted; i < keys.size(); i += 3) {
+    const Table::Found f = find(keys[i]);
+    ASSERT_TRUE(t.resident(f)) << keys[i];
+    t.drop(Table::kResident, f);
+    ++dropped;
+    EXPECT_EQ(find(keys[i]).slot, Table::kNil);  // erased: on no list
   }
-  EXPECT_EQ(m.size(), kCap - taken);
-  for (std::size_t i = keys.size() - kCap; i < keys.size(); ++i) {
-    const std::uint64_t k = keys[i];
-    const bool expect_live = (i - (keys.size() - kCap)) % 3 != 0;
-    const std::uint32_t tag = m.hash_tag(k);
-    std::uint64_t* v = m.get_tagged(tag, k);
-    ASSERT_EQ(v != nullptr, expect_live) << k;
-    if (v != nullptr) EXPECT_EQ(*v, k + 1);
+  std::size_t consumed = 0;
+  for (std::size_t i = 0; i < evicted; i += 2) {
+    EXPECT_TRUE(t.probe_ghost(t.hash_tag(keys[i]), keys[i])) << keys[i];
+    EXPECT_FALSE(t.probe_ghost(t.hash_tag(keys[i]), keys[i])) << keys[i];
+    ++consumed;
+  }
+  EXPECT_EQ(t.ghost_hits(), consumed);
+  EXPECT_EQ(t.size(Table::kResident), kCap - dropped);
+  EXPECT_EQ(t.size(Table::kGhost), evicted - consumed);
+  EXPECT_EQ(t.keys(), kCap - dropped + evicted - consumed);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Table::Found f = find(keys[i]);
+    if (i < evicted) {
+      EXPECT_EQ(f.slot != Table::kNil, i % 2 == 1) << keys[i];
+    } else {
+      const bool live = (i - evicted) % 3 != 0;
+      ASSERT_EQ(t.resident(f), live) << keys[i];
+      if (live) {
+        EXPECT_EQ(t.entry(f.slot).pba(), keys[i] + 1);
+      }
+    }
   }
 }
 
@@ -156,7 +178,7 @@ Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
 // hash_tag.
 std::vector<std::uint64_t> colliding_content_ids(std::size_t n,
                                                  int home_bits) {
-  const IndexCache probe(IndexCache::kEntryBytes, IndexCache::kEntryBytes);
+  const IndexCache probe(IndexCache::kEntryBytes);
   const std::uint32_t want = probe.hash_tag(fp(1));
   const std::uint32_t home_mask = (1u << home_bits) - 1;
   std::vector<std::uint64_t> ids;
@@ -175,10 +197,10 @@ TEST(TagCollisionStorm, FusedLookupMatchesScalarUnderCollisions) {
   // colliding neighbours mid-span).
   const std::vector<std::uint64_t> ids = colliding_content_ids(48, 9);
   constexpr std::uint64_t kEntries = 16;
-  IndexCache fused(kEntries * IndexCache::kEntryBytes,
-                   kEntries * IndexCache::kEntryBytes);
-  IndexCache scalar(kEntries * IndexCache::kEntryBytes,
-                    kEntries * IndexCache::kEntryBytes);
+  IndexCache fused(kEntries * IndexCache::kEntryBytes);
+  fused.enable_ghost(kEntries);
+  IndexCache scalar(kEntries * IndexCache::kEntryBytes);
+  scalar.enable_ghost(kEntries);
   // Insert all 48: 32 spill to the ghost list, 16 stay resident — all in
   // one collision chain in both tables.
   for (std::uint64_t id : ids) {

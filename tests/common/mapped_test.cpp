@@ -71,6 +71,8 @@ TEST(PagedVector, PushBackGrowsWithoutLosingElements) {
   for (std::uint64_t i = 0; i < 100000; ++i) v.push_back(i * 3);
   ASSERT_EQ(v.size(), 100000u);
   for (std::uint64_t i = 0; i < 100000; ++i) ASSERT_EQ(v[i], i * 3) << i;
+  v.reserve(1 << 20);  // moves the elements in use, nothing past them
+  for (std::uint64_t i = 0; i < 100000; ++i) ASSERT_EQ(v[i], i * 3) << i;
   v.extend_to(100010);  // appended elements read as zero
   EXPECT_EQ(v.size(), 100010u);
   EXPECT_EQ(v[100009], 0u);

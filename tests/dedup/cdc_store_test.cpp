@@ -25,7 +25,6 @@ CdcConfig small_config(ChunkingMode mode) {
   cfg.hash.algo = HashEngineConfig::Algo::kXx64;
   cfg.logical_blocks = 64 * 1024;  // 256 MB logical space
   cfg.index_cache_bytes = 1 * kMiB;
-  cfg.ghost_bytes = 256 * 1024;
   return cfg;
 }
 
@@ -94,8 +93,8 @@ TEST(CdcStore, InsertionShiftedVersionStillDedupesUnderCdc) {
 
 TEST(CdcStore, ScalarAndBulkCachePathsAgree) {
   Rng rng(4);
-  // Versioned corpus with edits so the index cache sees hits, misses,
-  // evictions and ghost traffic on both paths.
+  // Versioned corpus with edits so the index cache sees hits, misses and
+  // evictions on both paths.
   std::vector<std::vector<std::uint8_t>> objects;
   auto current = random_bytes(200 * 1000, rng);
   objects.push_back(current);

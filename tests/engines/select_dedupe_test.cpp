@@ -123,15 +123,27 @@ TEST(SelectDedupe, IndexMissMeansNoDedupNotDiskLookup) {
 }
 
 TEST(SelectDedupe, GhostProbesSignalMissedDedup) {
+  // Select-Dedupe's index misses probe the ghost list, which iCache keeps:
+  // under POD (Select-Dedupe + iCache) a miss on a recently evicted
+  // fingerprint is a ghost hit, while plain Select-Dedupe keeps no ghost
+  // list at all.
   EngineConfig cfg = testutil::small_engine_config();
   cfg.memory_bytes = 64 * IndexCache::kEntryBytes;
-  EngineHarness h(EngineKind::kSelectDedupe, cfg);
-  for (std::uint64_t i = 0; i < 100; ++i) (void)h.write(i * 4, {300 + i});
-  // Probe a *recently* evicted entry (the cache holds the newest 32 of 100
-  // inserts; the ghost list remembers the most recently evicted ones).
-  (void)h.write(5000, {300 + 60});
-  ASSERT_NE(h.engine().index_cache(), nullptr);
-  EXPECT_GT(h.engine().index_cache()->ghost_hits(), 0u);
+  for (const EngineKind kind : {EngineKind::kPod, EngineKind::kSelectDedupe}) {
+    EngineHarness h(kind, cfg);
+    for (std::uint64_t i = 0; i < 100; ++i) (void)h.write(i * 4, {300 + i});
+    // Probe a *recently* evicted entry (the cache holds the newest 32 of
+    // 100 inserts; the ghost list remembers the most recently evicted ones).
+    (void)h.write(5000, {300 + 60});
+    const IndexCache* index = h.engine().index_cache();
+    ASSERT_NE(index, nullptr);
+    if (kind == EngineKind::kPod) {
+      EXPECT_GT(index->ghost_hits(), 0u);
+    } else {
+      EXPECT_EQ(index->ghost_size(), 0u);
+      EXPECT_EQ(index->ghost_hits(), 0u);
+    }
+  }
 }
 
 TEST(SelectDedupe, EliminationChainsThroughDedupedSource) {

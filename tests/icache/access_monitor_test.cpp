@@ -8,8 +8,12 @@ namespace {
 Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
 
 struct Caches {
-  IndexCache index{8 * IndexCache::kEntryBytes, 32 * IndexCache::kEntryBytes};
-  ReadCache read{8 * kBlockSize, 32 * kBlockSize};
+  Caches() {
+    index.enable_ghost(32);
+    read.enable_ghost(32);
+  }
+  IndexCache index{8 * IndexCache::kEntryBytes};
+  ReadCache read{8 * kBlockSize};
 };
 
 TEST(AccessMonitor, InitialEpochEmpty) {
@@ -40,7 +44,7 @@ TEST(AccessMonitor, CountsHitsAndMisses) {
 TEST(AccessMonitor, GhostHitsTracked) {
   Caches c;
   AccessMonitor m(c.index, c.read);
-  c.read.ghost().remember(7);
+  c.read.ghost_remember(7);
   EXPECT_TRUE(c.read.ghost_probe(7));
   c.index.ghost_remember(fp(7));
   EXPECT_TRUE(c.index.ghost_probe(fp(7)));

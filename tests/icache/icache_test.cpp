@@ -13,7 +13,8 @@ Fingerprint fp(std::uint64_t id) { return Fingerprint::of_content_id(id); }
 struct Fixture {
   static constexpr std::uint64_t kTotal = 64 * kBlockSize;  // 256 KiB budget
 
-  Fixture() : index(kTotal, kTotal), read(kTotal, kTotal) {}
+  // Each cache's ghost list is ICache's to enable (make() below).
+  Fixture() : index(kTotal), read(kTotal) {}
 
   ICacheConfig config() {
     ICacheConfig cfg;
@@ -45,7 +46,7 @@ struct Fixture {
   }
   void read_ghost_signal(Pba base, int n = 50) {
     for (int i = 0; i < n; ++i) {
-      read.ghost().remember(base + static_cast<Pba>(i));
+      read.ghost_remember(base + static_cast<Pba>(i));
       EXPECT_TRUE(read.ghost_probe(base + static_cast<Pba>(i)));
     }
   }
@@ -238,7 +239,7 @@ TEST(ICache, DeepReadGhostHitsDoNotGrowRead) {
   // Fill the ghost, then probe only the oldest entries (age ~64 > 25).
   drive(ic, [&](int round) {
     const Pba base = 10000 + 1000u * static_cast<Pba>(round);
-    for (Pba p = 0; p < 64; ++p) f.read.ghost().remember(base + p);
+    for (Pba p = 0; p < 64; ++p) f.read.ghost_remember(base + p);
     for (Pba p = 0; p < 10; ++p) EXPECT_TRUE(f.read.ghost_probe(base + p));
   });
   EXPECT_EQ(ic.stats().grew_read, 0u);

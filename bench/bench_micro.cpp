@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cache/index_cache.hpp"
-#include "common/flat_hash_map.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "dedup/categorizer.hpp"
@@ -132,36 +131,46 @@ void BM_FingerprintOfContentId(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintOfContentId);
 
-// Fingerprint -> Pba probe against the flat on-disk-index table: half the
-// probes hit, half miss (the bloom-negative path's companion case).
+/// A fingerprint table holding `n` keys on disk only (Full-Dedupe's
+/// on-disk index behind an index cache that caches nothing).
+FingerprintTable on_disk_table(std::uint64_t n) {
+  FingerprintTable table(0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Fingerprint fp = Fingerprint::of_content_id(i);
+    table.put_on_disk(table.hash_tag(fp), fp, i);
+  }
+  return table;
+}
+
+// Fingerprint -> on-disk Pba probe against the index cache's table: half
+// the probes hit, half miss (the bloom-negative path's companion case).
 void BM_FingerprintIndexProbe(benchmark::State& state) {
-  FlatHashMap<Fingerprint, Pba, FingerprintHash> table;
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t i = 0; i < n; ++i)
-    table.insert_or_assign(Fingerprint::of_content_id(i), i);
+  const FingerprintTable table = on_disk_table(n);
   Rng rng(11);
   for (auto _ : state) {
+    const Fingerprint fp = Fingerprint::of_content_id(rng.uniform(0, 2 * n));
     benchmark::DoNotOptimize(
-        table.find(Fingerprint::of_content_id(rng.uniform(0, 2 * n))));
+        table.on_disk_pba(table.find(table.hash_tag(fp), fp)));
   }
 }
 BENCHMARK(BM_FingerprintIndexProbe)->Arg(65536)->Arg(1 << 20);
 
-// Per-key probing of the flat fingerprint table, 16 keys (one request's
-// worth) per iteration, half hits / half misses: at 1K entries the table
-// is cache-resident, at 1M entries every probe is a DRAM miss.
+// Per-key probing of the fingerprint table, 16 keys (one request's worth)
+// per iteration, half hits / half misses: at 1K entries the table is
+// cache-resident, at 1M entries every probe is a DRAM miss.
 void BM_IndexProbe_Scalar(benchmark::State& state) {
-  FlatHashMap<Fingerprint, Pba, FingerprintHash> table;
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t i = 0; i < n; ++i)
-    table.insert_or_assign(Fingerprint::of_content_id(i), i);
+  const FingerprintTable table = on_disk_table(n);
   Rng rng(12);
   std::vector<Fingerprint> keys(1 << 16);
   for (auto& k : keys) k = Fingerprint::of_content_id(rng.uniform(0, 2 * n));
   std::size_t pos = 0;
   for (auto _ : state) {
-    for (std::size_t j = 0; j < 16; ++j)
-      benchmark::DoNotOptimize(table.find(keys[pos + j]));
+    for (std::size_t j = 0; j < 16; ++j) {
+      const Fingerprint& fp = keys[pos + j];
+      benchmark::DoNotOptimize(table.find(table.hash_tag(fp), fp));
+    }
     pos = (pos + 16) & (keys.size() - 1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);

@@ -20,8 +20,11 @@ const IndexEntry* IndexCache::resolve(Table::Found f) {
   return nullptr;
 }
 
-const IndexEntry* IndexCache::lookup(const Fingerprint& fp) {
-  return resolve(table_.find(table_.hash_tag(fp), fp));
+const IndexEntry* IndexCache::lookup(const Fingerprint& fp, Pba* on_disk) {
+  const Table::Found f = table_.find(table_.hash_tag(fp), fp);
+  const IndexEntry* e = resolve(f);
+  if (e == nullptr && on_disk != nullptr) *on_disk = table_.on_disk_pba(f);
+  return e;
 }
 
 const IndexEntry* IndexCache::peek(const Fingerprint& fp) const {
@@ -29,10 +32,15 @@ const IndexEntry* IndexCache::peek(const Fingerprint& fp) const {
   return table_.resident(f) ? &table_.entry(f.slot) : nullptr;
 }
 
-const IndexEntry* IndexCache::lookup_tagged(Tag tag, const Fingerprint& fp) {
+const IndexEntry* IndexCache::lookup_tagged(Tag tag, const Fingerprint& fp,
+                                            Pba* on_disk) {
   const Table::Found f = table_.find(tag, fp);
   const IndexEntry* e = resolve(f);
-  if (e == nullptr) table_.take_ghost(f);
+  if (e == nullptr) {
+    // Read before the ghost take, which can erase the key and shift buckets.
+    if (on_disk != nullptr) *on_disk = table_.on_disk_pba(f);
+    table_.take_ghost(f);
+  }
   return e;
 }
 
@@ -81,20 +89,8 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
     table_.insert(tag_scratch_[i], fps[i], pbas[i]);
 }
 
-void IndexCache::invalidate(const Fingerprint& fp) {
-  const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (table_.resident(f)) table_.drop(Table::kResident, f);
-}
-
-void IndexCache::invalidate_if(const Fingerprint& fp, Pba pba) {
-  const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (table_.resident(f) && table_.entry(f.slot).pba() == pba)
-    table_.drop(Table::kResident, f);
-}
-
-void IndexCache::rebind(const Fingerprint& fp, Pba pba) {
-  const Table::Found f = table_.find(table_.hash_tag(fp), fp);
-  if (table_.resident(f)) table_.rebind(f.slot, pba);
+bool IndexCache::invalidate_if(const Fingerprint& fp, Pba pba) {
+  return table_.drop_entry_if(table_.find(table_.hash_tag(fp), fp), pba);
 }
 
 void IndexCache::resize(std::uint64_t capacity_bytes) {

@@ -4,9 +4,11 @@
 // in LRU order, with a per-entry Count that records write popularity
 // (paper Figure 6). Under iCache, entries evicted from the actual cache
 // leave their key in a ghost list for the cost-benefit estimation and
-// their payload in a spill list (the swap area) for re-admission. All
-// three lists live in one LruTable, so an eviction is a list move and a
-// probe answers hit, ghost hit or miss at once.
+// their payload in a spill list (the swap area) for re-admission. For
+// Full-Dedupe, the table also holds the complete on-disk index as a
+// fourth membership (dedup/ondisk_index.hpp). Everything lives in one
+// LruTable, so an eviction is a list move and a probe answers hit, ghost
+// hit, on disk or miss at once.
 //
 // Memory accounting: each entry is charged kEntryBytes of the cache's byte
 // budget (fingerprint + PBA + count + list/table overhead ~= 32 B, matching
@@ -35,8 +37,10 @@ class IndexCache {
   explicit IndexCache(std::uint64_t capacity_bytes);
 
   /// Looks up a fingerprint; on hit increments Count and promotes to MRU.
-  /// Returns nullptr on miss.
-  const IndexEntry* lookup(const Fingerprint& fp);
+  /// Returns nullptr on miss, and then sets `*on_disk`, when given, to the
+  /// key's on-disk PBA (kInvalidPba when it is not on disk) from the same
+  /// probe.
+  const IndexEntry* lookup(const Fingerprint& fp, Pba* on_disk = nullptr);
 
   /// Looks up without counting a request hit (administrative reads).
   const IndexEntry* peek(const Fingerprint& fp) const;
@@ -60,7 +64,7 @@ class IndexCache {
   // fingerprint once up front, prefetch its home group, then resolve
   // strictly sequentially with the precomputed tags. Tags are pure
   // functions of the fingerprint and stay valid across inserts, erasures
-  // and rehashes.
+  // and rehashes. One tagged probe answers resident, on disk or absent.
 
   using Tag = FingerprintTable::Tag;
 
@@ -69,9 +73,10 @@ class IndexCache {
   /// Prefetches the home group `fp`'s tag probes.
   void prefetch_tag(Tag tag) const { table_.prefetch_tag(tag); }
 
-  /// lookup_fused() for one key with a precomputed tag: lookup(), then
-  /// ghost_probe() on a miss, in one probe.
-  const IndexEntry* lookup_tagged(Tag tag, const Fingerprint& fp);
+  /// lookup_fused() for one key with a precomputed tag: lookup(fp,
+  /// on_disk), then ghost_probe() on a miss, in one probe.
+  const IndexEntry* lookup_tagged(Tag tag, const Fingerprint& fp,
+                                  Pba* on_disk = nullptr);
 
   /// insert() with a precomputed tag.
   void insert_tagged(Tag tag, const Fingerprint& fp, Pba pba) {
@@ -99,15 +104,10 @@ class IndexCache {
   /// prefetched before the first insert resolves.
   void insert_batch(const Fingerprint* fps, const Pba* pbas, std::size_t n);
 
-  /// Drops an entry whose physical block was freed.
-  void invalidate(const Fingerprint& fp);
-
-  /// Drops `fp`'s entry only if it still points at `pba` (one probe: the
-  /// peek + invalidate pair of a freed block).
-  void invalidate_if(const Fingerprint& fp, Pba pba);
-
-  /// Rebinds a resident fingerprint to a new physical location (promotes).
-  void rebind(const Fingerprint& fp, Pba pba);
+  /// A freed block: drops `fp`'s entry, resident and on disk, only if it
+  /// still points at `pba` (one probe). Returns whether an on-disk entry
+  /// went, which the caller journals.
+  bool invalidate_if(const Fingerprint& fp, Pba pba);
 
   void resize(std::uint64_t capacity_bytes);
 
@@ -171,6 +171,8 @@ class IndexCache {
 
   /// The underlying table (list walks for tests and state checks).
   const FingerprintTable& table() const { return table_; }
+  /// The same table, for the on-disk index, which keeps its entries there.
+  FingerprintTable& table() { return table_; }
 
  private:
   static std::size_t entries_for(std::uint64_t bytes) {

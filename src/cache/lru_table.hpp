@@ -1,25 +1,37 @@
 // One LRU table for every cache (paper §III-B/§III-C): the index cache, the
 // read cache and I/O-Dedup's content cache, with the shadow lists iCache
-// keeps beside them.
+// keeps beside them, and Full-Dedupe's complete on-disk fingerprint index
+// (§II-B) behind its index cache.
 //
-// A key can be on three LRU lists at once:
+// A key can carry four memberships at once:
 //
 //   resident : the actual cache (Figure 6's Index table, or the blocks of
 //              the read cache);
 //   ghost    : keys recently evicted from it, for iCache's cost-benefit
 //              signal (metadata only, plus an eviction sequence number);
 //   spill    : evicted {key, pba} payloads parked in the swap area so that
-//              growing the index cache can re-admit them.
+//              growing the index cache can re-admit them;
+//   on disk  : the key's entry in the on-disk index (dedup/ondisk_index.hpp
+//              models the disk traffic; the entry itself lives here).
 //
-// Each list has its own intrusive MRU..LRU links and its own capacity, and
-// a slot carries one membership bit per list. The key is in the probe table
-// exactly while at least one bit is set. So evicting a resident entry is a
-// list move (unlink from resident, push onto ghost and spill), not a
-// hash-table insert per shadow list; a probe answers "resident", "ghost" or
-// "absent" in one pass; and a table delete happens only when a key leaves
-// its last list. The ghost and spill lists exist only once iCache enables
-// them (enable_ghost, enable_spill): until then evictions leave nothing
-// behind, and a table keeps no side array for them.
+// The first three are LRU lists, each with its own intrusive MRU..LRU
+// links and its own capacity. On disk has no links, no capacity and no
+// order, only a count of the keys that carry it. A slot carries one bit
+// per membership, and the key is in the probe table exactly while at least
+// one bit is set. So evicting a resident entry is a list move (unlink from
+// resident, push onto ghost and spill), not a hash-table insert per shadow
+// list; evicting a resident key that is also on disk is only an unlink; a
+// probe answers "resident", "ghost", "on disk" or "absent" in one pass; and
+// a table delete happens only when a key loses its last membership. The
+// ghost and spill lists exist only once iCache enables them (enable_ghost,
+// enable_spill): until then evictions leave nothing behind, and a table
+// keeps no side array for them. Only Full-Dedupe's on-disk index sets the
+// on-disk bit; a table nobody puts on disk behaves as if it had three
+// lists.
+//
+// One PBA per key: a resident entry and the on-disk entry of the same key
+// share the slot's PBA field, so they cannot point at different blocks. A
+// freed block drops both in one probe (drop_entry_if).
 //
 // Layout. The probe table is a CtrlIndex (common/ctrl_group.hpp): {slot,
 // tag} buckets plus control bytes group-scanned 16 lanes at a time, linear
@@ -28,9 +40,10 @@
 // kMaxLoadDen). Each key's state is split by who reads it:
 //
 //   slot  (32 B, 32-byte aligned): key, packed PBA, Count, resident links
-//         and the three membership bits — all a probe or a resident hit
-//         reads, in one cache line (a 16-byte fingerprint fills it; an
-//         8-byte block address or content key leaves 8 bytes of padding);
+//         and the four membership bits — all a probe, a resident hit or an
+//         on-disk answer reads, in one cache line (a 16-byte fingerprint
+//         fills it; an 8-byte block address or content key leaves 8 bytes
+//         of padding);
 //   ghost (12 B, parallel array): ghost links and the 32-bit eviction
 //         sequence number;
 //   spill (12 B, parallel array): spill links and the spilled PBA.
@@ -38,16 +51,20 @@
 // All three arrays and the index live in OS pages (common/mapped.hpp),
 // reserved up front for the lists' capacities, so only slots in use become
 // resident and a freed table leaves the process instead of staying in the
-// heap.
+// heap. Keys on disk only grow the table like any other key (doubling).
 //
-// Membership rules (the semantics of three independent LRU maps):
+// Membership rules (the semantics of three independent LRU maps plus a
+// set):
 //   * insert: resident put. A key already resident is overwritten (Count
 //     back to 0) and promoted; a new one goes to resident MRU, and resident
 //     LRU entries are evicted while the list is over capacity.
 //   * resident eviction, in this order: remember the key on the ghost list
 //     (a key already there is re-stamped and promoted), then put {key, pba}
 //     on the spill list (a key already there is overwritten and promoted).
+//     The on-disk bit stays.
 //   * a list over capacity drops its LRU member; capacity 0 keeps nothing.
+//   * put_on_disk sets the on-disk bit and the key's PBA; Count and list
+//     positions stay.
 //   * drop(list, key) leaves one list; the other memberships stay.
 #pragma once
 
@@ -66,18 +83,18 @@ namespace pod {
 template <typename K, typename Hash>
 class LruTable;
 
-/// A resident entry: the block holding the content and its write
-/// popularity (Count, paper Figure 6; the read and content caches leave
-/// both unused). It lives inside the table's probe slot; the word that
-/// holds Count also carries the slot's three list membership bits, which
-/// are the table's business, not the entry's.
+/// A resident or on-disk entry: the block holding the content and its
+/// write popularity (Count, paper Figure 6, meaningful while resident; the
+/// read and content caches leave both unused). It lives inside the table's
+/// probe slot; the word that holds Count also carries the slot's four
+/// membership bits, which are the table's business, not the entry's.
 class IndexEntry {
  public:
   Pba pba() const { return widen_pba(pba_); }
   /// Hits since the entry was (re)inserted; saturates at kMaxCount.
   std::uint32_t count() const { return word_ & kMaxCount; }
 
-  static constexpr std::uint32_t kCountBits = 29;
+  static constexpr std::uint32_t kCountBits = 28;
   static constexpr std::uint32_t kMaxCount = (1u << kCountBits) - 1;
 
  private:
@@ -85,7 +102,7 @@ class IndexEntry {
   friend class LruTable;
 
   PackedPba pba_;
-  std::uint32_t word_;  // Count (low kCountBits) | membership bits (top 3)
+  std::uint32_t word_;  // Count (low kCountBits) | membership bits (top 4)
 };
 static_assert(sizeof(IndexEntry) == 8);
 
@@ -95,10 +112,16 @@ class LruTable {
   using Tag = std::uint32_t;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// The lists a key can be on; each is independent of the others.
-  enum List : std::uint8_t { kResident = 0, kGhost = 1, kSpill = 2 };
+  /// The memberships a key can carry; each is independent of the others.
+  /// kOnDisk is the one without a list: no links, no capacity, no order.
+  enum List : std::uint8_t {
+    kResident = 0,
+    kGhost = 1,
+    kSpill = 2,
+    kOnDisk = 3,
+  };
 
-  /// Probe result: the key's slot (kNil when it is on no list) and its
+  /// Probe result: the key's slot (kNil when it has no membership) and its
   /// bucket. `pos` stays valid until the next table mutation.
   struct Found {
     std::uint32_t slot = kNil;
@@ -106,7 +129,8 @@ class LruTable {
   };
 
   explicit LruTable(std::size_t resident_capacity)
-      : lists_{ListState{resident_capacity}, ListState{}, ListState{}} {
+      : lists_{ListState{resident_capacity}, ListState{}, ListState{},
+               ListState{}} {
     // The resident list runs at capacity for most of a replay: size the
     // index and the slot array for it now, so the insert path neither
     // rehashes nor grows. (+1: an insert adds its key before it evicts.)
@@ -140,7 +164,7 @@ class LruTable {
 
   std::size_t size(List l) const { return lists_[l].size; }
   std::size_t capacity(List l) const { return lists_[l].capacity; }
-  /// Distinct keys in the table (on at least one list).
+  /// Distinct keys in the table (with at least one membership).
   std::size_t keys() const { return live_; }
   /// Slots ever handed out: the high-water mark of keys(), and the length
   /// of the slot and side arrays.
@@ -175,8 +199,13 @@ class LruTable {
     return f.slot != kNil && on(kResident, f.slot);
   }
   const K& key(std::uint32_t s) const { return slots_[s].key; }
-  /// The resident entry (meaningful while the slot is resident).
+  /// The resident or on-disk entry (meaningful while the slot is either).
   const IndexEntry& entry(std::uint32_t s) const { return slots_[s].entry; }
+  /// The found key's on-disk PBA, or kInvalidPba when it is not on disk.
+  Pba on_disk_pba(Found f) const {
+    return f.slot != kNil && on(kOnDisk, f.slot) ? entry(f.slot).pba()
+                                                 : kInvalidPba;
+  }
   /// The spilled payload's PBA (meaningful while the slot is on spill).
   Pba spilled_pba(std::uint32_t s) const { return widen_pba(spill_[s].pba); }
 
@@ -191,12 +220,6 @@ class LruTable {
     if ((e.word_ & IndexEntry::kMaxCount) != IndexEntry::kMaxCount) ++e.word_;
     promote(s);
     return e;
-  }
-
-  /// Points a resident entry at a new block (Count kept) and promotes it.
-  void rebind(std::uint32_t s, Pba pba) {
-    slots_[s].entry.pba_ = narrow_pba(pba);
-    promote(s);
   }
 
   /// Resident put of {pba, Count 0}, evicting resident LRU entries into
@@ -240,10 +263,34 @@ class LruTable {
   }
 
   /// Takes the found slot off list `l` (it must be on it); erases the key
-  /// when that was its last list.
+  /// when that was its last membership.
   void drop(List l, Found f) {
     unlink(l, f.slot);
     if (lists(f.slot) == 0) erase_at(f.pos);
+  }
+
+  /// Puts the key on disk at `pba`. A resident key's entry is the same
+  /// entry, so its PBA moves too; Count and list positions stay.
+  void put_on_disk(Tag tag, const K& key, Pba pba) {
+    const std::uint32_t s = find_or_add(tag, key);
+    slots_[s].entry.pba_ = narrow_pba(pba);
+    if (!on(kOnDisk, s)) join(kOnDisk, s);
+  }
+
+  /// A freed block: takes the found key off the resident list and off
+  /// disk, in one probe, when its entry still points at `pba` (a key whose
+  /// entry moved to another block keeps it). Returns whether the key was on
+  /// disk.
+  bool drop_entry_if(Found f, Pba pba) {
+    if (f.slot == kNil) return false;
+    const std::uint32_t s = f.slot;
+    const bool resident = on(kResident, s);
+    const bool disk = on(kOnDisk, s);
+    if (!(resident || disk) || entry(s).pba() != pba) return false;
+    if (resident) unlink(kResident, s);
+    if (disk) leave(kOnDisk, s);
+    if (lists(s) == 0) erase_at(f.pos);
+    return disk;
   }
 
   /// Sets the resident capacity, evicting resident LRU entries as needed.
@@ -256,10 +303,15 @@ class LruTable {
     return static_cast<std::uint8_t>(1u << l);
   }
 
-  /// Visits the slots of list `l` from MRU to LRU until `fn(slot)` returns
-  /// false.
+  /// Visits the slots of membership `l` until `fn(slot)` returns false:
+  /// a list from MRU to LRU, the on-disk keys in slot order.
   template <typename Fn>
   void for_each(List l, Fn&& fn) const {
+    if (l == kOnDisk) {
+      for (std::uint32_t s = 0; s < slots_.size(); ++s)
+        if (on(kOnDisk, s) && !fn(s)) return;
+      return;
+    }
     for (std::uint32_t s = lists_[l].head; s != kNil; s = links(l, s).next)
       if (!fn(s)) return;
   }
@@ -379,7 +431,19 @@ class LruTable {
     else st.head = n.next;
     if (n.next != kNil) links(l, n.next).prev = n.prev;
     else st.tail = n.prev;
-    --st.size;
+    leave(l, s);
+  }
+
+  /// Counts slot `s` into membership `l` and sets its bit.
+  void join(List l, std::uint32_t s) {
+    ++lists_[l].size;
+    slots_[s].entry.word_ |= std::uint32_t{bit(l)} << IndexEntry::kCountBits;
+  }
+
+  /// Counts slot `s` out of membership `l` and clears its bit (all that
+  /// leaving the list-less on-disk membership takes).
+  void leave(List l, std::uint32_t s) {
+    --lists_[l].size;
     slots_[s].entry.word_ &= ~(std::uint32_t{bit(l)} << IndexEntry::kCountBits);
   }
 
@@ -392,8 +456,7 @@ class LruTable {
     if (st.head != kNil) links(l, st.head).prev = s;
     st.head = s;
     if (st.tail == kNil) st.tail = s;
-    ++st.size;
-    slots_[s].entry.word_ |= std::uint32_t{bit(l)} << IndexEntry::kCountBits;
+    join(l, s);
   }
 
   void to_front(List l, std::uint32_t s) {
@@ -404,7 +467,7 @@ class LruTable {
 
   /// LRU put on a ghost or spill list (capacity > 0): promote a member,
   /// else push at MRU and drop LRU members while over capacity (erasing
-  /// keys that leave their last list).
+  /// keys that lose their last membership).
   void put(List l, std::uint32_t s) {
     if (on(l, s)) {
       to_front(l, s);
@@ -439,8 +502,8 @@ class LruTable {
   /// ghost entry its eviction fills), its predecessor's slot and side
   /// entry for the drop after, and the next victim's home group, since a
   /// ghost or spill drop erases the key from the table when that was its
-  /// last list (its slot and side entry, and so its key and links, were
-  /// warmed by the previous call).
+  /// last membership (its slot and side entry, and so its key and links,
+  /// were warmed by the previous call).
   void prefetch_next_victim(List l) {
     const std::uint32_t t = lists_[l].tail;
     if (t == kNil) return;
@@ -506,7 +569,7 @@ class LruTable {
   }
 
   /// Places a new key (known absent) at the probe's empty bucket `pos`,
-  /// on no list yet.
+  /// with no membership yet.
   std::uint32_t add(std::size_t pos, Tag tag, const K& key) {
     std::uint32_t s;
     if (free_ != kNil) {
@@ -532,7 +595,7 @@ class LruTable {
     return r.found ? index_.at(r.pos).slot : add(r.pos, tag, key);
   }
 
-  /// Erases slot `s` from the table once it is on no list.
+  /// Erases slot `s` from the table once it has no membership.
   void release_if_unused(std::uint32_t s) {
     if (lists(s) != 0) return;
     const CtrlProbeResult r = index_.probe(
@@ -551,7 +614,7 @@ class LruTable {
     index_.erase(i);
   }
 
-  ListState lists_[3];
+  ListState lists_[4];
   CtrlIndex index_;
   PagedVector<Slot> slots_;
   PagedVector<GhostSide> ghost_;

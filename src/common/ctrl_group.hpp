@@ -1,12 +1,13 @@
-// Swiss-table-style control-byte group scanning for the flat probe tables.
+// Swiss-table-style control-byte group scanning for the flat probe table.
 //
-// FlatHashMap and LruTable keep one control byte per bucket (0 = empty,
-// else a nonzero 7-bit tag of the key's hash) in a contiguous array. A
-// probe no longer walks that array byte-by-byte: it loads a 16-byte group
-// starting at the key's home bucket, compares all lanes against the tag at
-// once, and only touches the slot array for lanes whose control byte
-// matched — so a probe costs one cache line of tags before any slot data,
-// and a miss in a clean neighborhood costs no slot access at all.
+// LruTable (through CtrlIndex, below) keeps one control byte per bucket
+// (0 = empty, else a nonzero 7-bit tag of the key's hash) in a contiguous
+// array. A probe no longer walks that array byte-by-byte: it loads a
+// 16-byte group starting at the key's home bucket, compares all lanes
+// against the tag at once, and only touches the slot array for lanes whose
+// control byte matched — so a probe costs one cache line of tags before
+// any slot data, and a miss in a clean neighborhood costs no slot access
+// at all.
 //
 // Sequence-point contract: the group scan visits candidates in ascending
 // probe order and stops at the first empty control byte, exactly like the
@@ -31,9 +32,8 @@
 // a power of two), so an unaligned group load starting at any home bucket
 // reads valid lanes; candidate positions are mapped back with `& mask`.
 // Group starts advance by the group width, tiling the ring with
-// consecutive coverage, and the tables keep load factor <= 1/2 (7/8 for
-// LruTable), so some group always contains an empty byte and every probe
-// terminates.
+// consecutive coverage, and the table keeps load factor <= 7/8, so some
+// group always contains an empty byte and every probe terminates.
 #pragma once
 
 #include <bit>

@@ -16,14 +16,13 @@ inline std::uint64_t mix(std::uint64_t z) {
 
 }  // namespace
 
-OnDiskIndex::OnDiskIndex(const Config& cfg)
+OnDiskIndex::OnDiskIndex(const Config& cfg, FingerprintTable& table)
     : cfg_(cfg),
+      table_(table),
       bloom_(static_cast<std::size_t>((cfg.bloom_bits + 63) / 64)) {
   POD_CHECK(cfg_.region_blocks > 0);
   POD_CHECK(cfg_.insert_batch > 0);
   POD_CHECK(cfg_.bloom_bits >= 64);
-  if (cfg_.expected_entries > 0)
-    table_.reserve(static_cast<std::size_t>(cfg_.expected_entries));
 }
 
 Pba OnDiskIndex::bucket_of(const Fingerprint& fp) const {
@@ -57,7 +56,8 @@ void OnDiskIndex::bloom_set(const Fingerprint& fp) {
   }
 }
 
-OnDiskIndex::Lookup OnDiskIndex::lookup(const Fingerprint& fp) const {
+OnDiskIndex::Lookup OnDiskIndex::lookup(const Fingerprint& fp,
+                                        Pba stored) const {
   Lookup out;
   if (cfg_.bloom_enabled && !bloom_maybe(fp)) {
     ++bloom_negatives_;
@@ -66,17 +66,14 @@ OnDiskIndex::Lookup OnDiskIndex::lookup(const Fingerprint& fp) const {
   ++disk_lookups_;
   out.needs_disk_read = true;
   out.bucket = bucket_of(fp);
-  const PackedPba* p = table_.find(fp);
-  if (p != nullptr) {
-    out.found = true;
-    out.pba = widen_pba(*p);
-  }
+  out.found = stored != kInvalidPba;
+  out.pba = stored;
   return out;
 }
 
 std::optional<Pba> OnDiskIndex::insert(const Fingerprint& fp, Pba pba) {
   if (journal_ != nullptr) journal_->index_put(fp, pba);
-  table_.insert_or_assign(fp, narrow_pba(pba));
+  table_.put_on_disk(table_.hash_tag(fp), fp, pba);
   bloom_set(fp);
   if (++pending_inserts_ >= cfg_.insert_batch) {
     pending_inserts_ = 0;
@@ -86,27 +83,14 @@ std::optional<Pba> OnDiskIndex::insert(const Fingerprint& fp, Pba pba) {
   return std::nullopt;
 }
 
-std::optional<Pba> OnDiskIndex::peek(const Fingerprint& fp) const {
-  const PackedPba* p = table_.find(fp);
-  if (p == nullptr) return std::nullopt;
-  return widen_pba(*p);
-}
-
 void OnDiskIndex::erase(const Fingerprint& fp) {
-  if (table_.erase(fp) && journal_ != nullptr) journal_->index_del(fp);
-}
-
-void OnDiskIndex::erase_if(const Fingerprint& fp, Pba pba) {
-  if (table_.erase_if(fp,
-                      [pba](PackedPba stored) {
-                        return widen_pba(stored) == pba;
-                      }) &&
-      journal_ != nullptr)
+  const FingerprintTable::Found f = table_.find(table_.hash_tag(fp), fp);
+  if (table_.drop_entry_if(f, table_.on_disk_pba(f)) && journal_ != nullptr)
     journal_->index_del(fp);
 }
 
 void OnDiskIndex::restore_entry(const Fingerprint& fp, Pba pba) {
-  table_.insert_or_assign(fp, narrow_pba(pba));
+  table_.put_on_disk(table_.hash_tag(fp), fp, pba);
   bloom_set(fp);
 }
 

@@ -7,17 +7,22 @@
 // al.'s DDFS, cited as [36]) short-circuits lookups for definitely-new
 // fingerprints; bucket updates are write-behind and batched.
 //
-// OnDiskIndex holds the authoritative fingerprint->PBA mapping and *plans*
-// the disk traffic: lookup()/insert() report which index-region block the
-// caller must read/write; the engine charges those ops to the volume.
+// OnDiskIndex models the disk side of that index and *plans* its traffic:
+// lookup()/insert() report which index-region block the caller must
+// read/write; the engine charges those ops to the volume. It keeps no table
+// of its own. The authoritative fingerprint->PBA entries are the on-disk
+// membership of the index cache's LruTable (cache/lru_table.hpp), so a key
+// that is cached and on disk is stored once, with one PBA, and one probe
+// of that table answers resident, on disk or absent. This class keeps
+// what models the disk: the Bloom filter, the bucket a key hashes to,
+// write-behind batching, the journal records, and the traffic counters.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "common/flat_hash_map.hpp"
+#include "cache/index_cache.hpp"
 #include "common/mapped.hpp"
-#include "common/packed_pba.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -42,12 +47,11 @@ class OnDiskIndex {
     /// the plain Full-Dedupe of the paper's §II-B. Enabling the Bloom
     /// filter (DDFS-style, [36]) is an ablation.
     bool bloom_enabled = true;
-    /// Expected unique-fingerprint count; pre-sizes the in-memory table so
-    /// steady growth pays no incremental rehash pauses (0 = grow on demand).
-    std::uint64_t expected_entries = 0;
   };
 
-  explicit OnDiskIndex(const Config& cfg);
+  /// An index whose entries are the on-disk membership of `table` (the
+  /// index cache's: IndexCache::table()).
+  OnDiskIndex(const Config& cfg, FingerprintTable& table);
 
   struct Lookup {
     bool found = false;
@@ -58,42 +62,44 @@ class OnDiskIndex {
     Pba bucket = kInvalidPba;
   };
 
-  Lookup lookup(const Fingerprint& fp) const;
+  /// The cold path of a key the index cache missed. `stored` is the key's
+  /// on-disk PBA as the cache's probe found it (IndexCache::lookup's
+  /// `on_disk`; kInvalidPba when the key is not on disk), so the lookup
+  /// probes nothing. A Bloom negative charges nothing; a "maybe" charges
+  /// one bucket read, found or not.
+  Lookup lookup(const Fingerprint& fp, Pba stored) const;
 
   /// Inserts/updates an entry. When the write-behind buffer fills, returns
   /// the bucket block the caller must charge as a disk write.
   std::optional<Pba> insert(const Fingerprint& fp, Pba pba);
 
-  /// Administrative probe: no Bloom consultation, no disk-traffic
-  /// accounting. Returns the stored PBA, if any.
-  std::optional<Pba> peek(const Fingerprint& fp) const;
-
-  /// Drops an entry (freed physical block). Bloom bits are not cleared —
-  /// subsequent lookups may pay a false-positive disk read, as in reality.
+  /// Drops an entry, and its resident copy with it (journal recovery's
+  /// index_del, fsck's repair). Bloom bits are not cleared — subsequent
+  /// lookups may pay a false-positive disk read, as in reality. A freed
+  /// block's entry leaves through IndexCache::invalidate_if instead, in
+  /// the engine's probe of the block's release.
   void erase(const Fingerprint& fp);
 
-  /// erase() only if the entry still maps to `pba` (one probe: the peek +
-  /// erase pair of a freed block). Journals exactly what erase() does.
-  void erase_if(const Fingerprint& fp, Pba pba);
-
   /// Attaches a write-ahead journal: inserts and erases are recorded as
-  /// index_put/index_del before taking effect. Null detaches.
+  /// index_put/index_del before taking effect. Null detaches. (The engine
+  /// journals a freed block's index_del itself, from the same journal.)
   void set_journal(MetadataJournal* journal) { journal_ = journal; }
 
   /// Journal recovery: reinstalls an entry (Bloom bits included) with no
   /// disk-traffic accounting and no re-journaling.
   void restore_entry(const Fingerprint& fp, Pba pba);
 
-  /// Iterates all entries as `fn(fp, pba)` (unspecified order; cold path:
-  /// fsck).
+  /// Iterates all entries as `fn(fp, pba)` (slot order; cold path: fsck).
+  /// No Bloom consultation, no disk-traffic accounting.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    table_.for_each([&fn](const Fingerprint& fp, PackedPba pba) {
-      fn(fp, widen_pba(pba));
+    table_.for_each(FingerprintTable::kOnDisk, [&](std::uint32_t s) {
+      fn(table_.key(s), table_.entry(s).pba());
+      return true;
     });
   }
 
-  std::size_t entries() const { return table_.size(); }
+  std::size_t entries() const { return table_.size(FingerprintTable::kOnDisk); }
   std::uint64_t bloom_negative_hits() const { return bloom_negatives_; }
   std::uint64_t disk_lookups() const { return disk_lookups_; }
   std::uint64_t bucket_writes() const { return bucket_writes_; }
@@ -109,8 +115,7 @@ class OnDiskIndex {
   void bloom_set(const Fingerprint& fp);
 
   Config cfg_;
-  /// Values are packed PBAs (common/packed_pba.hpp): 20-byte slots.
-  FlatHashMap<Fingerprint, PackedPba, FingerprintHash> table_;
+  FingerprintTable& table_;
   MetadataJournal* journal_ = nullptr;
   ZeroedArray<std::uint64_t> bloom_;
   std::uint32_t pending_inserts_ = 0;

@@ -76,8 +76,15 @@ DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg
     index_cache_ = std::make_unique<IndexCache>(static_cast<std::uint64_t>(
         static_cast<double>(cfg_.memory_bytes) * cfg_.index_fraction));
   }
+  // A released block leaves the read cache, and its fingerprint leaves the
+  // index cache's table in one probe: the resident entry and, for
+  // Full-Dedupe, the on-disk entry, whose deletion is journaled. (`fp` is
+  // null only when the store keeps no fingerprints; then there is no
+  // index either.)
   store_.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
-    on_content_gone(pba, fp);
+    read_cache_.invalidate(pba);
+    if (index_cache_ && index_cache_->invalidate_if(*fp, pba) && journal_)
+      journal_->index_del(*fp);
   };
   if (cfg_.journal_metadata) {
     journal_ = std::make_unique<MetadataJournal>();
@@ -110,11 +117,6 @@ void DedupEngine::record_op_fault(const OpSpec& op, IoStatus s) {
     ++stats_.damaged_physical_blocks;
     stats_.damaged_logical_blocks += refs;
   }
-}
-
-void DedupEngine::on_content_gone(Pba pba, const Fingerprint* fp) {
-  read_cache_.invalidate(pba);
-  if (index_cache_) index_cache_->invalidate_if(*fp, pba);
 }
 
 bool DedupEngine::candidate_valid(const Fingerprint& fp, Pba pba) const {

@@ -32,7 +32,6 @@
 #include "common/types.hpp"
 #include "dedup/allocator.hpp"
 #include "dedup/categorizer.hpp"
-#include "dedup/ondisk_index.hpp"
 #include "fault/journal.hpp"
 #include "hash/hash_engine.hpp"
 #include "raid/volume.hpp"
@@ -384,12 +383,6 @@ class DedupEngine {
   /// Fire-and-forget background op (index maintenance, iCache swaps).
   void issue_background(OpType type, Pba block, std::uint64_t nblocks);
 
-  /// Invoked when a physical block's content is replaced or freed. The
-  /// base invalidates read-cache and index-cache entries; subclasses extend
-  /// (e.g. Full-Dedupe erases the on-disk index entry). `fp` is null when
-  /// the store keeps no fingerprints (then there is no index either).
-  virtual void on_content_gone(Pba pba, const Fingerprint* fp);
-
   Simulator& sim_;
   Volume& volume_;
   EngineConfig cfg_;
@@ -399,7 +392,8 @@ class DedupEngine {
   /// Present when cfg_.index_fraction > 0 (every engine except Native).
   std::unique_ptr<IndexCache> index_cache_;
   /// Present when cfg_.journal_metadata; attached to store_ (and to the
-  /// on-disk index by engines that have one).
+  /// on-disk index by engines that have one). The content-gone hook
+  /// journals a freed block's on-disk index deletion here.
   std::unique_ptr<MetadataJournal> journal_;
   EngineStats stats_;
   /// Request-path scratch arena (see WriteScratch).

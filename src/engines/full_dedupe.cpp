@@ -7,8 +7,7 @@
 namespace pod {
 
 namespace {
-OnDiskIndex::Config ondisk_config(const DedupEngine* engine,
-                                  const EngineConfig& cfg) {
+OnDiskIndex::Config ondisk_config(const EngineConfig& cfg) {
   OnDiskIndex::Config c;
   // Region begins right after the data region (home area + pool).
   const std::uint64_t pool = std::max<std::uint64_t>(
@@ -17,28 +16,22 @@ OnDiskIndex::Config ondisk_config(const DedupEngine* engine,
   c.region_start = cfg.logical_blocks + pool;
   c.region_blocks = cfg.index_region_blocks;
   c.bloom_enabled = cfg.full_dedupe_bloom;
-  // Unique content is a fraction of the logical space. A 1/16 floor skips
-  // the small early rehashes without oversizing the probe table (growing
-  // workloads still rehash a few times, but only at sizes where the copy
-  // is cheap relative to the inserts that earned it).
-  c.expected_entries = cfg.logical_blocks / 16;
-  (void)engine;
   return c;
+}
+
+/// The index cache the on-disk index keeps its entries in (checked before
+/// the index binds to its table).
+IndexCache& checked_cache(IndexCache* cache) {
+  POD_CHECK(cache != nullptr);
+  return *cache;
 }
 }  // namespace
 
 FullDedupeEngine::FullDedupeEngine(Simulator& sim, Volume& volume,
                                    const EngineConfig& cfg)
-    : DedupEngine(sim, volume, cfg), ondisk_(ondisk_config(this, cfg)) {
-  POD_CHECK(index_cache_ != nullptr);
+    : DedupEngine(sim, volume, cfg),
+      ondisk_(ondisk_config(cfg), checked_cache(index_cache_.get()).table()) {
   ondisk_.set_journal(metadata_journal());
-}
-
-void FullDedupeEngine::on_content_gone(Pba pba, const Fingerprint* fp) {
-  DedupEngine::on_content_gone(pba, fp);
-  // Drop the authoritative entry only if it still points at this block
-  // (metadata maintenance piggybacks on the data path; no disk charge).
-  ondisk_.erase_if(*fp, pba);
 }
 
 DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
@@ -70,10 +63,12 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
     const Fingerprint& fp = req.chunks[i];
     const IndexCache::Tag tag =
         fused ? s.fp_tags[i] : IndexCache::Tag{0};
-    // Hot path: in-memory index cache (the tagged lookup also consumes a
-    // ghost entry on a miss, in the same probe).
-    const IndexEntry* e =
-        fused ? index_cache_->lookup_tagged(tag, fp) : index_cache_->lookup(fp);
+    // One probe of the index cache's table answers resident (the hot path),
+    // on disk (with the stored PBA) or absent; the tagged lookup also
+    // consumes a ghost entry on a miss, in the same probe.
+    Pba on_disk = kInvalidPba;
+    const IndexEntry* e = fused ? index_cache_->lookup_tagged(tag, fp, &on_disk)
+                                : index_cache_->lookup(fp, &on_disk);
     if (e != nullptr) {
       if (candidate_valid(fp, e->pba())) {
         s.dups[i] = ChunkDup{true, e->pba()};
@@ -82,8 +77,8 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
       continue;
     }
     if (!fused) index_cache_->ghost_probe(fp);
-    // Cold path: the on-disk full index (Bloom-guarded).
-    const OnDiskIndex::Lookup l = ondisk_.lookup(fp);
+    // Cold path: the on-disk full index (Bloom-guarded disk charges).
+    const OnDiskIndex::Lookup l = ondisk_.lookup(fp, on_disk);
     if (l.needs_disk_read) {
       s.aux_runs.emplace_back(l.bucket, 1);
       ++stats_.index_disk_reads;
@@ -104,10 +99,11 @@ DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
 
   write_remaining_chunks(req, s, plan);
 
-  // Index maintenance for freshly written chunks. The in-memory inserts
-  // stage into one insert_batch (nothing later this request reads the index
+  // Index maintenance for freshly written chunks: each goes on disk first
+  // (sequential flush order), then into the cache. The cache inserts stage
+  // into one insert_batch (nothing later this request reads the index
   // cache — unlike the mid-loop promotions above, which must stay
-  // immediate); the on-disk index keeps its sequential flush order.
+  // immediate); they find the slots the on-disk puts just touched.
   std::size_t w = 0;
   for (std::uint32_t i = 0; i < req.nblocks; ++i) {
     if (s.masked(i)) continue;

@@ -4,6 +4,9 @@
 // The authoritative fingerprint index is on disk; lookups that miss the
 // in-memory index cache (and pass the Bloom filter) cost a random read in
 // the reserved index region — the §II-B "in-disk index-lookup" bottleneck.
+// The simulator keeps the on-disk entries in the index cache's own table,
+// so every key has one home: after each request, every resident key is
+// also on disk, at the same PBA.
 // Scattered dedup hits fragment logical ranges, producing the read
 // amplification that degrades web-vm and homes in Figure 9(b).
 #pragma once
@@ -23,7 +26,6 @@ class FullDedupeEngine : public DedupEngine {
 
  protected:
   IoPlan process_write(const IoRequest& req) override;
-  void on_content_gone(Pba pba, const Fingerprint* fp) override;
 
  private:
   OnDiskIndex ondisk_;

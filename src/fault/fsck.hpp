@@ -1,11 +1,12 @@
 // Crash recovery and consistency verification for dedup metadata.
 //
 // recover_from_journal() replays a (possibly crash-truncated) metadata
-// journal into FRESH BlockStore / OnDiskIndex instances — the simulated
-// equivalent of mounting after a crash, where only journaled state
-// survives. run_fsck() then cross-checks the three metadata views against
-// each other: Map-table entries vs per-block refcounts vs fingerprint
-// index. The recovery invariant (tested over every crash point): any
+// journal into a FRESH BlockStore and a fresh OnDiskIndex over a fresh
+// index cache (resident capacity 0: the engine's own types, nothing
+// cached) — the simulated equivalent of mounting after a crash, where only
+// journaled state survives. run_fsck() then cross-checks the three
+// metadata views against each other: Map-table entries vs per-block
+// refcounts vs fingerprint index. The recovery invariant (tested over every crash point): any
 // prefix of the journal recovers to a state fsck reports as consistent,
 // with at most *repairable* stale index entries — an index put whose
 // matching unbind fell past the crash point loses only dedup opportunity,

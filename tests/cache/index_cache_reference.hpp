@@ -76,16 +76,9 @@ class ReferenceIndexCache {
     entries_.put(fp, RefEntry{pba, 0}, evict());
   }
 
-  void invalidate(const Fingerprint& fp) { entries_.erase(fp); }
-
   void invalidate_if(const Fingerprint& fp, Pba pba) {
     const RefEntry* e = entries_.peek(fp);
     if (e != nullptr && e->pba == pba) entries_.erase(fp);
-  }
-
-  void rebind(const Fingerprint& fp, Pba pba) {
-    RefEntry* e = entries_.get(fp);
-    if (e != nullptr) e->pba = pba;
   }
 
   void resize(std::uint64_t capacity_bytes) {

@@ -105,11 +105,59 @@ TEST(IndexCache, NoShadowListsUntilEnabled) {
   EXPECT_EQ(c.ghost_hits(), 0u);
 }
 
+/// Puts `f` on disk at `pba` in the cache's table (what Full-Dedupe's
+/// on-disk index does on insert).
+void put_on_disk(IndexCache& c, const Fingerprint& f, Pba pba) {
+  FingerprintTable& t = c.table();
+  t.put_on_disk(t.hash_tag(f), f, pba);
+}
+
+Pba on_disk_pba(const IndexCache& c, const Fingerprint& f) {
+  const FingerprintTable& t = c.table();
+  return t.on_disk_pba(t.find(t.hash_tag(f), f));
+}
+
 TEST(IndexCache, InvalidateRemoves) {
+  // A freed block's entry leaves the cache and the disk in one call.
   IndexCache c(8 * IndexCache::kEntryBytes);
+  put_on_disk(c, fp(1), 1);
   c.insert(fp(1), 1);
-  c.invalidate(fp(1));
+  EXPECT_TRUE(c.invalidate_if(fp(1), 1));  // it was on disk
   EXPECT_EQ(c.peek(fp(1)), nullptr);
+  EXPECT_EQ(on_disk_pba(c, fp(1)), kInvalidPba);
+  EXPECT_EQ(c.table().keys(), 0u);
+  EXPECT_EQ(c.table().size(FingerprintTable::kOnDisk), 0u);
+}
+
+TEST(IndexCache, EvictionKeepsOnDiskKey) {
+  // Evicting a resident key that is also on disk is only an unlink: the
+  // key stays in the table, on disk, at its PBA.
+  IndexCache c(1 * IndexCache::kEntryBytes);
+  put_on_disk(c, fp(1), 10);
+  c.insert(fp(1), 10);
+  c.insert(fp(2), 20);  // evicts fp(1); fp(2) is resident only
+  EXPECT_EQ(c.peek(fp(1)), nullptr);
+  EXPECT_EQ(on_disk_pba(c, fp(1)), 10u);
+  EXPECT_EQ(c.table().keys(), 2u);
+  c.insert(fp(3), 30);  // evicts fp(2), which leaves the table
+  EXPECT_EQ(c.table().keys(), 2u);
+  EXPECT_EQ(on_disk_pba(c, fp(2)), kInvalidPba);
+}
+
+TEST(IndexCache, MissReportsOnDiskPbaFromTheSameProbe) {
+  IndexCache c(4 * IndexCache::kEntryBytes);
+  put_on_disk(c, fp(1), 10);
+  Pba on_disk = 0;
+  EXPECT_EQ(c.lookup(fp(1), &on_disk), nullptr);  // on disk, not resident
+  EXPECT_EQ(on_disk, 10u);
+  EXPECT_EQ(c.lookup_tagged(c.hash_tag(fp(2)), fp(2), &on_disk), nullptr);
+  EXPECT_EQ(on_disk, kInvalidPba);
+  EXPECT_EQ(c.misses(), 2u);
+  c.insert(fp(1), 10);  // promotion: resident and on disk, one slot
+  on_disk = 0;
+  ASSERT_NE(c.lookup(fp(1), &on_disk), nullptr);
+  EXPECT_EQ(on_disk, 0u);  // a hit leaves it alone
+  EXPECT_EQ(c.table().keys(), 1u);
 }
 
 TEST(IndexCache, InvalidateIfMatchingPba) {
@@ -140,10 +188,19 @@ TEST(IndexCache, InvalidateIfAbsentIsNoOp) {
 }
 
 TEST(IndexCache, RebindUpdatesPba) {
+  // A key moves to another block by a re-insert (Count back to 0), which
+  // moves its one PBA: a resident, on-disk key cannot split in two.
   IndexCache c(8 * IndexCache::kEntryBytes);
+  put_on_disk(c, fp(1), 1);
   c.insert(fp(1), 1);
-  c.rebind(fp(1), 99);
+  (void)c.lookup(fp(1));
+  put_on_disk(c, fp(1), 99);
+  c.insert(fp(1), 99);
   EXPECT_EQ(c.peek(fp(1))->pba(), 99u);
+  EXPECT_EQ(c.peek(fp(1))->count(), 0u);
+  EXPECT_EQ(on_disk_pba(c, fp(1)), 99u);
+  EXPECT_FALSE(c.invalidate_if(fp(1), 1));  // the old block's release
+  EXPECT_NE(c.peek(fp(1)), nullptr);
 }
 
 TEST(IndexCache, ResizeShrinkEvictsAndSpills) {

@@ -17,7 +17,6 @@
 
 #include "cache/index_cache.hpp"
 #include "cache/lru_table.hpp"
-#include "common/flat_hash_map.hpp"
 #include "common/rng.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -28,8 +27,7 @@ namespace {
 // (tag >> 25) and the low `home_bits` bits — i.e. identical 7-bit group
 // tag and identical home bucket for any table of <= 2^home_bits buckets.
 // Uses the table's own public hash_tag so the test tracks the real tag
-// derivation. FlatHashMap shares the same scramble (its state byte is the
-// same bits), so one key set storms both containers.
+// derivation.
 std::vector<std::uint64_t> colliding_keys(std::size_t n, int home_bits) {
   const LruTable<std::uint64_t> probe(1);
   const std::uint32_t want = probe.hash_tag(0x1234567);
@@ -43,63 +41,87 @@ std::vector<std::uint64_t> colliding_keys(std::size_t n, int home_bits) {
   return keys;
 }
 
-TEST(TagCollisionStorm, FlatHashMapInsertFindEraseChurn) {
-  // 96 same-tag same-home keys in a table that sizes to 256 buckets: every
-  // probe scans 6+ full groups of tag-positive lanes.
+TEST(TagCollisionStorm, LruTableOnDiskPutDropChurn) {
+  // 96 same-tag same-home keys carrying the list-less on-disk membership,
+  // in a table that grows to 128 buckets: every probe scans 6+ full groups
+  // of tag-positive lanes. A small resident list promotes some of them, as
+  // Full-Dedupe's on-disk hits do, and evicts them again — which must leave
+  // every on-disk key in the table at its PBA.
+  using Table = LruTable<std::uint64_t>;
   const std::vector<std::uint64_t> keys = colliding_keys(96, 9);
-  FlatHashMap<std::uint64_t, std::uint64_t> m;
-  std::unordered_map<std::uint64_t, std::uint64_t> truth;
+  Table t(8);
+  std::unordered_map<std::uint64_t, Pba> truth;
+  const auto find = [&](std::uint64_t k) { return t.find(t.hash_tag(k), k); };
+  const auto check = [&] {
+    for (std::uint64_t k : keys) {
+      const auto it = truth.find(k);
+      ASSERT_EQ(t.on_disk_pba(find(k)),
+                it == truth.end() ? kInvalidPba : it->second)
+          << k;
+    }
+    EXPECT_EQ(t.size(Table::kOnDisk), truth.size());
+    // Only on-disk keys were promoted, so the table holds no other key.
+    EXPECT_EQ(t.keys(), truth.size());
+  };
 
   for (std::uint64_t k : keys) {
-    m.insert_or_assign(k, k * 3);
+    t.put_on_disk(t.hash_tag(k), k, k * 3);
     truth[k] = k * 3;
   }
-  for (std::uint64_t k : keys) {
-    const std::uint64_t* v = m.find(k);
-    ASSERT_NE(v, nullptr) << k;
-    EXPECT_EQ(*v, k * 3);
-  }
+  check();
 
-  // Backward-shift delete every other colliding key, then overwrite and
-  // re-probe the survivors. Deleting from the middle of a same-tag chain
-  // shifts later same-home entries down across group boundaries.
+  // Backward-shift delete every other colliding key (a freed block at the
+  // key's PBA), then overwrite and re-probe the survivors. Deleting from
+  // the middle of a same-tag chain shifts later same-home entries down
+  // across group boundaries.
   for (std::size_t i = 0; i < keys.size(); i += 2) {
-    EXPECT_TRUE(m.erase(keys[i]));
+    EXPECT_TRUE(t.drop_entry_if(find(keys[i]), keys[i] * 3));
     truth.erase(keys[i]);
   }
   for (std::size_t i = 1; i < keys.size(); i += 2) {
-    m.insert_or_assign(keys[i], keys[i] + 7);
+    t.put_on_disk(t.hash_tag(keys[i]), keys[i], keys[i] + 7);
     truth[keys[i]] = keys[i] + 7;
   }
-  for (std::uint64_t k : keys) {
-    const std::uint64_t* v = m.find(k);
-    const auto it = truth.find(k);
-    ASSERT_EQ(v == nullptr, it == truth.end()) << k;
-    if (v != nullptr) EXPECT_EQ(*v, it->second);
-  }
-  EXPECT_EQ(m.size(), truth.size());
+  check();
 
-  // Random churn across the colliding set, mirrored into the truth map.
+  // Random churn across the colliding set, mirrored into the truth map:
+  // on-disk puts, freed blocks at the stored or another PBA, promotions,
+  // and freed blocks of keys on disk only.
   Rng rng(0xC0111DE);
   for (int round = 0; round < 2000; ++round) {
     const std::uint64_t k = keys[rng.uniform(0, keys.size() - 1)];
-    switch (rng.uniform(0, 2)) {
-      case 0:
-        m.insert_or_assign(k, k ^ round);
-        truth[k] = k ^ static_cast<std::uint64_t>(round);
+    const auto it = truth.find(k);
+    switch (rng.uniform(0, 3)) {
+      case 0: {
+        const Pba p = k ^ static_cast<std::uint64_t>(round);
+        t.put_on_disk(t.hash_tag(k), k, p);
+        truth[k] = p;
         break;
-      case 1:
-        EXPECT_EQ(m.erase(k), truth.erase(k) > 0) << k;
+      }
+      case 1: {
+        const bool match = it != truth.end() && rng.uniform(0, 1) == 0;
+        const Pba p = match ? it->second : k + 1'000'000;
+        EXPECT_EQ(t.drop_entry_if(find(k), p), match) << k;
+        if (match) truth.erase(it);
+        break;
+      }
+      case 2:
+        if (it != truth.end()) t.insert(t.hash_tag(k), k, it->second);
         break;
       default: {
-        const std::uint64_t* v = m.find(k);
-        const auto it = truth.find(k);
-        ASSERT_EQ(v == nullptr, it == truth.end()) << k;
-        if (v != nullptr) EXPECT_EQ(*v, it->second);
+        const Table::Found f = find(k);
+        if (it != truth.end() && !t.resident(f)) {
+          EXPECT_TRUE(t.drop_entry_if(f, it->second)) << k;
+          truth.erase(it);
+        }
       }
     }
   }
-  EXPECT_EQ(m.size(), truth.size());
+  check();
+  t.for_each(Table::kResident, [&](std::uint32_t s) {
+    EXPECT_TRUE(t.on(Table::kOnDisk, s)) << t.key(s);
+    return true;
+  });
 }
 
 TEST(TagCollisionStorm, LruTableProbeEvictDropChurn) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "engine_test_util.hpp"
+#include "fault/fsck.hpp"
+#include "synth/generator.hpp"
 
 namespace pod {
 namespace {
@@ -127,6 +131,61 @@ TEST(FullDedupe, CapacitySavingsReported) {
   for (Lba l = 0; l < 20; ++l) (void)h.write(l * 8, {1, 2, 3, 4});
   EXPECT_EQ(h.engine().physical_blocks_used(), 4u);
   EXPECT_EQ(h.engine().stats().writes_eliminated, 19u);
+}
+
+TEST(FullDedupe, ResidentKeysStayOnDiskAndJournalRestoresTheIndex) {
+  // One fingerprint home: after every request of a replay, each key the
+  // index cache holds is also on disk — at the same PBA, since the two
+  // share one slot — and points at live content of that fingerprint. At
+  // the end, the journal restores the on-disk index exactly into fresh
+  // engine types, and fsck finds it clean.
+  WorkloadProfile p = tiny_test_profile();
+  p.measured_requests = 1500;
+  p.warmup_requests = 500;
+  const Trace trace = TraceGenerator(p).generate();
+  EngineConfig cfg = testutil::small_engine_config();
+  cfg.logical_blocks = p.volume_blocks;
+  cfg.memory_bytes = 64 * kKiB;  // a small cache: promotions and evictions
+  cfg.journal_metadata = true;
+  EngineHarness h(EngineKind::kFullDedupe, cfg);
+  const auto& full = static_cast<const FullDedupeEngine&>(h.engine());
+  const FingerprintTable& t = full.index_cache()->table();
+
+  std::uint64_t resident_checked = 0;
+  for (const IoRequest& req : trace.requests) {
+    (void)h.run(req);
+    t.for_each(FingerprintTable::kResident, [&](std::uint32_t s) {
+      EXPECT_TRUE(t.on(FingerprintTable::kOnDisk, s));
+      const Fingerprint* live = full.store().fingerprint_of(t.entry(s).pba());
+      EXPECT_TRUE(live != nullptr && *live == t.key(s));
+      ++resident_checked;
+      return !::testing::Test::HasFailure();
+    });
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_GT(resident_checked, 0u);
+  EXPECT_GT(full.ondisk_index().entries(),
+            full.index_cache()->size_entries());  // evictions kept keys
+
+  BlockStore::Config store_cfg;
+  store_cfg.logical_blocks = cfg.logical_blocks;
+  store_cfg.pool_fraction = cfg.pool_fraction;
+  BlockStore recovered(store_cfg);
+  IndexCache cache(0);
+  OnDiskIndex index(OnDiskIndex::Config{}, cache.table());
+  recover_from_journal(*full.metadata_journal(), recovered, &index);
+  using Entries = std::unordered_map<Fingerprint, Pba, FingerprintHash>;
+  Entries live, restored;
+  full.ondisk_index().for_each_entry(
+      [&](const Fingerprint& f, Pba pba) { live[f] = pba; });
+  index.for_each_entry(
+      [&](const Fingerprint& f, Pba pba) { restored[f] = pba; });
+  EXPECT_TRUE(restored == live);
+  const FsckReport report = run_fsck(recovered, &index, /*repair=*/false);
+  EXPECT_TRUE(report.clean())
+      << (report.messages.empty() ? "" : report.messages.front());
+  EXPECT_EQ(report.stale_index_entries, 0u);
+  EXPECT_EQ(report.index_entries_checked, live.size());
 }
 
 }  // namespace

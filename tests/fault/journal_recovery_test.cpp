@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "cache/index_cache.hpp"
 #include "dedup/allocator.hpp"
 #include "dedup/ondisk_index.hpp"
 #include "fault/journal.hpp"
@@ -69,18 +70,35 @@ void run_workload(BlockStore& store, OnDiskIndex& index) {
   }
 }
 
+using IndexEntries = std::unordered_map<Fingerprint, Pba, FingerprintHash>;
+
+IndexEntries entries_of(const OnDiskIndex& index) {
+  IndexEntries out;
+  index.for_each_entry([&](const Fingerprint& fp, Pba pba) { out[fp] = pba; });
+  return out;
+}
+
+/// What recovery builds and fsck checks: an on-disk index over a fresh
+/// index cache that caches nothing (the engine's own types).
+struct RecoveredIndex {
+  IndexCache cache{0};
+  OnDiskIndex index{index_config(), cache.table()};
+};
+
 struct World {
   BlockStore store;
-  OnDiskIndex index;
+  IndexCache cache{8 * IndexCache::kEntryBytes};
+  OnDiskIndex index{index_config(), cache.table()};
   MetadataJournal journal;
 
-  World() : store(store_config()), index(index_config()) {
+  World() : store(store_config()) {
     store.set_journal(&journal);
     index.set_journal(&journal);
-    // Engine contract (see FullDedupeEngine::on_content_gone): when a
-    // block's content is released, the matching index entry is dropped.
+    // The engine's content-gone hook: when a block's content is released,
+    // the entry still pointing at it leaves the index cache and the disk
+    // in one probe, and the on-disk deletion is journaled.
     store.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
-      if (index.peek(*fp) == pba) index.erase(*fp);
+      if (cache.invalidate_if(*fp, pba)) journal.index_del(*fp);
     };
   }
 };
@@ -92,7 +110,8 @@ TEST(JournalRecovery, FullJournalRestoresExactState) {
   EXPECT_EQ(w.journal.lost(), 0u);
 
   BlockStore recovered(store_config());
-  OnDiskIndex rindex(index_config());
+  RecoveredIndex r;
+  OnDiskIndex& rindex = r.index;
   recover_from_journal(w.journal, recovered, &rindex);
 
   EXPECT_EQ(recovered.live_logical_blocks(), w.store.live_logical_blocks());
@@ -103,6 +122,7 @@ TEST(JournalRecovery, FullJournalRestoresExactState) {
   }
   for (Pba pba = 0; pba < recovered.data_region_blocks(); ++pba)
     EXPECT_EQ(recovered.refcount(pba), w.store.refcount(pba)) << "pba " << pba;
+  EXPECT_EQ(entries_of(rindex), entries_of(w.index));
 
   const FsckReport report = run_fsck(recovered, &rindex, /*repair=*/false);
   EXPECT_TRUE(report.consistent())
@@ -140,7 +160,8 @@ TEST(JournalRecovery, EveryCrashPointRecoversConsistent) {
     ASSERT_EQ(w.journal.lost(), total - crash);
 
     BlockStore recovered(store_config());
-    OnDiskIndex rindex(index_config());
+    RecoveredIndex r;
+    OnDiskIndex& rindex = r.index;
     recover_from_journal(w.journal, recovered, &rindex);
 
     FsckReport report = run_fsck(recovered, &rindex, /*repair=*/true);
@@ -190,7 +211,8 @@ TEST(JournalRecovery, StaleIndexEntryIsRepairedNotFatal) {
   (void)w.index.insert(fp_of(1), first);
 
   BlockStore recovered(store_config());
-  OnDiskIndex rindex(index_config());
+  RecoveredIndex r;
+  OnDiskIndex& rindex = r.index;
   recover_from_journal(w.journal, recovered, &rindex);
   // Replace the content *after* recovery so the index entry goes stale
   // without a journaled del.
@@ -204,7 +226,7 @@ TEST(JournalRecovery, StaleIndexEntryIsRepairedNotFatal) {
 
   report = run_fsck(recovered, &rindex, /*repair=*/true);
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(rindex.peek(fp_of(1)), std::nullopt);
+  EXPECT_EQ(rindex.entries(), 0u);
 }
 
 TEST(JournalRecovery, CrashPointZeroIsEmptyButConsistent) {
@@ -215,7 +237,8 @@ TEST(JournalRecovery, CrashPointZeroIsEmptyButConsistent) {
   EXPECT_EQ(w.journal.lost(), w.journal.appended());
 
   BlockStore recovered(store_config());
-  OnDiskIndex rindex(index_config());
+  RecoveredIndex r;
+  OnDiskIndex& rindex = r.index;
   recover_from_journal(w.journal, recovered, &rindex);
   EXPECT_EQ(recovered.live_logical_blocks(), 0u);
   EXPECT_TRUE(run_fsck(recovered, &rindex, true).clean());

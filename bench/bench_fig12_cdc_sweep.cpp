@@ -185,7 +185,9 @@ int main() {
     fixed.chunking.mode = ChunkingMode::kFixed;
     points.push_back(fixed);
   }
-  for (const std::size_t expected : {2048uz, 4096uz, 8192uz, 16384uz, 32768uz}) {
+  for (const std::size_t expected :
+       {std::size_t{2048}, std::size_t{4096}, std::size_t{8192},
+        std::size_t{16384}, std::size_t{32768}}) {
     SweepPoint p;
     p.label = "cdc-" + std::to_string(expected / 1024) + "K";
     p.chunking.mode = ChunkingMode::kCdc;

@@ -1,0 +1,44 @@
+// The evaluation as data. Every paper table and figure is a `Figure`: the
+// traces it scans, the replays it needs, and a render that prints its
+// stdout from them. One driver runs any selection of figures.
+#pragma once
+
+#include <functional>
+#include <vector>
+
+#include "replay/replayer.hpp"
+#include "synth/profile.hpp"
+#include "trace/request.hpp"
+
+namespace pod::bench {
+
+/// One replay a figure needs: a run spec over a workload's trace.
+struct Run {
+  WorkloadProfile profile;
+  RunSpec spec;
+};
+
+/// What a render reads: the figure's scanned traces and its runs' results,
+/// each in the order the figure listed them. Both live only while
+/// run_figures renders.
+struct FigureData {
+  std::vector<const Trace*> scans;
+  std::vector<const ReplayResult*> results;
+};
+
+struct Figure {
+  /// Traces the render reads directly (characterisation tables).
+  std::vector<WorkloadProfile> scans;
+  std::vector<Run> runs;
+  std::function<void(const FigureData&)> render;
+};
+
+/// Loads every trace the figures name once (keyed by its cache key: profile
+/// name plus parameter hash), runs each distinct replay once (keyed by its
+/// trace plus RunSpec equality, so figures asking for an equal run share
+/// one result) in one longest-first fan-out over bench_jobs() workers,
+/// appends one POD_BENCH_JSON line per replay in run-list order, then
+/// renders the figures in the order given.
+void run_figures(const std::vector<Figure>& figures);
+
+}  // namespace pod::bench

@@ -28,6 +28,8 @@ struct HddGeometry {
   std::uint32_t blocks_per_track_inner = 128;
   /// Tracks per cylinder (surfaces).
   std::uint32_t tracks_per_cylinder = 4;
+
+  bool operator==(const HddGeometry&) const = default;
 };
 
 struct HddTiming {
@@ -40,6 +42,8 @@ struct HddTiming {
   Duration seek_full_stroke = ms(21.0);
   /// Fixed per-op controller/command overhead.
   Duration controller_overhead = us(100);
+
+  bool operator==(const HddTiming&) const = default;
 };
 
 class HddModel {

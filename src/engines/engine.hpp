@@ -99,6 +99,8 @@ struct EngineConfig {
   bool journal_metadata = false;
 
   HashEngineConfig hash;
+
+  bool operator==(const EngineConfig&) const = default;
 };
 
 /// Total volume capacity an EngineConfig requires (data + index + swap).

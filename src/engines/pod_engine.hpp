@@ -17,6 +17,8 @@ struct PodEngineOptions {
   /// iCache adaptation parameters; total_bytes is forced to the engine's
   /// memory budget.
   ICacheConfig icache;
+
+  bool operator==(const PodEngineOptions&) const = default;
 };
 
 class PodEngine : public SelectDedupeEngine {

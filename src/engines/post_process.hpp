@@ -29,6 +29,8 @@ struct PostProcessOptions {
   /// Charge one sequential read per this many scanned blocks (the scrubber
   /// reads in large sequential sweeps).
   std::uint64_t read_batch_blocks = 256;
+
+  bool operator==(const PostProcessOptions&) const = default;
 };
 
 class PostProcessEngine : public DedupEngine {

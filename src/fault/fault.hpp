@@ -75,6 +75,8 @@ struct FaultConfig {
   /// Builds a config from POD_FAULT_* environment variables (see
   /// DESIGN.md "Fault model"); enabled iff any variable is set.
   static FaultConfig from_env();
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// Cumulative injector activity (what was injected, not what survived).

@@ -22,6 +22,8 @@ struct HashEngineConfig {
   /// bulk form runs through the runtime-dispatched SIMD kernels.
   enum class Algo { kSha1, kXx64 };
   Algo algo = Algo::kSha1;
+
+  bool operator==(const HashEngineConfig&) const = default;
 };
 
 class HashEngine {

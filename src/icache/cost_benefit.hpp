@@ -27,6 +27,8 @@ struct CostBenefitConfig {
   /// near-hit signal systematically understates the cost of shrinking the
   /// index cache.
   double grow_read_hysteresis = 3.0;
+
+  bool operator==(const CostBenefitConfig&) const = default;
 };
 
 enum class PartitionDecision { kHold, kGrowIndex, kGrowRead };

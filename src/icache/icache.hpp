@@ -38,6 +38,8 @@ struct ICacheConfig {
   /// repartition (the swap itself competes with foreground I/O).
   std::uint64_t max_swap_blocks = 256;  // 1 MiB
   CostBenefitConfig cost_benefit;
+
+  bool operator==(const ICacheConfig&) const = default;
 };
 
 struct ICacheStats {

@@ -87,6 +87,8 @@ struct ArrayConfig {
   /// Fault injection (disabled by default: no injector is constructed and
   /// the array behaves bit-for-bit as before the fault subsystem existed).
   FaultConfig fault;
+
+  bool operator==(const ArrayConfig&) const = default;
 };
 
 /// A contiguous fragment of a volume I/O on one member disk.

@@ -3,8 +3,7 @@
 // Each run owns a fresh Simulator, Volume and engine, so runs share no
 // mutable state and per-config results are byte-identical whether executed
 // serially or in parallel — only wall-clock changes. Traces are shared
-// read-only and must be fully generated before run() is called (the bench
-// trace memo is not thread-safe to populate concurrently).
+// read-only and must be fully loaded before run() is called.
 #pragma once
 
 #include <cstddef>

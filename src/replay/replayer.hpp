@@ -71,6 +71,10 @@ struct RunSpec {
   ArrayConfig array_cfg;  // disk_geometry.total_blocks is sized automatically
   PodEngineOptions pod;
   PostProcessOptions post_process;
+
+  /// Member-wise: two specs are equal iff every nested config field is,
+  /// so a run list can key replays on the whole spec.
+  bool operator==(const RunSpec&) const = default;
 };
 
 /// Builds the volume for a spec (disk sizes derived from the engine's

@@ -85,7 +85,8 @@ TEST(ChunkingConfig, MalformedAndInconsistentKnobsClampNotCrash) {
 
 TEST(ChunkingConfig, RabinForExpectedSatisfiesInvariants) {
   for (const std::size_t expected :
-       {128uz, 2048uz, 4096uz, 8192uz, 16384uz, 65536uz}) {
+       {std::size_t{128}, std::size_t{2048}, std::size_t{4096},
+        std::size_t{8192}, std::size_t{16384}, std::size_t{65536}}) {
     SCOPED_TRACE(expected);
     const RabinConfig rc = ChunkingConfig::rabin_for_expected(expected);
     EXPECT_GE(rc.min_chunk, rc.window);

@@ -23,7 +23,6 @@
 #include "util/bench_util.hpp"
 #include "common/rng.hpp"
 #include "dedup/cdc_store.hpp"
-#include "hash/simd.hpp"
 
 namespace {
 
@@ -84,7 +83,7 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
                       bool scalar_probes) {
   CdcConfig cfg;
   cfg.chunking = point.chunking;
-  cfg.hash.algo = HashEngineConfig::Algo::kXx64;  // SIMD bulk path
+  cfg.hash.algo = HashEngineConfig::Algo::kXx64;
   // Capacity: every chunk unique, each block-rounded up. Blocks consumed
   // = sum ceil(size_i/4K) <= total/4K + chunk count, and chunk count is
   // bounded by total/min_chunk plus one short tail per object.
@@ -134,7 +133,7 @@ void emit_json(const SweepPoint& point, const SweepResult& r,
       "\"padding_bytes\":%llu,\"stale_hits\":%llu,"
       "\"dedup_ratio\":%.6f,\"mean_chunk_bytes\":%.1f,"
       "\"ingest_mb_s\":%.2f,"
-      "\"host\":{\"hw_threads\":%u,\"simd_tier\":\"%s\"}}\n",
+      "\"host\":{\"hw_threads\":%u}}\n",
       point.label.c_str(), to_string(point.chunking.mode),
       static_cast<unsigned long long>(point.chunking.expected_chunk_bytes()),
       scalar_probes ? "true" : "false",
@@ -146,7 +145,7 @@ void emit_json(const SweepPoint& point, const SweepResult& r,
       static_cast<unsigned long long>(r.stats.padding_bytes),
       static_cast<unsigned long long>(r.stats.stale_hits),
       r.stats.dedup_ratio(), r.stats.mean_chunk_bytes(), r.ingest_mb_s,
-      hw > 0 ? hw : 1, to_string(active_simd_tier()));
+      hw > 0 ? hw : 1);
   std::fclose(f);
 }
 
@@ -198,8 +197,7 @@ int main() {
   pod::bench::print_header(
       "Figure 12 (extension): CDC sweep — dedup ratio vs expected chunk size",
       "corpus: " + std::to_string(versions) + " versions, " +
-          std::to_string(corpus.total_bytes / 1000000) + " MB total; simd=" +
-          std::string(to_string(active_simd_tier())) +
+          std::to_string(corpus.total_bytes / 1000000) + " MB total" +
           (scalar_probes ? "; scalar cache path" : "; bulk cache path"));
 
   // Stdout carries only deterministic columns (two runs diff

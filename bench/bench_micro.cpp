@@ -15,10 +15,8 @@
 #include "common/zipf.hpp"
 #include "dedup/categorizer.hpp"
 #include "dedup/chunker.hpp"
-#include "dedup/rabin_chunker.hpp"
 #include "disk/hdd_model.hpp"
 #include "hash/sha1.hpp"
-#include "hash/simd.hpp"
 #include "hash/xx64.hpp"
 #include "raid/raid5.hpp"
 #include "replay/replayer.hpp"
@@ -48,80 +46,6 @@ void BM_Xx64_4K(benchmark::State& state) {
                           static_cast<std::int64_t>(kBlockSize));
 }
 BENCHMARK(BM_Xx64_4K);
-
-// Bulk fingerprinting of one write request's worth of chunks (16 x 4 KB,
-// contiguous) through the tier-dispatch entry. Scalar is the reference
-// loop; Simd runs the best tier the host supports (falls back to scalar on
-// pre-AVX2 machines, so the pair's ratio reads 1.0 there, not garbage).
-// CI compares the two throughputs as the SIMD regression tripwire.
-void BM_Fingerprint_Tier(benchmark::State& state, SimdTier tier) {
-  constexpr std::size_t kChunks = 16;
-  std::vector<std::uint8_t> data(kChunks * kBlockSize);
-  Rng rng(10);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  std::uint64_t out[kChunks];
-  for (auto _ : state) {
-    xx64_bulk_tier(tier, data.data(), kBlockSize, kBlockSize, kChunks, 0, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-  state.SetLabel(to_string(tier == SimdTier::kScalar ? SimdTier::kScalar
-                                                     : max_hw_simd_tier()));
-}
-void BM_Fingerprint_Scalar(benchmark::State& state) {
-  BM_Fingerprint_Tier(state, SimdTier::kScalar);
-}
-BENCHMARK(BM_Fingerprint_Scalar);
-void BM_Fingerprint_Simd(benchmark::State& state) {
-  BM_Fingerprint_Tier(state, max_hw_simd_tier());
-}
-BENCHMARK(BM_Fingerprint_Simd);
-
-// The Rabin boundary scan over a 64 KB buffer, via the same tier hook the
-// chunker dispatches through. Mirrors RabinChunker's inner loop: restart
-// after each boundary with a freshly primed window, mask picked for ~4 KB
-// average chunks so each scan covers thousands of positions.
-void BM_Chunker_Tier(benchmark::State& state, SimdTier tier) {
-  constexpr std::size_t kWindow = 48;
-  constexpr std::uint64_t kPoly = 0x3D4A5C3098AEF791ULL;
-  constexpr std::uint64_t kMask = (1ULL << 12) - 1;
-  std::uint64_t push[256], pop[256];
-  std::uint64_t pow_w1 = 1;
-  for (std::size_t i = 0; i + 1 < kWindow; ++i) pow_w1 *= kPoly;
-  for (int b = 0; b < 256; ++b) {
-    push[b] = (static_cast<std::uint64_t>(b) + 1) * 0x9E3779B97F4A7C15ULL;
-    pop[b] = push[b] * pow_w1;
-  }
-  std::vector<std::uint8_t> data(64 * 1024);
-  Rng rng(13);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  for (auto _ : state) {
-    std::size_t pos = kWindow;
-    while (pos < data.size()) {
-      std::uint64_t h = 0;
-      for (std::size_t i = pos - kWindow; i < pos; ++i)
-        h = h * kPoly + push[data[i]];
-      const RabinScanResult r = rabin_scan_tier(
-          tier, data.data(), pos, data.size(), kWindow, h, kMask, kPoly,
-          push, pop);
-      benchmark::DoNotOptimize(r.h);
-      pos = r.pos + kWindow;  // next scan primes behind the new start
-    }
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-  state.SetLabel(to_string(tier == SimdTier::kScalar ? SimdTier::kScalar
-                                                     : max_hw_simd_tier()));
-}
-void BM_Chunker_Scalar(benchmark::State& state) {
-  BM_Chunker_Tier(state, SimdTier::kScalar);
-}
-BENCHMARK(BM_Chunker_Scalar);
-void BM_Chunker_Simd(benchmark::State& state) {
-  BM_Chunker_Tier(state, max_hw_simd_tier());
-}
-BENCHMARK(BM_Chunker_Simd);
 
 void BM_FingerprintOfContentId(benchmark::State& state) {
   std::uint64_t id = 0;
@@ -425,7 +349,7 @@ BENCHMARK(BM_SelectDedupeWrite)->Arg(0)->Arg(1);
 
 void BM_FixedChunk64K(benchmark::State& state) {
   HashEngine engine;
-  FixedChunker chunker;
+  const Chunker chunker;
   std::vector<std::uint8_t> data(64 * 1024);
   Rng rng(7);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
@@ -439,7 +363,9 @@ BENCHMARK(BM_FixedChunk64K);
 
 void BM_RabinChunk64K(benchmark::State& state) {
   HashEngine engine;
-  RabinChunker chunker;
+  ChunkingConfig cfg;
+  cfg.mode = ChunkingMode::kCdc;
+  const Chunker chunker(cfg);
   std::vector<std::uint8_t> data(64 * 1024);
   Rng rng(8);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());

@@ -18,12 +18,12 @@
 //   POD_BENCH_JSON  — file to append per-run replay counters to, one JSON
 //                object per line (mean latency, events scheduled, peak
 //                event-heap depth, peak RSS, plus host execution context
-//                (hardware threads, active SIMD tier),
-//                per-disk breakdowns, RAID5 parity write modes, iCache
-//                adaptation state, and — when telemetry is on — the
-//                metrics-registry snapshot; when latency anatomy is on,
-//                an "anatomy" object with per-component latency
-//                distributions, per-stream accounting, and the tail ring).
+//                (hardware threads), per-disk breakdowns, RAID5 parity
+//                write modes, iCache adaptation state, and — when
+//                telemetry is on — the metrics-registry snapshot; when
+//                latency anatomy is on, an "anatomy" object with
+//                per-component latency distributions, per-stream
+//                accounting, and the tail ring).
 //   POD_TRACE_EVENTS / POD_TELEMETRY_CSV / POD_TELEMETRY_INTERVAL_MS /
 //   POD_TRACE_LIMIT — sim-time telemetry sinks; see
 //                src/telemetry/telemetry.hpp.

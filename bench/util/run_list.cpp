@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "bench_util.hpp"
-#include "hash/simd.hpp"
 #include "replay/parallel_runner.hpp"
 #include "trace/trace_cache.hpp"
 
@@ -102,11 +101,9 @@ void emit_replay_counters_json(const std::vector<ReplayResult>& results) {
         static_cast<unsigned long long>(r.batch_probes),
         static_cast<unsigned long long>(r.scratch_bytes));
     // Host execution context: makes a JSON line interpretable on its own
-    // (how many hardware threads the host had, which SIMD tier the kernels
-    // dispatched to).
+    // (how many hardware threads the host had).
     const unsigned hw = std::thread::hardware_concurrency();
-    std::fprintf(f, ",\"host\":{\"hw_threads\":%u,\"simd_tier\":\"%s\"}",
-                 hw > 0 ? hw : 1, to_string(active_simd_tier()));
+    std::fprintf(f, ",\"host\":{\"hw_threads\":%u}", hw > 0 ? hw : 1);
     std::fprintf(
         f,
         ",\"full_stripe_writes\":%llu,\"rmw_writes\":%llu,"

@@ -555,9 +555,16 @@ class LruTable {
   }
 
   /// Grows the table (before a probe) so `keys` live keys stay within the
-  /// load bound.
+  /// load bound. Every insert runs the bound test, so it stays inline; only
+  /// a failing test calls the rehash.
   void reserve(std::size_t keys) {
-    if (keys * kMaxLoadDen <= index_.buckets() * kMaxLoadNum) return;
+    if (keys * kMaxLoadDen > index_.buckets() * kMaxLoadNum) [[unlikely]]
+      rehash(keys);
+  }
+
+  /// Rebuilds the index at the smallest power-of-two size that holds `keys`
+  /// live keys within the load bound.
+  [[gnu::noinline]] void rehash(std::size_t keys) {
     std::size_t buckets = kCtrlGroup;
     while (buckets * kMaxLoadNum < keys * kMaxLoadDen) buckets <<= 1;
     index_.reset(buckets);

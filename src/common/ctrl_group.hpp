@@ -19,21 +19,18 @@
 // distribution — which is what lets fig08 replay output stay byte-equal
 // across scalar/batch/fused probe modes.
 //
-// ISA layering: the 16-lane first group uses SSE2 directly (SSE2 is part
-// of the x86-64 baseline ABI — like memcmp's vectorization it needs no
-// dispatch; a portable scalar fallback covers non-x86 builds). The 32-lane
-// continuation groups for long displacement clusters go through the
-// runtime-dispatched, POD_SIMD-clamped, self-checked AVX2 kernel in
-// hash/simd.* — callers pass `wide = pod::wide_ctrl_groups()` cached at
-// table-build time.
+// ISA: every group is 16 lanes scanned with SSE2, which is part of the
+// x86-64 baseline ABI, so like memcmp's vectorization it needs no runtime
+// dispatch; a portable scalar loop covers non-x86 builds. Wider groups buy
+// nothing here: only ~2.5% of probes get past the first group.
 //
 // Wraparound: tables mirror the first kCtrlPad control bytes past the end
 // (ctrl[n + i] == ctrl[i] for i < kCtrlPad, n = bucket count, n >= 16 and
 // a power of two), so an unaligned group load starting at any home bucket
 // reads valid lanes; candidate positions are mapped back with `& mask`.
-// Group starts advance by the group width, tiling the ring with
-// consecutive coverage, and the table keeps load factor <= 7/8, so some
-// group always contains an empty byte and every probe terminates.
+// Group starts advance by kCtrlGroup, tiling the ring with consecutive
+// coverage, and the table keeps load factor <= 7/8, so some group always
+// contains an empty byte and every probe terminates.
 #pragma once
 
 #include <bit>
@@ -42,7 +39,6 @@
 
 #include "common/mapped.hpp"
 #include "common/prefetch.hpp"
-#include "hash/simd.hpp"
 
 #if defined(__SSE2__) || defined(__x86_64__)
 #define POD_CTRL_SSE2 1
@@ -51,14 +47,11 @@
 
 namespace pod {
 
-/// Lanes per first-level probe group (SSE2 register width).
+/// Lanes per probe group (SSE2 register width).
 inline constexpr std::size_t kCtrlGroup = 16;
-/// Lanes per wide continuation group (AVX2 register width).
-inline constexpr std::size_t kCtrlGroupWide = 32;
-/// Mirror bytes a table keeps past its last bucket so any unaligned group
-/// load — up to the wide width, starting at the last bucket — stays in
-/// bounds.
-inline constexpr std::size_t kCtrlPad = kCtrlGroupWide - 1;
+/// Mirror bytes a table keeps past its last bucket so an unaligned group
+/// load starting at the last bucket stays in bounds.
+inline constexpr std::size_t kCtrlPad = kCtrlGroup - 1;
 
 /// 16-lane group scan result; lane i describes ctrl[i].
 struct CtrlMatch16 {
@@ -104,42 +97,8 @@ struct CtrlProbeResult {
 template <typename CheckFn>
 inline CtrlProbeResult ctrl_probe(const std::uint8_t* ctrl, std::size_t mask,
                                   std::size_t home, std::uint8_t tag,
-                                  bool wide, CheckFn&& check) {
+                                  CheckFn&& check) {
   std::size_t i = home;
-  {
-    const CtrlMatch16 m = ctrl_match16(ctrl + i, tag);
-    std::uint32_t cand = ctrl_candidates(m.eq, m.empty);
-    while (cand != 0) {
-      const std::size_t j =
-          (i + static_cast<std::size_t>(std::countr_zero(cand))) & mask;
-      if (check(j)) return {j, true};
-      cand &= cand - 1;
-    }
-    if (m.empty != 0)
-      return {(i + static_cast<std::size_t>(std::countr_zero(m.empty))) & mask,
-              false};
-    i = (i + kCtrlGroup) & mask;
-  }
-  // Long displacement cluster: continue in wide groups when the AVX2
-  // kernel is active and the ring is at least one wide group around
-  // (stride == width keeps coverage consecutive, so ordering holds).
-  if (wide && mask + 1 >= kCtrlGroupWide) {
-    for (;;) {
-      const CtrlMatch32 m = ctrl_match32(ctrl + i, tag);
-      std::uint32_t cand = ctrl_candidates(m.eq, m.empty);
-      while (cand != 0) {
-        const std::size_t j =
-            (i + static_cast<std::size_t>(std::countr_zero(cand))) & mask;
-        if (check(j)) return {j, true};
-        cand &= cand - 1;
-      }
-      if (m.empty != 0)
-        return {
-            (i + static_cast<std::size_t>(std::countr_zero(m.empty))) & mask,
-            false};
-      i = (i + kCtrlGroupWide) & mask;
-    }
-  }
   for (;;) {
     const CtrlMatch16 m = ctrl_match16(ctrl + i, tag);
     std::uint32_t cand = ctrl_candidates(m.eq, m.empty);
@@ -192,7 +151,6 @@ class CtrlIndex {
     table_ = ZeroedArray<Stored>(buckets);
     ctrl_ = ZeroedArray<std::uint8_t>(buckets + kCtrlPad);
     mask_ = buckets - 1;
-    wide_ = wide_ctrl_groups();
   }
 
   /// Prefetches the home control-byte group and bucket of a tag.
@@ -206,7 +164,7 @@ class CtrlIndex {
   /// `slot_eq`, else the first empty bucket (where an insert belongs).
   template <typename SlotEq>
   CtrlProbeResult probe(std::uint32_t tag, SlotEq&& slot_eq) const {
-    return ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag), wide_,
+    return ctrl_probe(ctrl_.data(), mask_, tag & mask_, ctrl_of(tag),
                       [&](std::size_t j) {
                         const Stored b = table_[j];
                         return b.tag == tag && slot_eq(~b.nslot);
@@ -270,9 +228,6 @@ class CtrlIndex {
   /// kCtrlPad wraparound mirror bytes.
   ZeroedArray<std::uint8_t> ctrl_;
   std::size_t mask_ = 0;
-  /// AVX2 continuation groups enabled (cached at reset so probes never
-  /// touch dispatch state).
-  bool wide_ = false;
 };
 
 }  // namespace pod

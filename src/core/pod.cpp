@@ -45,9 +45,8 @@ void Pod::write(Lba lba, std::span<const std::uint8_t> data, Completion done) {
   req.type = OpType::kWrite;
   req.lba = lba;
   req.nblocks = static_cast<std::uint32_t>(data.size() / kBlockSize);
-  const FixedChunker chunker(kBlockSize);
   std::vector<Fingerprint> fps;
-  for (const DataChunk& c : chunker.chunk(data, engine_->hash_engine()))
+  for (const DataChunk& c : Chunker().chunk(data, engine_->hash_engine()))
     fps.push_back(c.fp);
   req.chunks = fps;
   submit(req, std::move(done));  // submit deep-copies fps into inflight_

@@ -1,9 +1,9 @@
 // Variable-size-chunk (CDC) ingest path over the BlockStore extent APIs.
 //
 // CdcStore models a content-addressed object store built from the same
-// metadata machinery the block engines use: the runtime-dispatched Rabin
-// chunker splits each ingested object, the fingerprint index cache is
-// probed for every chunk, and unique chunks are appended to fresh LBAs as
+// metadata machinery the block engines use: the Chunker (fixed or Rabin
+// CDC) splits each ingested object, the fingerprint index cache is probed
+// for every chunk, and unique chunks are appended to fresh LBAs as
 // block-rounded extents while duplicates remap onto the existing extent.
 // Ingest is append-only — a cursor hands out fresh logical addresses — so
 // unique chunks land at their identity home runs (no Map-table entries,
@@ -26,7 +26,7 @@
 
 #include "cache/index_cache.hpp"
 #include "dedup/allocator.hpp"
-#include "dedup/chunking.hpp"
+#include "dedup/chunker.hpp"
 #include "hash/hash_engine.hpp"
 
 namespace pod {

@@ -1,8 +1,5 @@
 #include "hash/hash_engine.hpp"
 
-#include <algorithm>
-
-#include "hash/simd.hpp"
 #include "hash/xx64.hpp"
 
 namespace pod {
@@ -12,29 +9,6 @@ Fingerprint HashEngine::fingerprint(std::span<const std::uint8_t> chunk) const {
   if (cfg_.algo == HashEngineConfig::Algo::kXx64)
     return Fingerprint::of_prefix(xx64(chunk));
   return Fingerprint::of_data(chunk);
-}
-
-void HashEngine::fingerprint_bulk(const std::uint8_t* data,
-                                  std::size_t chunk_size, std::size_t n,
-                                  Fingerprint* out) const {
-  chunks_hashed_ += n;
-  if (cfg_.algo == HashEngineConfig::Algo::kXx64) {
-    // Batch through the dispatched kernel; expand each 64-bit hash into the
-    // canonical fingerprint exactly as the scalar path does.
-    std::uint64_t hashes[64];
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t batch = std::min<std::size_t>(64, n - i);
-      xx64_bulk(data + i * chunk_size, chunk_size, chunk_size, batch, 0,
-                hashes);
-      for (std::size_t j = 0; j < batch; ++j)
-        out[i + j] = Fingerprint::of_prefix(hashes[j]);
-      i += batch;
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = Fingerprint::of_data({data + i * chunk_size, chunk_size});
 }
 
 }  // namespace pod

@@ -18,8 +18,7 @@ struct HashEngineConfig {
   /// Modelled fingerprint latency per 4 KB chunk (paper: 32 us).
   Duration per_chunk_latency = us(32);
   /// Fingerprint algorithm for real chunk data. SHA-1 (truncated) is the
-  /// paper-faithful default; xx64 is the non-cryptographic fast path whose
-  /// bulk form runs through the runtime-dispatched SIMD kernels.
+  /// paper-faithful default; xx64 is the non-cryptographic fast path.
   enum class Algo { kSha1, kXx64 };
   Algo algo = Algo::kSha1;
 
@@ -33,13 +32,6 @@ class HashEngine {
 
   /// Fingerprints raw data (used when replaying content-bearing workloads).
   Fingerprint fingerprint(std::span<const std::uint8_t> chunk) const;
-
-  /// Fingerprints `n` equal-size chunks laid out back to back (chunk i
-  /// starts at data + i * chunk_size). With Algo::kXx64 this runs the SIMD
-  /// bulk path; results are bit-identical to calling fingerprint() on each
-  /// chunk in turn, whichever tier dispatch selects.
-  void fingerprint_bulk(const std::uint8_t* data, std::size_t chunk_size,
-                        std::size_t n, Fingerprint* out) const;
 
   /// Simulated latency of fingerprinting `num_chunks` chunks serially.
   Duration latency_for_chunks(std::size_t num_chunks) const {

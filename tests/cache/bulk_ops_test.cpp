@@ -55,8 +55,9 @@ TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
         EXPECT_EQ(a->pba(), b->pba());
         EXPECT_EQ(a->count(), b->count());
       }
-      if (a == nullptr)
+      if (a == nullptr) {
         EXPECT_EQ(scalar.ghost_probe(fp), bulk.ghost_probe(fp));
+      }
     }
   }
   std::vector<std::pair<Fingerprint, Pba>> spill_scalar, spill_bulk;

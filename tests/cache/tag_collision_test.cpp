@@ -1,13 +1,13 @@
 // Adversarial tag-collision storms for the group-probing tables.
 //
-// The Swiss-table ctrl arrays compare 7-bit tags 16/32 lanes at a time; a
+// The Swiss-table ctrl arrays compare 7-bit tags 16 lanes at a time; a
 // probe only touches a slot when its tag matches. These tests construct key
 // sets that all share the SAME tag AND the SAME home bucket, so every probe
 // walks a maximal candidate chain: multiple full groups of false-positive
-// lanes (exercising the wide AVX2 continuation when active), wraparound on
-// the ring, and backward-shift deletes that slide colliding entries across
-// group boundaries. Everything is cross-checked against ground truth (a
-// mirror of expected contents) and, for the fused path, a scalar twin.
+// lanes, wraparound on the ring, and backward-shift deletes that slide
+// colliding entries across group boundaries. Everything is cross-checked
+// against ground truth (a mirror of expected contents) and, for the fused
+// path, a scalar twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,7 +258,9 @@ TEST(TagCollisionStorm, FusedLookupMatchesScalarUnderCollisions) {
     const IndexEntry* ef = fused.peek(fp(id));
     const IndexEntry* es = scalar.peek(fp(id));
     ASSERT_EQ(ef == nullptr, es == nullptr) << id;
-    if (ef != nullptr) EXPECT_EQ(ef->pba(), es->pba());
+    if (ef != nullptr) {
+      EXPECT_EQ(ef->pba(), es->pba());
+    }
   }
 }
 

@@ -62,7 +62,7 @@ TEST(ParallelRunner, MatchesSerialByteForByte) {
   std::vector<ParallelRunner::RunItem> items;
   std::vector<ReplayResult> serial;
   for (EngineKind kind : kinds) {
-    items.push_back({small_spec(kind), &trace});
+    items.push_back({small_spec(kind), &trace, {}});
     serial.push_back(run_replay(small_spec(kind), trace));
   }
 
@@ -79,7 +79,7 @@ TEST(ParallelRunner, MatchesSerialByteForByte) {
 TEST(ParallelRunner, SingleJobRunsInline) {
   const Trace trace = small_trace();
   std::vector<ParallelRunner::RunItem> items;
-  items.push_back({small_spec(EngineKind::kNative), &trace});
+  items.push_back({small_spec(EngineKind::kNative), &trace, {}});
 
   const ParallelRunner runner(1);
   const std::vector<ReplayResult> out = runner.run(items);
@@ -92,8 +92,8 @@ TEST(ParallelRunner, ZeroJobsDegradesToSerial) {
   // not a deadlock on a pool with no workers.
   const Trace trace = small_trace();
   std::vector<ParallelRunner::RunItem> items;
-  items.push_back({small_spec(EngineKind::kNative), &trace});
-  items.push_back({small_spec(EngineKind::kSelectDedupe), &trace});
+  items.push_back({small_spec(EngineKind::kNative), &trace, {}});
+  items.push_back({small_spec(EngineKind::kSelectDedupe), &trace, {}});
 
   const std::vector<ReplayResult> out = ParallelRunner(0).run(items);
   ASSERT_EQ(out.size(), 2u);
@@ -115,7 +115,7 @@ TEST(ParallelRunner, ResultsStayInInputOrder) {
       EngineKind::kFullDedupe, EngineKind::kNative, EngineKind::kFullDedupe,
       EngineKind::kNative,     EngineKind::kIDedup, EngineKind::kNative};
   std::vector<ParallelRunner::RunItem> items;
-  for (EngineKind kind : kinds) items.push_back({small_spec(kind), &trace});
+  for (EngineKind kind : kinds) items.push_back({small_spec(kind), &trace, {}});
 
   const std::vector<ReplayResult> out = ParallelRunner(3).run(items);
   ASSERT_EQ(out.size(), kinds.size());
@@ -219,7 +219,7 @@ TEST(ParallelRunner, DefaultLabelNamesEngineAndTrace) {
   bad.requests[bad.warmup_count].arrival += 1;
 
   std::vector<ParallelRunner::RunItem> items;
-  items.push_back({small_spec(EngineKind::kIDedup), &bad});  // no label
+  items.push_back({small_spec(EngineKind::kIDedup), &bad, {}});  // no label
 
   try {
     ParallelRunner(1).run(items);

@@ -164,9 +164,11 @@ TEST(Raid5ParityMath, DegradedReadsAvoidEveryFailedPosition) {
     sim.run();
     EXPECT_EQ(completions, (cap + 7) / 8);
     EXPECT_EQ(r.disk(failed).stats().reads, 0u);
-    for (std::size_t d = 0; d < n; ++d)
-      if (d != failed)
+    for (std::size_t d = 0; d < n; ++d) {
+      if (d != failed) {
         EXPECT_GT(r.disk(d).stats().blocks_read, 0u) << "disk " << d;
+      }
+    }
     EXPECT_GT(r.reconstruction_reads(), 0u);
   }
 }

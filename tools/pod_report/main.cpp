@@ -5,8 +5,8 @@
 // baseline: a paired-median delta section is appended.
 //
 // Typical use (EXPERIMENTS.md "debugging a slow p99"):
-//   POD_ANATOMY=1 POD_TAIL_ANATOMY=16 POD_BENCH_JSON=run.jsonl \
-//     ./bench/bench_fig08_overall_response_time
+//   export POD_ANATOMY=1 POD_TAIL_ANATOMY=16 POD_BENCH_JSON=run.jsonl
+//   ./bench/bench_fig08_overall_response_time
 //   ./tools/pod_report run.jsonl > report.md
 #include <cstdio>
 #include <exception>

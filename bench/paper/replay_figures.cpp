@@ -374,7 +374,7 @@ Figure table1_scheme_comparison(const PaperSetup& setup) {
     for (std::size_t i = trace.warmup_count; i < trace.requests.size(); ++i) {
       const IoRequest& r = trace.requests[i];
       if (!r.is_write()) continue;
-      (r.nblocks <= 2 ? small_writes : large_writes) += 1;
+      (r.nblocks <= kSmallWriteBlocks ? small_writes : large_writes) += 1;
     }
 
     const ReplayResult& native = *data.results[0];
@@ -383,19 +383,16 @@ Figure table1_scheme_comparison(const PaperSetup& setup) {
     for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
       const EngineKind kind = kSchemes[i];
       const ReplayResult& r = *data.results[i + 1];
-      // Small/large elimination split: approximate via the removal rate and
-      // which population the scheme can touch — measured directly by
-      // running a small-only and large-only filter would double the cost,
-      // so we use the engine semantics: iDedup bypasses <=2-block requests
-      // by design; I/O-Dedup and post-process never eliminate foreground
-      // writes.
-      const bool any_elimination = r.measured.writes_eliminated > 0;
-      const bool small_elim = any_elimination && kind == EngineKind::kPod;
+      // Write elimination, measured per population: the engine counts the
+      // eliminated writes of at most kSmallWriteBlocks blocks.
+      const std::uint64_t small_elim = r.measured.small_writes_eliminated;
+      const std::uint64_t large_elim =
+          r.measured.writes_eliminated - small_elim;
       std::printf("%-14s %10s %13s %13s %13s %14s\n", to_string(kind),
                   mark(static_cast<double>(r.physical_blocks_used) <
                        0.97 * static_cast<double>(native.physical_blocks_used)),
                   mark(r.mean_ms() < 0.97 * native.mean_ms()),
-                  mark(small_elim), mark(any_elimination),
+                  mark(small_elim > 0), mark(large_elim > 0),
                   kind == EngineKind::kPod ? "dynamic/adaptive" : "static");
     }
 

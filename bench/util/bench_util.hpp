@@ -8,7 +8,10 @@
 //                Malformed values abort the bench rather than silently
 //                running at a default scale.
 //   POD_TRACE  — restrict to one workload ("web-vm", "homes", "mail");
-//                any other name aborts the bench.
+//                any other name aborts the bench. Only the figures built
+//                over PaperSetup::profiles follow it (Figs. 1, 2, 8-11,
+//                Table II, the overhead analysis); Fig. 3, Table I and the
+//                seven ablations keep their fixed traces.
 //   POD_JOBS   — parallel replay jobs; default = hardware concurrency.
 //                Per-run results are byte-identical to serial (each run
 //                owns its simulator); only wall-clock changes.
@@ -43,8 +46,8 @@ namespace pod::bench {
 /// Scale factor from POD_SCALE (default 0.25).
 double scale_from_env();
 
-/// Paper workloads honouring POD_TRACE; an unknown name exits with
-/// status 2.
+/// Paper workloads honouring POD_TRACE (the three traces, or the one it
+/// names); an unknown name exits with status 2.
 std::vector<WorkloadProfile> selected_profiles(double scale);
 
 /// Builds the standard 4-disk RAID5 / 64 KB stripe run spec of §IV-B with

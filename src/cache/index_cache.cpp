@@ -89,10 +89,6 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
     table_.insert(tag_scratch_[i], fps[i], pbas[i]);
 }
 
-bool IndexCache::invalidate_if(const Fingerprint& fp, Pba pba) {
-  return table_.drop_entry_if(table_.find(table_.hash_tag(fp), fp), pba);
-}
-
 void IndexCache::resize(std::uint64_t capacity_bytes) {
   table_.set_resident_capacity(entries_for(capacity_bytes));
 }

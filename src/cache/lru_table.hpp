@@ -73,6 +73,7 @@
 
 #include "common/check.hpp"
 #include "common/ctrl_group.hpp"
+#include "common/digest.hpp"
 #include "common/mapped.hpp"
 #include "common/packed_pba.hpp"
 #include "common/prefetch.hpp"
@@ -353,6 +354,43 @@ class LruTable {
   /// Sets the "would a one-step-larger cache have kept it" horizon.
   void set_ghost_near_threshold(std::uint64_t entries) {
     ghost_near_threshold_ = entries;
+  }
+
+  /// A canonical hash of what the table holds: each list from MRU to LRU
+  /// with its payloads (resident PBA and Count, ghost sequence number,
+  /// spilled PBA) and capacity, the on-disk keys with their PBAs in any
+  /// order, and the ghost counters. Slot numbers and bucket layout do not
+  /// enter it. Walks every membership: for state checks, not hot paths.
+  std::uint64_t state_digest() const {
+    StateDigest d;
+    for (List l : {kResident, kGhost, kSpill}) {
+      d.add(lists_[l].capacity);
+      d.add(lists_[l].size);
+      for_each(l, [&](std::uint32_t s) {
+        d.add_bytes(&slots_[s].key, sizeof(K));
+        if (l == kResident) {
+          d.add(entry(s).pba());
+          d.add(entry(s).count());
+        } else {
+          d.add(l == kGhost ? ghost_[s].seq : spilled_pba(s));
+        }
+        return true;
+      });
+    }
+    std::uint64_t on_disk = 0;  // a sum: slot order is not canonical
+    for_each(kOnDisk, [&](std::uint32_t s) {
+      StateDigest e;
+      e.add_bytes(&slots_[s].key, sizeof(K));
+      e.add(entry(s).pba());
+      on_disk += e.value();
+      return true;
+    });
+    d.add(lists_[kOnDisk].size);
+    d.add(on_disk);
+    d.add(ghost_clock_);
+    d.add(ghost_hits_);
+    d.add(ghost_near_hits_);
+    return d.value();
   }
 
  private:

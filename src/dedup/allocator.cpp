@@ -66,29 +66,6 @@ bool PoolAllocator::is_free(Pba pba) const {
   return freed(static_cast<std::size_t>(pba - pool_start_));
 }
 
-void PoolAllocator::reset_occupancy(const std::function<bool(Pba)>& live) {
-  free_list_.clear();
-  free_mask_ = ZeroedArray<std::uint64_t>(free_mask_.size());
-  allocated_ = 0;
-  Pba top = pool_start_;  // one past the highest live block
-  for (Pba p = pool_start_; p < pool_start_ + pool_blocks_; ++p) {
-    if (live(p)) {
-      ++allocated_;
-      top = p + 1;
-    }
-  }
-  bump_ = top;
-  // Holes below the bump pointer become the free list; pushed in
-  // descending address order so pop_back() recycles ascending.
-  for (Pba p = top; p > pool_start_;) {
-    --p;
-    if (!live(p)) {
-      set_freed(static_cast<std::size_t>(p - pool_start_), true);
-      free_list_.push_back(p);
-    }
-  }
-}
-
 BlockStore::BlockStore(const Config& cfg)
     : logical_blocks_(cfg.logical_blocks),
       pool_(cfg.logical_blocks,
@@ -117,17 +94,13 @@ void BlockStore::unref(Pba pba) {
   if (--refs == 0) {
     POD_DCHECK(live_physical_ > 0);
     --live_physical_;
-    if (restoring_) return;  // recovery: no observers, pool rebuilt later
-    if (on_content_gone) {
-      if (keeps_fingerprints()) {
-        // Copy the fingerprint out: the content-gone observers may place
-        // new content indirectly, which can overwrite fps_[pba] under us.
-        const Fingerprint fp = fps_[static_cast<std::size_t>(pba)];
-        on_content_gone(pba, &fp);
-      } else {
-        on_content_gone(pba, nullptr);
-      }
-    }
+    if (restoring_) return;  // recovery: nothing listed, pool rebuilt later
+    // Copy the fingerprint out: the caller may place new content in the
+    // block (the same run's next chunk, its own home) before the list is
+    // drained, which overwrites fps_[pba].
+    freed_.push_back(FreedBlock{
+        pba, keeps_fingerprints() ? fps_[static_cast<std::size_t>(pba)]
+                                  : Fingerprint{}});
     if (pool_.in_pool(pba)) pool_.free_block(pba);
   }
 }

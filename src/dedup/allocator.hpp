@@ -10,7 +10,9 @@
 // BlockStore tracks, per physical block, a reference count (how many LBAs
 // map to it) and, for the engines that read it, the fingerprint of its
 // current content, and owns the Map table. It performs no I/O itself;
-// engines turn its placement decisions into volume operations.
+// engines turn its placement decisions into volume operations. A block
+// whose content is released goes on the store's freed list (freed()),
+// which the engine drains into its caches once per request.
 //
 // Host bytes per physical block: 4 (refcount) + 16 (fingerprint, only when
 // Config::fingerprints) + 4 per LBA in the Map table, all in OS-zeroed
@@ -19,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -52,9 +53,32 @@ class PoolAllocator {
   /// (never handed out, or sitting on the free list). Used by fsck.
   bool is_free(Pba pba) const;
   /// Rebuilds occupancy (bump pointer, free list) from a liveness
-  /// predicate — journal recovery restores refcounts without replaying the
-  /// original allocation sequence, so the pool re-derives its state here.
-  void reset_occupancy(const std::function<bool(Pba)>& live);
+  /// predicate `live(pba) -> bool` — journal recovery restores refcounts
+  /// without replaying the original allocation sequence, so the pool
+  /// re-derives its state here.
+  template <typename LiveFn>
+  void reset_occupancy(LiveFn&& live) {
+    free_list_.clear();
+    free_mask_ = ZeroedArray<std::uint64_t>(free_mask_.size());
+    allocated_ = 0;
+    Pba top = pool_start_;  // one past the highest live block
+    for (Pba p = pool_start_; p < pool_start_ + pool_blocks_; ++p) {
+      if (live(p)) {
+        ++allocated_;
+        top = p + 1;
+      }
+    }
+    bump_ = top;
+    // Holes below the bump pointer become the free list; pushed in
+    // descending address order so pop_back() recycles ascending.
+    for (Pba p = top; p > pool_start_;) {
+      --p;
+      if (!live(p)) {
+        set_freed(static_cast<std::size_t>(p - pool_start_), true);
+        free_list_.push_back(p);
+      }
+    }
+  }
   std::uint64_t allocated() const { return allocated_; }
   std::uint64_t pool_blocks() const { return pool_blocks_; }
 
@@ -84,8 +108,8 @@ class BlockStore {
     /// Pool sizing as a fraction of the logical space.
     double pool_fraction = 0.25;
     /// Keep each live block's fingerprint (fingerprint_of, revalidation,
-    /// content-gone observers). Off: fingerprint_of is always null and
-    /// on_content_gone receives a null fingerprint.
+    /// the freed list's fingerprints). Off: fingerprint_of is always null
+    /// and freed blocks carry a zero fingerprint.
     bool fingerprints = true;
   };
 
@@ -190,8 +214,7 @@ class BlockStore {
   void discard(Lba lba);
 
   /// Run variant of discard: drops `n` sequential LBAs with one bounds
-  /// check (sequential internally — freeing one block can recycle into
-  /// nothing here, but the content-gone observers must fire in order).
+  /// check (sequential internally, so the freed list keeps LBA order).
   void discard_run(Lba lba0, std::uint64_t n);
 
   std::uint32_t refcount(Pba pba) const {
@@ -233,8 +256,8 @@ class BlockStore {
 
   // ---- crash recovery (fault/fsck.hpp drives these) -------------------
   /// Replays a journaled bind into a freshly constructed store: refcounts
-  /// and fingerprints are restored, but content-gone observers do not fire
-  /// and the pool allocator is not consulted (see finish_restore).
+  /// and fingerprints are restored, but nothing goes on the freed list and
+  /// the pool allocator is not consulted (see finish_restore).
   void restore_bind(Lba lba, Pba pba, const Fingerprint& fp);
   /// Replays a journaled unbind (discard).
   void restore_unbind(Lba lba);
@@ -242,11 +265,20 @@ class BlockStore {
   /// refcounts. Must be called once after the last restore_* call.
   void finish_restore();
 
-  /// Fired when a physical block's content is replaced or released; engines
-  /// use it to invalidate stale fingerprint-index entries and cached reads.
-  /// The fingerprint is the released content's, or null in a store that
-  /// keeps none.
-  std::function<void(Pba, const Fingerprint*)> on_content_gone;
+  /// A physical block whose content was released (its refcount reached
+  /// zero), with the fingerprint it held — copied at free time, because
+  /// the block can be reused for new content before anyone reads the list
+  /// (a zero fingerprint in a store that keeps none).
+  struct FreedBlock {
+    Pba pba;
+    Fingerprint fp;
+  };
+
+  /// Blocks released since the last clear_freed(), in free order. Engines
+  /// drop them from their caches (the index entry still naming the block,
+  /// the cached read of it) once per request; see DedupEngine.
+  std::span<const FreedBlock> freed() const { return freed_; }
+  void clear_freed() { freed_.clear(); }
 
  private:
   void unref(Pba pba);
@@ -277,9 +309,11 @@ class BlockStore {
   std::uint64_t live_physical_ = 0;
   std::uint64_t live_count_ = 0;
   ChunkCounters chunk_counters_;
+  /// See freed(). Its capacity reaches the most blocks one request frees.
+  std::vector<FreedBlock> freed_;
   MetadataJournal* journal_ = nullptr;
-  /// True while restore_* replays the journal: unref must not fire
-  /// observers or touch the pool (occupancy is rebuilt afterwards).
+  /// True while restore_* replays the journal: unref must not list the
+  /// block or touch the pool (occupancy is rebuilt afterwards).
   bool restoring_ = false;
 };
 

@@ -77,7 +77,7 @@ class OnDiskIndex {
   /// index_del, fsck's repair). Bloom bits are not cleared — subsequent
   /// lookups may pay a false-positive disk read, as in reality. A freed
   /// block's entry leaves through IndexCache::invalidate_if instead, in
-  /// the engine's probe of the block's release.
+  /// the engine's write tail (DedupEngine::drain_freed).
   void erase(const Fingerprint& fp);
 
   /// Attaches a write-ahead journal: inserts and erases are recorded as

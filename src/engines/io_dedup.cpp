@@ -1,5 +1,7 @@
 #include "engines/io_dedup.hpp"
 
+#include "common/digest.hpp"
+
 namespace pod {
 
 namespace {
@@ -15,6 +17,15 @@ IoDedupEngine::IoDedupEngine(Simulator& sim, Volume& volume, EngineConfig cfg)
   // The base read cache and the content cache would double-count memory;
   // disable the base cache.
   read_cache_.resize(0);
+}
+
+std::uint64_t IoDedupEngine::state_digest() const {
+  StateDigest d;
+  d.add(DedupEngine::state_digest());
+  d.add(content_cache_.state_digest());
+  d.add(content_hits_);
+  d.add(content_misses_);
+  return d.value();
 }
 
 DedupEngine::IoPlan IoDedupEngine::process_write(const IoRequest& req) {

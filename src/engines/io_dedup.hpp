@@ -24,6 +24,9 @@ class IoDedupEngine : public DedupEngine {
   std::uint64_t content_hits() const { return content_hits_; }
   std::uint64_t content_misses() const { return content_misses_; }
 
+  /// The base digest plus the content cache.
+  std::uint64_t state_digest() const override;
+
  protected:
   IoPlan process_write(const IoRequest& req) override;
   IoPlan process_read(const IoRequest& req) override;

@@ -130,18 +130,39 @@ TEST(BlockStore, RefcountDropsAndFrees) {
   EXPECT_EQ(*s.fingerprint_of(10), fp(6));
 }
 
-TEST(BlockStore, ContentGoneHookFires) {
+TEST(BlockStore, FreedListRecordsReleasedContent) {
   BlockStore s(small_cfg());
-  std::vector<std::pair<Pba, Fingerprint>> gone;
-  s.on_content_gone = [&](Pba p, const Fingerprint* f) {
-    ASSERT_NE(f, nullptr);
-    gone.emplace_back(p, *f);
-  };
   (void)s.place_write(10, fp(1));
+  EXPECT_TRUE(s.freed().empty());
   (void)s.place_write(10, fp(2));  // in-place overwrite releases fp(1)
-  ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(gone[0].first, 10u);
-  EXPECT_EQ(gone[0].second, fp(1));
+  // The block already holds the new content; the list kept the old one.
+  ASSERT_EQ(s.freed().size(), 1u);
+  EXPECT_EQ(s.freed()[0].pba, 10u);
+  EXPECT_EQ(s.freed()[0].fp, fp(1));
+  EXPECT_EQ(*s.fingerprint_of(10), fp(2));
+  // Releases accumulate in free order until the owner clears the list.
+  s.dedup_to(20, 10);
+  (void)s.place_write(30, fp(3));
+  s.dedup_to(30, 10);  // block 30 loses its only reference
+  s.discard(20);       // block 10 keeps LBAs 10 and 30
+  ASSERT_EQ(s.freed().size(), 2u);
+  EXPECT_EQ(s.freed()[1].pba, 30u);
+  EXPECT_EQ(s.freed()[1].fp, fp(3));
+  s.clear_freed();
+  EXPECT_TRUE(s.freed().empty());
+}
+
+TEST(BlockStore, RestoreListsNothing) {
+  BlockStore s(small_cfg());
+  s.restore_bind(10, 10, fp(1));
+  s.restore_bind(10, 10, fp(2));  // in-place replacement
+  s.restore_bind(20, 20, fp(3));
+  s.restore_bind(20, 10, fp(2));  // releases block 20
+  s.restore_unbind(10);
+  s.restore_unbind(20);           // releases block 10
+  s.finish_restore();
+  EXPECT_EQ(s.live_physical_blocks(), 0u);
+  EXPECT_TRUE(s.freed().empty());
 }
 
 TEST(BlockStore, WithoutFingerprintsKeepsNone) {
@@ -149,15 +170,13 @@ TEST(BlockStore, WithoutFingerprintsKeepsNone) {
   cfg.fingerprints = false;
   BlockStore s(cfg);
   EXPECT_FALSE(s.keeps_fingerprints());
-  std::vector<std::pair<Pba, const Fingerprint*>> gone;
-  s.on_content_gone = [&](Pba p, const Fingerprint* f) { gone.emplace_back(p, f); };
   (void)s.place_write(10, fp(1));
   EXPECT_EQ(s.refcount(10), 1u);
   EXPECT_EQ(s.fingerprint_of(10), nullptr);
   (void)s.place_write(10, fp(2));  // in-place overwrite releases block 10
-  ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(gone[0].first, 10u);
-  EXPECT_EQ(gone[0].second, nullptr);
+  ASSERT_EQ(s.freed().size(), 1u);
+  EXPECT_EQ(s.freed()[0].pba, 10u);
+  EXPECT_EQ(s.freed()[0].fp, Fingerprint{});
   EXPECT_EQ(s.refcount(10), 1u);
 }
 

@@ -263,10 +263,14 @@ void run_seed(int seed) {
   MetadataJournal journal;
   store.set_journal(&journal);
   w.index.set_journal(&journal);
-  // The engine's content-gone hook, mirrored into the model.
-  store.on_content_gone = [&](Pba pba, const Fingerprint* f) {
-    if (w.cache.invalidate_if(*f, pba)) journal.index_del(*f);
-    (void)m.content_gone(*f, pba);
+  // The engine's write tail, run after every store call and mirrored into
+  // the model: each released block leaves the index in free order.
+  const auto release_freed = [&] {
+    for (const BlockStore::FreedBlock& f : store.freed()) {
+      if (w.cache.invalidate_if(f.fp, f.pba)) journal.index_del(f.fp);
+      (void)m.content_gone(f.fp, f.pba);
+    }
+    store.clear_freed();
   };
 
   const auto key = [&] { return fp(rng.uniform(0, keys - 1)); };
@@ -317,6 +321,7 @@ void run_seed(int seed) {
           fps[i] = key();
           pbas[i] = store.place_write(first + i, fps[i]);
         }
+        release_freed();
         for (std::size_t i = 0; i < n; ++i) {
           const std::optional<Pba> flush = w.index.insert(fps[i], pbas[i]);
           ASSERT_EQ(flush.has_value(), m.put(fps[i], pbas[i]));
@@ -334,10 +339,12 @@ void run_seed(int seed) {
         if (it == m.disk.end()) break;
         const Lba target = lba();
         if (store.resolve(target) != it->second) store.dedup_to(target, it->second);
+        release_freed();
         break;
       }
       case 6:
         store.discard(lba());
+        release_freed();
         break;
       case 7: {  // a release at the stored PBA or at another block
         const Fingerprint k = key();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engines/engine.hpp"
+#include "engine_test_util.hpp"
 
 namespace pod {
 namespace {
@@ -12,6 +13,7 @@ TEST(EngineStats, DeltaSubtractsEveryCounter) {
   before.write_blocks = 30;
   before.read_blocks = 12;
   before.writes_eliminated = 4;
+  before.small_writes_eliminated = 3;
   before.chunks_deduped = 9;
   before.chunks_written = 21;
   before.category_counts[1] = 3;
@@ -25,6 +27,7 @@ TEST(EngineStats, DeltaSubtractsEveryCounter) {
   after.write_blocks += 300;
   after.read_blocks += 120;
   after.writes_eliminated += 40;
+  after.small_writes_eliminated += 25;
   after.chunks_deduped += 90;
   after.chunks_written += 210;
   after.category_counts[1] += 30;
@@ -38,6 +41,7 @@ TEST(EngineStats, DeltaSubtractsEveryCounter) {
   EXPECT_EQ(d.write_blocks, 300u);
   EXPECT_EQ(d.read_blocks, 120u);
   EXPECT_EQ(d.writes_eliminated, 40u);
+  EXPECT_EQ(d.small_writes_eliminated, 25u);
   EXPECT_EQ(d.chunks_deduped, 90u);
   EXPECT_EQ(d.chunks_written, 210u);
   EXPECT_EQ(d.category_counts[1], 30u);
@@ -45,6 +49,18 @@ TEST(EngineStats, DeltaSubtractsEveryCounter) {
   EXPECT_EQ(d.index_disk_reads, 20u);
   EXPECT_EQ(d.index_disk_writes, 10u);
   EXPECT_EQ(d.read_ops_issued, 70u);
+}
+
+TEST(EngineStats, SmallWritesEliminatedCountsWritesOfAtMostTwoBlocks) {
+  testutil::EngineHarness h(EngineKind::kSelectDedupe);
+  (void)h.write(0, {1, 2, 3, 4});
+  (void)h.write(100, {1});           // 1 block, eliminated: small
+  (void)h.write(200, {1, 2});        // 2 blocks, eliminated: small
+  (void)h.write(300, {1, 2, 3});     // 3 blocks, eliminated: large
+  (void)h.write(400, {9, 10});       // new content: written
+  const EngineStats& s = h.engine().stats();
+  EXPECT_EQ(s.writes_eliminated, 3u);
+  EXPECT_EQ(s.small_writes_eliminated, 2u);
 }
 
 TEST(EngineStats, RemovedWritePct) {

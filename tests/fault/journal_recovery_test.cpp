@@ -39,33 +39,64 @@ OnDiskIndex::Config index_config() {
 
 Fingerprint fp_of(std::uint64_t id) { return Fingerprint::of_prefix(id); }
 
+struct World {
+  BlockStore store;
+  IndexCache cache{8 * IndexCache::kEntryBytes};
+  OnDiskIndex index{index_config(), cache.table()};
+  MetadataJournal journal;
+
+  World() : store(store_config()) {
+    store.set_journal(&journal);
+    index.set_journal(&journal);
+  }
+
+  /// The engine's write tail, run after every store call: each released
+  /// block's index entry, if it still points there, leaves the index cache
+  /// and the disk in one probe, and the on-disk deletion is journaled.
+  void release_freed() {
+    for (const BlockStore::FreedBlock& f : store.freed())
+      if (cache.invalidate_if(f.fp, f.pba)) journal.index_del(f.fp);
+    store.clear_freed();
+  }
+};
+
 /// A deterministic metadata workload exercising every journaled mutation:
 /// unique writes (home + redirected), dedup remaps (which unref the old
 /// block), overwrites, and discards.
-void run_workload(BlockStore& store, OnDiskIndex& index) {
+void run_workload(World& w) {
+  BlockStore& store = w.store;
+  OnDiskIndex& index = w.index;
   // Unique content on LBAs 0..15.
   for (Lba lba = 0; lba < 16; ++lba) {
     const Pba target = store.place_write(lba, fp_of(100 + lba));
+    w.release_freed();
     (void)index.insert(fp_of(100 + lba), target);
   }
   // LBAs 16..23 duplicate 0..7 (refcounts climb to 2).
-  for (Lba lba = 16; lba < 24; ++lba) store.dedup_to(lba, store.resolve(lba - 16));
+  for (Lba lba = 16; lba < 24; ++lba) {
+    store.dedup_to(lba, store.resolve(lba - 16));
+    w.release_freed();
+  }
   // Overwrite half the shared originals: content must redirect to the pool
   // (home still referenced by the duplicate), old mapping unrefs.
   for (Lba lba = 0; lba < 4; ++lba) {
     const Pba target = store.place_write(lba, fp_of(200 + lba));
+    w.release_freed();
     (void)index.insert(fp_of(200 + lba), target);
   }
   // Dedup again onto redirected content.
   store.dedup_to(30, store.resolve(1));
+  w.release_freed();
   // Discards: one shared, one exclusive, one never-written (no-op).
   store.discard(16);
   store.discard(8);
   store.discard(50);
+  w.release_freed();
   // Index entry whose content is then replaced — a crash between the put
   // and the eventual del is the "stale entry" case fsck must repair.
   for (Lba lba = 9; lba < 12; ++lba) {
     const Pba target = store.place_write(lba, fp_of(300 + lba));
+    w.release_freed();
     (void)index.insert(fp_of(300 + lba), target);
   }
 }
@@ -85,27 +116,10 @@ struct RecoveredIndex {
   OnDiskIndex index{index_config(), cache.table()};
 };
 
-struct World {
-  BlockStore store;
-  IndexCache cache{8 * IndexCache::kEntryBytes};
-  OnDiskIndex index{index_config(), cache.table()};
-  MetadataJournal journal;
-
-  World() : store(store_config()) {
-    store.set_journal(&journal);
-    index.set_journal(&journal);
-    // The engine's content-gone hook: when a block's content is released,
-    // the entry still pointing at it leaves the index cache and the disk
-    // in one probe, and the on-disk deletion is journaled.
-    store.on_content_gone = [this](Pba pba, const Fingerprint* fp) {
-      if (cache.invalidate_if(*fp, pba)) journal.index_del(*fp);
-    };
-  }
-};
 
 TEST(JournalRecovery, FullJournalRestoresExactState) {
   World w;
-  run_workload(w.store, w.index);
+  run_workload(w);
   ASSERT_GT(w.journal.appended(), 0u);
   EXPECT_EQ(w.journal.lost(), 0u);
 
@@ -132,7 +146,7 @@ TEST(JournalRecovery, FullJournalRestoresExactState) {
 
 TEST(JournalRecovery, RecoveredPoolAcceptsNewWrites) {
   World w;
-  run_workload(w.store, w.index);
+  run_workload(w);
   BlockStore recovered(store_config());
   recover_from_journal(w.journal, recovered, nullptr);
 
@@ -148,14 +162,14 @@ TEST(JournalRecovery, RecoveredPoolAcceptsNewWrites) {
 TEST(JournalRecovery, EveryCrashPointRecoversConsistent) {
   // Total record count of the full run (the workload is deterministic).
   World full;
-  run_workload(full.store, full.index);
+  run_workload(full);
   const std::uint64_t total = full.journal.appended();
   ASSERT_GT(total, 20u);
 
   for (std::uint64_t crash = 0; crash <= total; ++crash) {
     World w;
     w.journal.set_crash_point(static_cast<std::int64_t>(crash));
-    run_workload(w.store, w.index);
+    run_workload(w);
     ASSERT_EQ(w.journal.appended(), total);
     ASSERT_EQ(w.journal.lost(), total - crash);
 
@@ -182,7 +196,7 @@ TEST(JournalRecovery, FsckDetectsRefcountDamage) {
   // table behind the store's back by binding an LBA to an unreferenced
   // pool block.
   World w;
-  run_workload(w.store, w.index);
+  run_workload(w);
   BlockStore recovered(store_config());
   recover_from_journal(w.journal, recovered, nullptr);
 
@@ -232,7 +246,7 @@ TEST(JournalRecovery, StaleIndexEntryIsRepairedNotFatal) {
 TEST(JournalRecovery, CrashPointZeroIsEmptyButConsistent) {
   World w;
   w.journal.set_crash_point(0);
-  run_workload(w.store, w.index);
+  run_workload(w);
   EXPECT_EQ(w.journal.records().size(), 0u);
   EXPECT_EQ(w.journal.lost(), w.journal.appended());
 

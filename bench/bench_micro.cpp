@@ -15,6 +15,7 @@
 #include "common/zipf.hpp"
 #include "dedup/categorizer.hpp"
 #include "dedup/chunker.hpp"
+#include "disk/disk.hpp"
 #include "disk/hdd_model.hpp"
 #include "hash/sha1.hpp"
 #include "hash/xx64.hpp"
@@ -279,12 +280,39 @@ void BM_HddServiceModel(benchmark::State& state) {
   std::uint64_t head = 0;
   for (auto _ : state) {
     const std::uint64_t block = rng.uniform(0, model.total_blocks() - 9);
-    const auto svc = model.service(head, block, 8, 12345678, false);
+    const std::uint64_t cylinder = model.cylinder_of(block);
+    const auto svc = model.service(head, cylinder, block, 8, 12345678, false);
     benchmark::DoNotOptimize(svc.total());
-    head = model.cylinder_of(block);
+    head = cylinder;
   }
 }
 BENCHMARK(BM_HddServiceModel);
+
+// One disk op's host round trip: submit (queue slot, cylinder, dispatch of
+// the next op), then the Simulator::step that runs its completion event and
+// fires its callback. Three ops stay queued ahead, so every step completes
+// one op and dispatches the next; one op per iteration.
+void BM_DiskOpRoundTrip(benchmark::State& state) {
+  Simulator sim;
+  HddGeometry g;
+  g.total_blocks = 1 << 20;
+  Disk disk(sim, HddModel(g, HddTiming{}));
+  Rng rng(7);
+  std::uint64_t completed = 0;
+  auto submit = [&] {
+    disk.submit(OpType::kRead, rng.uniform(0, g.total_blocks - 9), 8,
+                [&completed](IoStatus) { ++completed; });
+  };
+  for (int i = 0; i < 3; ++i) submit();
+  for (auto _ : state) {
+    submit();
+    sim.step();
+  }
+  sim.run();
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DiskOpRoundTrip);
 
 void BM_Raid5PlanSmallWrite(benchmark::State& state) {
   Simulator sim;
@@ -388,7 +416,7 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-// Raw event push/pop throughput at a steady queue depth — isolates the
+// Raw event push/run throughput at a steady queue depth — isolates the
 // binary-heap + pooled-slot event path from simulator bookkeeping.
 void BM_EventQueuePushPop(benchmark::State& state) {
   EventQueue q;
@@ -398,9 +426,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (int i = 0; i < depth; ++i)
     q.push(now + i, [&counter] { ++counter; });
   for (auto _ : state) {
-    auto [at, fn] = q.pop();
-    fn();
-    now = at;
+    now = q.run_next();
     q.push(now + depth, [&counter] { ++counter; });
   }
   benchmark::DoNotOptimize(counter);

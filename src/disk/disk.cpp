@@ -13,8 +13,7 @@ Disk::Disk(Simulator& sim, const HddModel& model, SchedulerKind scheduler,
            std::string name, int lane)
     : sim_(sim),
       model_(model),
-      queue_(make_scheduler(scheduler,
-                            [this](std::uint64_t b) { return model_.cylinder_of(b); })),
+      queue_(scheduler),
       name_(std::move(name)),
       lane_(lane) {}
 
@@ -38,11 +37,8 @@ void Disk::init_telemetry(Telemetry& t) {
                                   name_.c_str());
 }
 
-void Disk::submit(DiskOp op) {
-  POD_CHECK(op.nblocks > 0);
-  POD_CHECK(op.block + op.nblocks <= model_.total_blocks());
-  op.enqueue_time = sim_.now();
-  const double depth = static_cast<double>(queue_->size() + (busy_ ? 1 : 0));
+void Disk::note_arrival() {
+  const double depth = static_cast<double>(queue_length());
   stats_.queue_depth.add(depth);
   if (Telemetry* t = sim_.telemetry()) {
     if (!telem_.init) init_telemetry(*t);
@@ -51,33 +47,34 @@ void Disk::submit(DiskOp op) {
       telem_.trace->counter(kTracePidDisks, telem_.qd_counter_name.c_str(),
                             sim_.now(), depth + 1.0);
   }
-  queue_->push(std::move(op));
-  if (!busy_) dispatch_next();
 }
 
 void Disk::dispatch_next() {
   POD_CHECK(!busy_);
-  if (queue_->empty()) return;
+  if (queue_.empty()) return;
   busy_ = true;
-  in_service_ = queue_->pop(head_cylinder_);
-  DiskOp& op = in_service_;
+  in_service_ = queue_.pop(head_cylinder_);
+  const DiskOp& op = queue_.op(in_service_);
 
   if (fault_ != nullptr && fault_->disk_dead(fault_index_, sim_.now())) {
     // The device is gone: the controller returns an error without any
     // mechanical service. Head state and mechanical stats are untouched.
     ++fault_->stats().dead_disk_ops;
     sim_.schedule_after(us(50), [this]() {
-      DiskOp dead = std::move(in_service_);
+      DiskOp& dead = queue_.op(in_service_);
+      const SimTime enqueued = dead.enqueue_time;
+      IoDoneFn done = std::move(dead.done);
+      queue_.release(in_service_);
       busy_ = false;
       if (LatencyAnatomy* a = sim_.anatomy()) {
         // The controller error-return is pure fault overhead: no mechanics
         // were exercised, the rest of the op's life was queueing.
         LatBreakdown b;
-        b[LatComp::kQueueWait] = (sim_.now() - us(50)) - dead.enqueue_time;
+        b[LatComp::kQueueWait] = (sim_.now() - us(50)) - enqueued;
         b[LatComp::kFaultRetry] = us(50);
         a->publish_disk_op(b);
       }
-      if (dead.done) dead.done(IoStatus::kFailedDevice);
+      if (done) done(IoStatus::kFailedDevice);
       if (!busy_) dispatch_next();
     });
     return;
@@ -91,17 +88,17 @@ void Disk::dispatch_next() {
       op.block == next_sequential_block_ &&
       sim_.now() - last_completion_ <= model_.rotation_period();
 
-  const std::uint64_t target_cyl = model_.cylinder_of(op.block);
   const std::uint64_t seek_cyls =
       sequential ? 0
-                 : (target_cyl > head_cylinder_ ? target_cyl - head_cylinder_
-                                                : head_cylinder_ - target_cyl);
+                 : (op.cylinder > head_cylinder_ ? op.cylinder - head_cylinder_
+                                                 : head_cylinder_ - op.cylinder);
   stats_.seek_cylinders.add(static_cast<double>(seek_cyls));
   if (telem_.init)
     telem_.seek_cylinders->add(static_cast<double>(seek_cyls));
 
   const HddModel::Service svc =
-      model_.service(head_cylinder_, op.block, op.nblocks, sim_.now(), sequential);
+      model_.service(head_cylinder_, op.cylinder, op.block, op.nblocks,
+                     sim_.now(), sequential);
   if (sequential) ++stats_.sequential_hits;
 
   Duration service = svc.total();
@@ -140,8 +137,8 @@ void Disk::dispatch_next() {
 
   stats_.busy_time += service;
 
-  // The op stays in the in_service_ slot until completion; the event
-  // carries only the timing split (fits InlineEvent's inline buffer).
+  // The op stays in its queue slot until completion; the event carries
+  // only the timing split (fits InlineEvent's inline buffer).
   sim_.schedule_after(service, [this, svc, service, status]() {
     complete(svc, service, status);
   });
@@ -149,7 +146,7 @@ void Disk::dispatch_next() {
 
 void Disk::complete(const HddModel::Service& svc, Duration service,
                     IoStatus status) {
-  DiskOp op = std::move(in_service_);
+  DiskOp& op = queue_.op(in_service_);
   head_cylinder_ = model_.cylinder_of(op.block + op.nblocks - 1);
   next_sequential_block_ = op.block + op.nblocks;
   if (next_sequential_block_ >= model_.total_blocks())
@@ -163,7 +160,7 @@ void Disk::complete(const HddModel::Service& svc, Duration service,
     ++stats_.writes;
     stats_.blocks_written += op.nblocks;
   }
-  stats_.op_latency.add(sim_.now() - op.enqueue_time);
+  stats_.op_latency.add(static_cast<double>(sim_.now() - op.enqueue_time));
 
   if (telem_.init && telem_.trace != nullptr) {
     // The service period [dispatch, completion] — per-disk lanes carry only
@@ -180,7 +177,7 @@ void Disk::complete(const HddModel::Service& svc, Duration service,
          {"rotation_us", to_us(svc.rotation)}});
     telem_.trace->counter(
         kTracePidDisks, telem_.qd_counter_name.c_str(), sim_.now(),
-        static_cast<double>(queue_->size()));
+        static_cast<double>(queue_.size()));
   }
 
   busy_ = false;
@@ -198,7 +195,9 @@ void Disk::complete(const HddModel::Service& svc, Duration service,
     b[LatComp::kFaultRetry] = service - svc.total();
     a->publish_disk_op(b);
   }
-  if (op.done) op.done(status);
+  IoDoneFn done = std::move(op.done);
+  queue_.release(in_service_);
+  if (done) done(status);
   // The completion callback may have submitted more work already (in which
   // case submit() found busy_ == false and dispatched); only dispatch here
   // if still idle.

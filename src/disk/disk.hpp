@@ -2,9 +2,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 
+#include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "disk/hdd_model.hpp"
@@ -29,12 +30,14 @@ struct DiskStats {
   /// Head movement per dispatched op, in cylinders (0 for sequential
   /// continuations).
   OnlineStats seek_cylinders;
-  /// Per-op total latency (wait + service).
-  LatencyRecorder op_latency;
+  /// Per-op total latency (wait + service), in ns: count, mean and max
+  /// only (no per-op samples are kept).
+  OnlineStats op_latency;
 };
 
-/// One disk services one op at a time; waiting ops sit in the scheduler
-/// queue. Completion callbacks fire in simulated time.
+/// One disk services one op at a time; waiting ops sit in the queue. An op
+/// is built in its queue slot at submit and stays there until completion,
+/// when its callback is moved out once and fired in simulated time.
 class Disk {
  public:
   /// `lane` is the disk's trace-event tid under the "disks" process (-1 =
@@ -43,8 +46,25 @@ class Disk {
        SchedulerKind scheduler = SchedulerKind::kFcfs, std::string name = "disk",
        int lane = -1);
 
-  /// Enqueues an op. The op's `done` callback fires at completion.
-  void submit(DiskOp op);
+  /// Enqueues an op on disk-local blocks [block, block + nblocks); `done`
+  /// (anything an IoDoneFn holds) is built in the op's queue slot and fires
+  /// at completion with the op's outcome.
+  template <typename F = IoDoneFn>
+  void submit(OpType type, std::uint64_t block, std::uint64_t nblocks,
+              F&& done = IoDoneFn{}) {
+    POD_CHECK(nblocks > 0);
+    POD_CHECK(block + nblocks <= model_.total_blocks());
+    note_arrival();
+    const std::uint32_t slot = queue_.push();
+    DiskOp& op = queue_.op(slot);
+    op.type = type;
+    op.block = block;
+    op.nblocks = nblocks;
+    op.cylinder = model_.cylinder_of(block);
+    op.enqueue_time = sim_.now();
+    op.done.emplace(std::forward<F>(done));
+    if (!busy_) dispatch_next();
+  }
 
   /// Attaches a fault injector; `index` is this disk's slot in the array
   /// (selects the injector's per-disk decision stream). Null detaches —
@@ -56,14 +76,16 @@ class Disk {
   }
 
   std::uint64_t total_blocks() const { return model_.total_blocks(); }
-  std::size_t queue_length() const { return queue_->size() + (busy_ ? 1 : 0); }
+  std::size_t queue_length() const { return queue_.size() + (busy_ ? 1 : 0); }
   const DiskStats& stats() const { return stats_; }
   const HddModel& model() const { return model_; }
   const std::string& name() const { return name_; }
 
  private:
+  /// Records the queue depth an arriving op sees (excluding itself).
+  void note_arrival();
   void dispatch_next();
-  /// Completes the op held in `in_service_`. `service` is the total busy
+  /// Completes the op in slot `in_service_`. `service` is the total busy
   /// time charged (mechanical service plus any injected retry rounds);
   /// `svc` carries the mechanical split for traces.
   void complete(const HddModel::Service& svc, Duration service,
@@ -77,7 +99,7 @@ class Disk {
 
   Simulator& sim_;
   HddModel model_;
-  std::unique_ptr<IoScheduler> queue_;
+  DiskQueue queue_;
   std::string name_;
   int lane_ = -1;
   FaultInjector* fault_ = nullptr;
@@ -95,10 +117,9 @@ class Disk {
   Telem telem_;
 
   bool busy_ = false;
-  /// The op currently in service (valid while busy_). One op is in service
-  /// at a time, so a member slot — not a heap box moved into the completion
-  /// event — keeps dispatch allocation-free.
-  DiskOp in_service_;
+  /// Queue slot of the op in service (valid while busy_); the completion
+  /// event carries only the timing split.
+  std::uint32_t in_service_ = 0;
   std::uint64_t head_cylinder_ = 0;
   std::uint64_t next_sequential_block_ = ~std::uint64_t{0};
   SimTime last_completion_ = 0;

@@ -59,9 +59,12 @@ std::uint32_t HddModel::blocks_per_track(std::uint64_t cylinder) const {
   return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(bpt));
 }
 
-double HddModel::angle_of(std::uint64_t block) const {
-  const std::uint32_t bpt = blocks_per_track(cylinder_of(block));
+double HddModel::angle_in_track(std::uint64_t block, std::uint32_t bpt) {
   return static_cast<double>(block % bpt) / static_cast<double>(bpt);
+}
+
+double HddModel::angle_of(std::uint64_t block) const {
+  return angle_in_track(block, blocks_per_track(cylinder_of(block)));
 }
 
 Duration HddModel::seek_time(std::uint64_t from_cyl, std::uint64_t to_cyl) const {
@@ -85,28 +88,34 @@ Duration HddModel::rotational_delay(double target_angle, SimTime at) const {
   return static_cast<Duration>(delta * static_cast<double>(rotation_period_));
 }
 
-Duration HddModel::transfer_time(std::uint64_t block, std::uint64_t blocks) const {
-  const std::uint32_t bpt = blocks_per_track(cylinder_of(block));
+Duration HddModel::transfer_at_density(std::uint32_t bpt,
+                                       std::uint64_t blocks) const {
   const double per_block =
       static_cast<double>(rotation_period_) / static_cast<double>(bpt);
   return static_cast<Duration>(per_block * static_cast<double>(blocks));
 }
 
+Duration HddModel::transfer_time(std::uint64_t block, std::uint64_t blocks) const {
+  return transfer_at_density(blocks_per_track(cylinder_of(block)), blocks);
+}
+
 HddModel::Service HddModel::service(std::uint64_t head_cylinder,
-                                    std::uint64_t block, std::uint64_t blocks,
-                                    SimTime at, bool sequential_hint) const {
+                                    std::uint64_t cylinder, std::uint64_t block,
+                                    std::uint64_t blocks, SimTime at,
+                                    bool sequential_hint) const {
   POD_CHECK(blocks > 0);
   POD_CHECK(block + blocks <= geometry_.total_blocks);
+  POD_DCHECK(cylinder == cylinder_of(block));
+  const std::uint32_t bpt = blocks_per_track(cylinder);
   Service s{};
   s.overhead = timing_.controller_overhead;
-  s.transfer = transfer_time(block, blocks);
+  s.transfer = transfer_at_density(bpt, blocks);
   if (sequential_hint) {
     // Streaming continuation: head already positioned, media flows.
     return s;
   }
-  const std::uint64_t target_cyl = cylinder_of(block);
-  s.seek = seek_time(head_cylinder, target_cyl);
-  s.rotation = rotational_delay(angle_of(block), at + s.seek);
+  s.seek = seek_time(head_cylinder, cylinder);
+  s.rotation = rotational_delay(angle_in_track(block, bpt), at + s.seek);
   return s;
 }
 

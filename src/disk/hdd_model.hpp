@@ -90,15 +90,24 @@ class HddModel {
 
   /// Computes the service components for an op at `block`..`block+blocks`
   /// when the head currently sits at `head_cylinder` and dispatch happens at
-  /// absolute time `at`. `sequential_hint` marks an op that continues the
-  /// immediately preceding transfer (no seek, no rotation).
-  Service service(std::uint64_t head_cylinder, std::uint64_t block,
-                  std::uint64_t blocks, SimTime at, bool sequential_hint) const;
+  /// absolute time `at`. `cylinder` is cylinder_of(block), which the disk
+  /// computes once when the op arrives. `sequential_hint` marks an op that
+  /// continues the immediately preceding transfer (no seek, no rotation).
+  /// Bit-identical to composing transfer_time, seek_time and
+  /// rotational_delay(angle_of(block), at + seek).
+  Service service(std::uint64_t head_cylinder, std::uint64_t cylinder,
+                  std::uint64_t block, std::uint64_t blocks, SimTime at,
+                  bool sequential_hint) const;
 
   const HddGeometry& geometry() const { return geometry_; }
   const HddTiming& timing() const { return timing_; }
 
  private:
+  /// The shared halves of angle_of/transfer_time and service, given the
+  /// block's track density.
+  static double angle_in_track(std::uint64_t block, std::uint32_t bpt);
+  Duration transfer_at_density(std::uint32_t bpt, std::uint64_t blocks) const;
+
   HddGeometry geometry_;
   HddTiming timing_;
   std::uint64_t num_cylinders_;

@@ -1,8 +1,5 @@
 #include "disk/io_scheduler.hpp"
 
-#include <algorithm>
-#include <list>
-
 #include "common/check.hpp"
 
 namespace pod {
@@ -16,122 +13,76 @@ const char* to_string(SchedulerKind k) {
   return "?";
 }
 
-namespace {
-
-class FcfsScheduler final : public IoScheduler {
- public:
-  void push(DiskOp op) override { queue_.push_back(std::move(op)); }
-
-  DiskOp pop(std::uint64_t) override {
-    POD_CHECK(!queue_.empty());
-    DiskOp op = std::move(queue_.front());
-    queue_.pop_front();
-    return op;
+std::uint32_t DiskQueue::push() {
+  std::uint32_t s;
+  if (free_ != kNone) {
+    s = free_;
+    free_ = slots_[s].next;
+  } else {
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
+  slots_[s].next = kNone;
+  if (tail_ == kNone)
+    head_ = s;
+  else
+    slots_[tail_].next = s;
+  tail_ = s;
+  ++waiting_;
+  return s;
+}
 
-  bool empty() const override { return queue_.empty(); }
-  std::size_t size() const override { return queue_.size(); }
-
- private:
-  std::deque<DiskOp> queue_;
-};
-
-class SstfScheduler final : public IoScheduler {
- public:
-  explicit SstfScheduler(std::function<std::uint64_t(std::uint64_t)> cyl_of)
-      : cyl_of_(std::move(cyl_of)) {}
-
-  void push(DiskOp op) override { queue_.push_back(std::move(op)); }
-
-  DiskOp pop(std::uint64_t head_cylinder) override {
-    POD_CHECK(!queue_.empty());
-    auto best = queue_.begin();
-    std::uint64_t best_dist = distance(head_cylinder, best->block);
-    for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-      const std::uint64_t d = distance(head_cylinder, it->block);
-      if (d < best_dist) {
-        best = it;
-        best_dist = d;
-      }
-    }
-    DiskOp op = std::move(*best);
-    queue_.erase(best);
-    return op;
-  }
-
-  bool empty() const override { return queue_.empty(); }
-  std::size_t size() const override { return queue_.size(); }
-
- private:
-  std::uint64_t distance(std::uint64_t head_cyl, std::uint64_t block) const {
-    const std::uint64_t c = cyl_of_(block);
-    return c > head_cyl ? c - head_cyl : head_cyl - c;
-  }
-
-  std::function<std::uint64_t(std::uint64_t)> cyl_of_;
-  std::list<DiskOp> queue_;
-};
-
-/// SCAN / elevator: services ops in the current sweep direction, reversing
-/// at the extremes.
-class ScanScheduler final : public IoScheduler {
- public:
-  explicit ScanScheduler(std::function<std::uint64_t(std::uint64_t)> cyl_of)
-      : cyl_of_(std::move(cyl_of)) {}
-
-  void push(DiskOp op) override { queue_.push_back(std::move(op)); }
-
-  DiskOp pop(std::uint64_t head_cylinder) override {
-    POD_CHECK(!queue_.empty());
-    auto pick = [&](bool upward) {
-      auto best = queue_.end();
-      std::uint64_t best_dist = ~std::uint64_t{0};
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const std::uint64_t c = cyl_of_(it->block);
-        const bool eligible = upward ? c >= head_cylinder : c <= head_cylinder;
-        if (!eligible) continue;
-        const std::uint64_t d = upward ? c - head_cylinder : head_cylinder - c;
-        if (d < best_dist) {
-          best = it;
-          best_dist = d;
-        }
-      }
-      return best;
-    };
-    auto best = pick(upward_);
-    if (best == queue_.end()) {
-      upward_ = !upward_;
-      best = pick(upward_);
-    }
-    POD_CHECK(best != queue_.end());
-    DiskOp op = std::move(*best);
-    queue_.erase(best);
-    return op;
-  }
-
-  bool empty() const override { return queue_.empty(); }
-  std::size_t size() const override { return queue_.size(); }
-
- private:
-  std::function<std::uint64_t(std::uint64_t)> cyl_of_;
-  std::list<DiskOp> queue_;
-  bool upward_ = true;
-};
-
-}  // namespace
-
-std::unique_ptr<IoScheduler> make_scheduler(
-    SchedulerKind kind,
-    std::function<std::uint64_t(std::uint64_t block)> cylinder_of) {
-  switch (kind) {
+std::uint64_t DiskQueue::rank(std::uint64_t c, std::uint64_t head) const {
+  switch (kind_) {
     case SchedulerKind::kFcfs:
-      return std::make_unique<FcfsScheduler>();
+      return 0;
     case SchedulerKind::kSstf:
-      return std::make_unique<SstfScheduler>(std::move(cylinder_of));
+      return c > head ? c - head : head - c;
     case SchedulerKind::kScan:
-      return std::make_unique<ScanScheduler>(std::move(cylinder_of));
+      if (upward_) return c >= head ? c - head : ~std::uint64_t{0};
+      return c <= head ? head - c : ~std::uint64_t{0};
   }
-  POD_CHECK(false);
+  return 0;
+}
+
+std::uint32_t DiskQueue::pick(std::uint64_t head, std::uint32_t& prev) const {
+  std::uint32_t best = kNone;
+  std::uint64_t best_rank = ~std::uint64_t{0};
+  for (std::uint32_t p = kNone, s = head_; s != kNone; p = s, s = slots_[s].next) {
+    const std::uint64_t r = rank(slots_[s].op.cylinder, head);
+    if (r < best_rank) {
+      best = s;
+      best_rank = r;
+      prev = p;
+      if (r == 0) break;  // nothing later can rank lower
+    }
+  }
+  return best;
+}
+
+std::uint32_t DiskQueue::pop(std::uint64_t head_cylinder) {
+  POD_CHECK(!empty());
+  std::uint32_t prev = kNone;
+  std::uint32_t s = pick(head_cylinder, prev);
+  if (s == kNone) {
+    upward_ = !upward_;
+    s = pick(head_cylinder, prev);
+  }
+  POD_CHECK(s != kNone);
+  const std::uint32_t next = slots_[s].next;
+  if (prev == kNone)
+    head_ = next;
+  else
+    slots_[prev].next = next;
+  if (tail_ == s) tail_ = prev;
+  --waiting_;
+  return s;
+}
+
+void DiskQueue::release(std::uint32_t slot) {
+  POD_DCHECK(!slots_[slot].op.done);
+  slots_[slot].next = free_;
+  free_ = slot;
 }
 
 }  // namespace pod

@@ -78,12 +78,10 @@ void DiskArray::issue_fragments(std::span<const DiskFragment> frags,
                                 OpType type, TwoPhaseState* st, bool phase1) {
   for (const DiskFragment& f : frags) {
     POD_CHECK(f.disk < disks_.size());
-    DiskOp op;
-    op.type = type;
-    op.block = f.block;
-    op.nblocks = f.nblocks;
-    op.done = [this, st, phase1](IoStatus s) { fragment_done(st, s, phase1); };
-    disks_[f.disk]->submit(std::move(op));
+    disks_[f.disk]->submit(type, f.block, f.nblocks,
+                           [this, st, phase1](IoStatus s) {
+                             fragment_done(st, s, phase1);
+                           });
   }
 }
 

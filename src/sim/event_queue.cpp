@@ -4,16 +4,16 @@
 
 namespace pod {
 
-void EventQueue::push(SimTime at, EventFn fn) {
-  std::uint32_t slot;
+InlineEvent* EventQueue::acquire_slot() {
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    InlineEvent* slot = free_slots_.back();
     free_slots_.pop_back();
-    pool_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(std::move(fn));
+    return slot;
   }
+  return &pool_.emplace_back();
+}
+
+void EventQueue::push_entry(SimTime at, InlineEvent* slot) {
   heap_.push_back(HeapEntry{at, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   ++pushes_;
@@ -25,15 +25,18 @@ SimTime EventQueue::next_time() const {
   return heap_.front().at;
 }
 
-std::pair<SimTime, EventFn> EventQueue::pop() {
+SimTime EventQueue::run_next() {
   POD_CHECK(!heap_.empty());
   const HeapEntry top = heap_.front();
-  std::pair<SimTime, EventFn> out{top.at, std::move(pool_[top.slot])};
-  free_slots_.push_back(top.slot);
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  return out;
+  // The heap is consistent before the callback runs, so it may push freely;
+  // its own slot is not on the freelist until it has returned.
+  (*top.slot)();
+  top.slot->reset();
+  free_slots_.push_back(top.slot);
+  return top.at;
 }
 
 void EventQueue::clear() {

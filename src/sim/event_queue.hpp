@@ -3,29 +3,43 @@
 // Ties are broken by insertion order so simulations are fully deterministic.
 //
 // Layout: the heap itself orders trivially-copyable 24-byte HeapEntry
-// records (time, sequence, slot index); the callables live in a pool of
+// records (time, sequence, slot pointer); the callables live in a pool of
 // small-buffer-optimized InlineEvent slots recycled through a freelist.
 // Sift operations therefore move plain integers — never callables — and a
-// steady-state push/pop cycle performs zero heap allocations. This replaces
-// the old std::priority_queue<Entry> + std::function design, which paid a
-// malloc per event and needed a const_cast to move the callable out of
-// top().
+// steady-state push/run cycle performs zero heap allocations.
+//
+// Each event is built in its pool slot by push() and invoked there by
+// run_next(), so a callable is never moved after it is scheduled. The pool
+// is a std::deque that only grows at the back, so its slots never move: a
+// running callback may schedule any number of events (growing the pool)
+// while its own slot stays put, and that slot returns to the freelist only
+// after it returns.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "sim/inline_event.hpp"
 
 namespace pod {
 
-using EventFn = InlineEvent;
+/// Simulator event callable. The largest scheduler today is the engine
+/// write-path continuation (~80 bytes of captures); 88 covers it with a
+/// little headroom while keeping a pooled slot close to two cache lines.
+using InlineEvent = InlineFn<void(), 88>;
 
 class EventQueue {
  public:
-  void push(SimTime at, EventFn fn);
+  /// Schedules `fn` at `at`, building it in its pool slot.
+  template <typename F>
+  void push(SimTime at, F&& fn) {
+    InlineEvent* slot = acquire_slot();
+    slot->emplace(std::forward<F>(fn));
+    push_entry(at, slot);
+  }
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
@@ -37,8 +51,9 @@ class EventQueue {
   /// actually needed (streaming admission keeps this at O(in-flight)).
   std::size_t peak_size() const { return peak_size_; }
 
-  /// Pops and returns the earliest event. Requires !empty().
-  std::pair<SimTime, EventFn> pop();
+  /// Removes the earliest event, invokes it in its slot and returns its
+  /// time. Requires !empty().
+  SimTime run_next();
 
   void clear();
 
@@ -46,7 +61,7 @@ class EventQueue {
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    InlineEvent* slot;
   };
 
   /// True when `a` fires strictly before `b` (earlier time, FIFO on ties).
@@ -55,12 +70,14 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  InlineEvent* acquire_slot();
+  void push_entry(SimTime at, InlineEvent* slot);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
   std::vector<HeapEntry> heap_;
-  std::vector<InlineEvent> pool_;
-  std::vector<std::uint32_t> free_slots_;
+  std::deque<InlineEvent> pool_;
+  std::vector<InlineEvent*> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t pushes_ = 0;
   std::size_t peak_size_ = 0;

@@ -4,23 +4,13 @@
 
 namespace pod {
 
-void Simulator::schedule_at(SimTime at, EventFn fn) {
-  POD_CHECK(at >= now_);
-  events_.push(at, std::move(fn));
-}
-
-void Simulator::schedule_after(Duration delay, EventFn fn) {
-  POD_CHECK(delay >= 0);
-  events_.push(now_ + delay, std::move(fn));
-}
-
 bool Simulator::step() {
   if (events_.empty()) return false;
-  auto [at, fn] = events_.pop();
+  const SimTime at = events_.next_time();
   POD_DCHECK(at >= now_);
   now_ = at;
   ++events_executed_;
-  fn();
+  events_.run_next();
   return true;
 }
 

@@ -7,6 +7,9 @@
 // seconds.
 #pragma once
 
+#include <utility>
+
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/event_queue.hpp"
 
@@ -19,11 +22,20 @@ class Simulator {
  public:
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute virtual time `at` (>= now()).
-  void schedule_at(SimTime at, EventFn fn);
+  /// Schedules `fn` at absolute virtual time `at` (>= now()). The callable
+  /// is built directly in its event-queue slot.
+  template <typename F>
+  void schedule_at(SimTime at, F&& fn) {
+    POD_CHECK(at >= now_);
+    events_.push(at, std::forward<F>(fn));
+  }
 
   /// Schedules `fn` after `delay` nanoseconds of virtual time.
-  void schedule_after(Duration delay, EventFn fn);
+  template <typename F>
+  void schedule_after(Duration delay, F&& fn) {
+    POD_CHECK(delay >= 0);
+    events_.push(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Runs until the event queue is empty.
   void run();

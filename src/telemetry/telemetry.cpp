@@ -63,14 +63,24 @@ std::string telemetry_run_path(const std::string& base, std::uint64_t seq,
                     (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
     clean.push_back(ok ? c : '-');
   }
-  const std::string infix = "." + std::to_string(seq) + "-" + clean;
+  const std::string seq_str = std::to_string(seq);
   // Insert before the extension; paths like "dir/name" (no dot after the
   // last separator) just get the infix appended.
   const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
+  std::size_t dot = base.find_last_of('.');
   if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + infix;
-  return base.substr(0, dot) + infix + base.substr(dot);
+    dot = base.size();
+  // reserve and += rather than an operator+ chain, which trips GCC 12's
+  // -Wrestrict false positive under LTO.
+  std::string out;
+  out.reserve(base.size() + seq_str.size() + clean.size() + 2);
+  out.append(base, 0, dot);
+  out += '.';
+  out += seq_str;
+  out += '-';
+  out += clean;
+  out.append(base, dot, std::string::npos);
+  return out;
 }
 
 namespace {

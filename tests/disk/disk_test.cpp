@@ -17,12 +17,7 @@ TEST(Disk, CompletesSingleOp) {
   Simulator sim;
   Disk disk(sim, small_model());
   bool done = false;
-  DiskOp op;
-  op.type = OpType::kRead;
-  op.block = 1000;
-  op.nblocks = 1;
-  op.done = [&](IoStatus) { done = true; };
-  disk.submit(std::move(op));
+  disk.submit(OpType::kRead, 1000, 1, [&](IoStatus) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_GT(sim.now(), 0);
@@ -33,10 +28,7 @@ TEST(Disk, CompletesSingleOp) {
 TEST(Disk, ServiceTimeIsPositiveAndBounded) {
   Simulator sim;
   Disk disk(sim, small_model());
-  DiskOp op;
-  op.block = disk.total_blocks() / 2;
-  op.nblocks = 1;
-  disk.submit(std::move(op));
+  disk.submit(OpType::kRead, disk.total_blocks() / 2, 1);
   sim.run();
   // One random 4KB op: bounded by full seek + rotation + overhead.
   EXPECT_LT(sim.now(), ms(40));
@@ -48,11 +40,8 @@ TEST(Disk, QueueSerializesOps) {
   Disk disk(sim, small_model());
   std::vector<SimTime> completions;
   for (int i = 0; i < 4; ++i) {
-    DiskOp op;
-    op.block = static_cast<std::uint64_t>(i) * 100000;
-    op.nblocks = 1;
-    op.done = [&](IoStatus) { completions.push_back(sim.now()); };
-    disk.submit(std::move(op));
+    disk.submit(OpType::kRead, static_cast<std::uint64_t>(i) * 100000, 1,
+                [&](IoStatus) { completions.push_back(sim.now()); });
   }
   EXPECT_EQ(disk.queue_length(), 4u);
   sim.run();
@@ -66,20 +55,15 @@ TEST(Disk, SequentialOpsFasterThanRandom) {
   Simulator seq_sim;
   Disk seq_disk(seq_sim, small_model());
   for (int i = 0; i < 16; ++i) {
-    DiskOp op;
-    op.block = 5000 + static_cast<std::uint64_t>(i) * 8;
-    op.nblocks = 8;
-    seq_disk.submit(std::move(op));
+    seq_disk.submit(OpType::kRead, 5000 + static_cast<std::uint64_t>(i) * 8, 8);
   }
   seq_sim.run();
 
   Simulator rnd_sim;
   Disk rnd_disk(rnd_sim, small_model());
   for (int i = 0; i < 16; ++i) {
-    DiskOp op;
-    op.block = (static_cast<std::uint64_t>(i) * 7919 * 131) % (1 << 19);
-    op.nblocks = 8;
-    rnd_disk.submit(std::move(op));
+    rnd_disk.submit(OpType::kRead,
+                    (static_cast<std::uint64_t>(i) * 7919 * 131) % (1 << 19), 8);
   }
   rnd_sim.run();
 
@@ -90,16 +74,8 @@ TEST(Disk, SequentialOpsFasterThanRandom) {
 TEST(Disk, StatsTrackReadsAndWrites) {
   Simulator sim;
   Disk disk(sim, small_model());
-  DiskOp r;
-  r.type = OpType::kRead;
-  r.block = 10;
-  r.nblocks = 4;
-  disk.submit(std::move(r));
-  DiskOp w;
-  w.type = OpType::kWrite;
-  w.block = 100;
-  w.nblocks = 2;
-  disk.submit(std::move(w));
+  disk.submit(OpType::kRead, 10, 4);
+  disk.submit(OpType::kWrite, 100, 2);
   sim.run();
   EXPECT_EQ(disk.stats().reads, 1u);
   EXPECT_EQ(disk.stats().writes, 1u);
@@ -113,18 +89,10 @@ TEST(Disk, CompletionCanSubmitMoreWork) {
   Simulator sim;
   Disk disk(sim, small_model());
   int completed = 0;
-  DiskOp first;
-  first.block = 0;
-  first.nblocks = 1;
-  first.done = [&](IoStatus) {
+  disk.submit(OpType::kRead, 0, 1, [&](IoStatus) {
     ++completed;
-    DiskOp second;
-    second.block = 8;
-    second.nblocks = 1;
-    second.done = [&](IoStatus) { ++completed; };
-    disk.submit(std::move(second));
-  };
-  disk.submit(std::move(first));
+    disk.submit(OpType::kRead, 8, 1, [&](IoStatus) { ++completed; });
+  });
   sim.run();
   EXPECT_EQ(completed, 2);
 }
@@ -133,10 +101,7 @@ TEST(Disk, QueueDepthObserved) {
   Simulator sim;
   Disk disk(sim, small_model());
   for (int i = 0; i < 8; ++i) {
-    DiskOp op;
-    op.block = static_cast<std::uint64_t>(i) * 1024;
-    op.nblocks = 1;
-    disk.submit(std::move(op));
+    disk.submit(OpType::kRead, static_cast<std::uint64_t>(i) * 1024, 1);
   }
   sim.run();
   // Depth samples: 0,1,2,...,7 at enqueue times.
@@ -147,10 +112,7 @@ TEST(Disk, QueueDepthObserved) {
 TEST(DiskDeathTest, RejectsOutOfRangeOp) {
   Simulator sim;
   Disk disk(sim, small_model());
-  DiskOp op;
-  op.block = disk.total_blocks();
-  op.nblocks = 1;
-  EXPECT_DEATH(disk.submit(std::move(op)), "POD_CHECK");
+  EXPECT_DEATH(disk.submit(OpType::kRead, disk.total_blocks(), 1), "POD_CHECK");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace pod {
 namespace {
 
@@ -102,8 +104,9 @@ TEST(HddModel, TransferRateRealistic) {
 
 TEST(HddModel, ServiceSequentialSkipsSeekAndRotation) {
   HddModel m;
-  const auto s = m.service(/*head=*/5, /*block=*/12345, /*blocks=*/8,
-                           /*at=*/ms(100), /*sequential_hint=*/true);
+  const auto s = m.service(/*head=*/5, m.cylinder_of(12345), /*block=*/12345,
+                           /*blocks=*/8, /*at=*/ms(100),
+                           /*sequential_hint=*/true);
   EXPECT_EQ(s.seek, 0);
   EXPECT_EQ(s.rotation, 0);
   EXPECT_GT(s.transfer, 0);
@@ -113,7 +116,8 @@ TEST(HddModel, ServiceSequentialSkipsSeekAndRotation) {
 TEST(HddModel, ServiceRandomIncludesAllComponents) {
   HddModel m;
   const std::uint64_t far_block = m.total_blocks() - 100;
-  const auto s = m.service(0, far_block, 1, ms(1), false);
+  const auto s = m.service(0, m.cylinder_of(far_block), far_block, 1, ms(1),
+                           false);
   EXPECT_GT(s.seek, 0);
   EXPECT_GE(s.rotation, 0);
   EXPECT_GT(s.transfer, 0);
@@ -124,15 +128,61 @@ TEST(HddModel, TypicalRandomReadLatencyRealistic) {
   HddModel m;
   // A random 4KB op across a third of the disk: seek + ~half rotation +
   // tiny transfer. Expect single-digit-to-20 ms.
-  const auto s = m.service(0, m.total_blocks() / 3, 1, ms(7), false);
+  const std::uint64_t block = m.total_blocks() / 3;
+  const auto s = m.service(0, m.cylinder_of(block), block, 1, ms(7), false);
   EXPECT_GT(to_ms(s.total()), 2.0);
   EXPECT_LT(to_ms(s.total()), 25.0);
 }
 
 TEST(HddModelDeathTest, OutOfRangeOpAborts) {
   HddModel m;
-  EXPECT_DEATH((void)m.service(0, m.total_blocks(), 1, 0, false), "POD_CHECK");
-  EXPECT_DEATH((void)m.service(0, 0, 0, 0, false), "POD_CHECK");
+  EXPECT_DEATH((void)m.service(0, m.num_cylinders() - 1, m.total_blocks(), 1,
+                               0, false),
+               "POD_CHECK");
+  EXPECT_DEATH((void)m.service(0, 0, 0, 0, 0, false), "POD_CHECK");
+}
+
+// service() reads the carried cylinder and one track density; it must
+// equal the composition of the per-component functions bit for bit, at
+// every head position, block, length, time and sequential hint, on the
+// default geometry and on a small one whose zones are a few cylinders wide.
+TEST(HddModel, ServiceMatchesComponentFunctionsBitExact) {
+  HddGeometry small;
+  small.total_blocks = 40000;
+  small.blocks_per_track_outer = 37;
+  small.blocks_per_track_inner = 11;
+  small.tracks_per_cylinder = 3;
+  for (const HddModel& m : {HddModel(), HddModel(small, HddTiming{})}) {
+    Rng rng(2024);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t head = rng.uniform(0, m.num_cylinders() - 1);
+      const std::uint64_t blocks = 1 + rng.uniform(0, 63);
+      const std::uint64_t block = rng.uniform(0, m.total_blocks() - blocks);
+      const SimTime at = static_cast<SimTime>(rng.uniform(0, 1ull << 45));
+      const bool sequential = rng.chance(0.3);
+      const auto s =
+          m.service(head, m.cylinder_of(block), block, blocks, at, sequential);
+      // The transfer and angle formulas are written out here rather than
+      // taken from transfer_time/angle_of, which share service()'s helpers.
+      const std::uint32_t bpt = m.blocks_per_track(m.cylinder_of(block));
+      const double per_block = static_cast<double>(m.rotation_period()) /
+                               static_cast<double>(bpt);
+      const Duration transfer =
+          static_cast<Duration>(per_block * static_cast<double>(blocks));
+      const double angle = static_cast<double>(block % bpt) /
+                           static_cast<double>(bpt);
+      const Duration seek =
+          sequential ? 0 : m.seek_time(head, m.cylinder_of(block));
+      const Duration rotation =
+          sequential ? 0 : m.rotational_delay(angle, at + seek);
+      ASSERT_EQ(s.seek, seek) << i;
+      ASSERT_EQ(s.rotation, rotation) << i;
+      ASSERT_EQ(s.transfer, transfer) << i;
+      ASSERT_EQ(s.transfer, m.transfer_time(block, blocks)) << i;
+      ASSERT_EQ(angle, m.angle_of(block)) << i;
+      ASSERT_EQ(s.overhead, m.timing().controller_overhead) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ const std::vector<EngineKind> kAllEngines = {
     EngineKind::kNative,       EngineKind::kFullDedupe,
     EngineKind::kIDedup,       EngineKind::kSelectDedupe,
     EngineKind::kPod,          EngineKind::kIoDedup,
+    EngineKind::kPostProcess,
 };
 
 // Engines that route write probes through IndexCache::lookup_fused.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "raid/raid0.hpp"
@@ -92,8 +93,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{4}, std::uint64_t{16},
                                          std::uint64_t{64})),
     [](const ::testing::TestParamInfo<RaidGeometry>& info) {
-      return "d" + std::to_string(std::get<0>(info.param)) + "_u" +
-             std::to_string(std::get<1>(info.param));
+      // reserve and += rather than an operator+ chain, which trips GCC 12's
+      // -Wrestrict false positive under LTO.
+      std::string name;
+      name.reserve(16);
+      name += 'd';
+      name += std::to_string(std::get<0>(info.param));
+      name += "_u";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------
@@ -110,12 +118,10 @@ TEST_P(SchedulerSweep, AllOpsComplete) {
   Rng rng(11);
   int completed = 0;
   for (int i = 0; i < 64; ++i) {
-    DiskOp op;
-    op.type = rng.chance(0.5) ? OpType::kRead : OpType::kWrite;
-    op.block = rng.uniform(0, g.total_blocks - 8);
-    op.nblocks = 1 + rng.uniform(0, 7);
-    op.done = [&completed](IoStatus) { ++completed; };
-    disk.submit(std::move(op));
+    const OpType type = rng.chance(0.5) ? OpType::kRead : OpType::kWrite;
+    const std::uint64_t block = rng.uniform(0, g.total_blocks - 8);
+    const std::uint64_t nblocks = 1 + rng.uniform(0, 7);
+    disk.submit(type, block, nblocks, [&completed](IoStatus) { ++completed; });
   }
   sim.run();
   EXPECT_EQ(completed, 64);
@@ -132,11 +138,8 @@ TEST_P(SchedulerSweep, ReorderingNeverLosesOps) {
   int completed = 0;
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 16; ++i) {
-      DiskOp op;
-      op.block = rng.uniform(0, g.total_blocks - 1);
-      op.nblocks = 1;
-      op.done = [&completed](IoStatus) { ++completed; };
-      disk.submit(std::move(op));
+      disk.submit(OpType::kRead, rng.uniform(0, g.total_blocks - 1), 1,
+                  [&completed](IoStatus) { ++completed; });
     }
     sim.run_until(sim.now() + ms(20));
   }
@@ -193,7 +196,11 @@ TEST_P(ThresholdSweep, RemovalAndCapacityBehaveMonotonically) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(1, 2, 3, 5, 8),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "t" + std::to_string(i.param);
+                           std::string name;
+                           name.reserve(8);
+                           name += 't';
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(30, [&] { order.push_back(3); });
   q.push(10, [&] { order.push_back(1); });
   q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -28,7 +28,7 @@ TEST(EventQueue, TiesBrokenByInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) q.push(42, [&order, i] { order.push_back(i); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -42,7 +42,7 @@ TEST(EventQueue, NextTimeReportsEarliest) {
 TEST(EventQueue, PopReturnsTimestamp) {
   EventQueue q;
   q.push(77, [] {});
-  auto [at, fn] = q.pop();
+  const SimTime at = q.run_next();
   EXPECT_EQ(at, 77);
   EXPECT_TRUE(q.empty());
 }
@@ -57,7 +57,7 @@ TEST(EventQueue, ClearResets) {
   std::vector<int> order;
   q.push(5, [&] { order.push_back(1); });
   q.push(5, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -66,9 +66,9 @@ TEST(EventQueue, InterleavedPushPop) {
   std::vector<int> order;
   q.push(10, [&] { order.push_back(10); });
   q.push(30, [&] { order.push_back(30); });
-  q.pop().second();
+  q.run_next();
   q.push(20, [&] { order.push_back(20); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
 }
 
@@ -80,12 +80,12 @@ TEST(EventQueue, TiesStableAcrossInterleavedPushPop) {
   std::vector<int> order;
   q.push(5, [&] { order.push_back(0); });
   q.push(5, [&] { order.push_back(1); });
-  q.pop().second();  // runs 0; its slot is recycled
+  q.run_next();  // runs 0; its slot is recycled
   q.push(5, [&] { order.push_back(2); });
   q.push(5, [&] { order.push_back(3); });
-  q.pop().second();  // runs 1
+  q.run_next();  // runs 1
   q.push(5, [&] { order.push_back(4); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -101,9 +101,9 @@ TEST(EventQueue, FifoUnderChurn) {
       q.push(7, [&order, v = next] { order.push_back(v); });
       ++next;
     }
-    for (int i = 0; i + 1 < k; ++i) q.pop().second();
+    for (int i = 0; i + 1 < k; ++i) q.run_next();
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   std::vector<int> expected(static_cast<std::size_t>(next));
   for (int i = 0; i < next; ++i) expected[static_cast<std::size_t>(i)] = i;
   EXPECT_EQ(order, expected);
@@ -124,13 +124,55 @@ TEST(EventQueue, LargeCallablesSurviveRecycling) {
     big.payload[23] = i;
     big.out = &seen;
     q.push(static_cast<SimTime>(i % 3), big);
-    if (i % 2 == 1) q.pop().second();
+    if (i % 2 == 1) q.run_next();
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.run_next();
   EXPECT_EQ(seen.size(), 100u);
   std::uint64_t sum = 0;
   for (std::uint64_t v : seen) sum += v;
   EXPECT_EQ(sum, 99u * 100u / 2);
+}
+
+// Events run in their pool slot: a callback that schedules enough events to
+// grow the pool by many chunks must still find its own captures intact
+// afterwards, and the new events must keep (time, seq) order. (ASan and
+// UBSan see any slot that moves or is recycled under a running callback.)
+TEST(EventQueue, CallbackGrowsPoolWhileRunningInPlace) {
+  EventQueue q;
+  std::vector<int> order;
+  std::uint64_t checked = 0;
+  struct Grower {
+    EventQueue* q;
+    std::vector<int>* order;
+    std::uint64_t* checked;
+    std::uint64_t payload[8];  // 64 bytes of captures, still inline
+    void operator()() const {
+      for (int i = 0; i < 5000; ++i)
+        q->push(100 - (i % 7), [o = order, i] { o->push_back(i); });
+      for (std::uint64_t k = 0; k < 8; ++k)
+        if (payload[k] == 0xC0FFEE00u + k) ++*checked;
+    }
+  };
+  Grower g{&q, &order, &checked, {}};
+  for (std::uint64_t k = 0; k < 8; ++k) g.payload[k] = 0xC0FFEE00u + k;
+  q.push(0, g);
+  EXPECT_EQ(q.run_next(), 0);
+  EXPECT_EQ(checked, 8u);
+  EXPECT_EQ(q.size(), 5000u);
+  EXPECT_EQ(q.peak_size(), 5000u);
+  SimTime last = 0;
+  while (!q.empty()) {
+    const SimTime at = q.run_next();
+    EXPECT_GE(at, last);
+    last = at;
+  }
+  // Within each timestamp, insertion order.
+  ASSERT_EQ(order.size(), 5000u);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const int a = order[i - 1], b = order[i];
+    if (a % 7 == b % 7) EXPECT_LT(a, b);
+    else EXPECT_GT(a % 7, b % 7);  // larger i % 7 fires earlier
+  }
 }
 
 }  // namespace

@@ -515,16 +515,35 @@ void BM_ReplayAnatomyOn(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayAnatomyOn);
 
+// The event path as a replay drives it: one simulator for the whole run,
+// a handful of pending events (replays peak at 4-7), and each event
+// scheduling its successor. kChains self-rescheduling chains with
+// different gaps keep the queue at kChains events and make the heap
+// reorder; every iteration runs exactly kEventsPerIter events.
 void BM_SimulatorEventThroughput(benchmark::State& state) {
+  constexpr std::int64_t kChains = 6;
+  constexpr std::int64_t kEventsPerIter = 10000;
+  struct Tick {
+    Simulator* sim;
+    std::int64_t* left;
+    Duration gap;
+    void operator()() const {
+      if (*left == 0) return;
+      --*left;
+      sim->schedule_after(gap, *this);
+    }
+  };
+  Simulator sim;
+  std::int64_t left = 0;
   for (auto _ : state) {
-    Simulator sim;
-    int counter = 0;
-    for (int i = 0; i < 10000; ++i)
-      sim.schedule_at(i, [&counter] { ++counter; });
+    left = kEventsPerIter - kChains;
+    for (std::int64_t c = 0; c < kChains; ++c)
+      sim.schedule_after(c, Tick{&sim, &left, 1000 + 137 * c});
     sim.run();
-    benchmark::DoNotOptimize(counter);
+    benchmark::DoNotOptimize(left);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kEventsPerIter);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
 

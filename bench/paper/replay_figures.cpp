@@ -368,14 +368,12 @@ Figure table1_scheme_comparison(const PaperSetup& setup) {
                  "feature columns verified on the web-vm workload; scale=" +
                      std::to_string(scale));
 
-    // Partition the measured write requests into small (<=8KB) and large.
-    const Trace& trace = *data.scans[0];
-    std::uint64_t small_writes = 0, large_writes = 0;
-    for (std::size_t i = trace.warmup_count; i < trace.requests.size(); ++i) {
-      const IoRequest& r = trace.requests[i];
-      if (!r.is_write()) continue;
-      (r.nblocks <= kSmallWriteBlocks ? small_writes : large_writes) += 1;
-    }
+    // The measured write requests, small (<=8KB) and large: Figure 1's
+    // 4 KB and 8 KB buckets hold the writes of at most kSmallWriteBlocks.
+    static_assert(kSmallWriteBlocks * kBlockSize == 8 * kKiB);
+    const SizeHistogram& sizes = data.scans[0]->by_size.total;
+    const std::uint64_t small_writes = sizes.count(0) + sizes.count(1);
+    const std::uint64_t large_writes = sizes.total() - small_writes;
 
     const ReplayResult& native = *data.results[0];
     std::printf("%-14s %10s %13s %13s %13s %14s\n", "Scheme", "Capacity",

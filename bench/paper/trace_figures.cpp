@@ -1,9 +1,8 @@
-// Trace characterisation: Figures 1 and 2 and Table II scan the synthetic
-// day-15 segments; nothing is replayed.
+// Trace characterisation: Figures 1 and 2 and Table II format the scans of
+// the synthetic day-15 segments (scan_trace); nothing is replayed.
 #include <cstdio>
 
 #include "paper/figures.hpp"
-#include "trace/trace_stats.hpp"
 
 namespace pod::bench {
 
@@ -21,7 +20,7 @@ Figure fig01_redundancy_by_size(const PaperSetup& setup) {
                  "history; scale=" + std::to_string(setup.scale));
 
     for (std::size_t t = 0; t < setup.profiles.size(); ++t) {
-      const RedundancyBySize r = redundancy_by_size(*data.scans[t]);
+      const RedundancyBySize& r = data.scans[t]->by_size;
       std::printf("\n--- %s ---\n", setup.profiles[t].name.c_str());
       std::printf("%-10s %14s %18s %20s %10s\n", "Size", "Total writes",
                   "Fully redundant", "Partially redundant", "Red. %");
@@ -77,7 +76,7 @@ Figure fig02_io_vs_capacity_redundancy(const PaperSetup& setup) {
                 "Capacity redundancy", "Same-location part", "Gap (pp)");
     double gap_sum = 0.0;
     for (std::size_t t = 0; t < setup.profiles.size(); ++t) {
-      const RedundancyBreakdown b = redundancy_breakdown(*data.scans[t]);
+      const RedundancyBreakdown& b = data.scans[t]->breakdown;
       const double same_pct =
           b.write_blocks
               ? 100.0 * static_cast<double>(b.same_lba_redundant_blocks) /
@@ -110,7 +109,7 @@ Figure table2_trace_characteristics(const PaperSetup& setup) {
                 "I/Os", "Avg. Req. (KB)", "Avg. Write (KB)",
                 "Avg. Read (KB)");
     for (std::size_t t = 0; t < setup.profiles.size(); ++t) {
-      const TraceCharacteristics c = characterize(*data.scans[t]);
+      const TraceCharacteristics& c = data.scans[t]->characteristics;
       std::printf("%-10s %11.1f%% %12llu %16.1f %16.1f %16.1f\n",
                   setup.profiles[t].name.c_str(), 100.0 * c.write_ratio,
                   static_cast<unsigned long long>(c.total_requests),

@@ -30,8 +30,8 @@
 //   POD_TRACE_EVENTS / POD_TELEMETRY_CSV / POD_TELEMETRY_INTERVAL_MS /
 //   POD_TRACE_LIMIT — sim-time telemetry sinks; see
 //                src/telemetry/telemetry.hpp.
-//   POD_ANATOMY / POD_TAIL_ANATOMY / POD_ANATOMY_BUCKETS — per-request
-//                latency attribution; see src/replay/anatomy.hpp.
+//   POD_ANATOMY / POD_TAIL_ANATOMY — per-request latency attribution;
+//                see src/replay/anatomy.hpp.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,9 @@
 #include "run_list.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -199,9 +201,25 @@ void run_figures(const std::vector<Figure>& figures) {
       ParallelRunner(bench_jobs()).run(plan.items);
   emit_replay_counters_json(results);
 
+  // One scan per distinct scanned trace; figures sharing a trace share it.
+  const auto scan_start = std::chrono::steady_clock::now();
+  std::vector<std::optional<TraceScan>> scans(traces.size());
+  std::size_t scanned = 0;
+  for (const std::vector<std::size_t>& figure_scans : plan.scans)
+    for (const std::size_t t : figure_scans)
+      if (!scans[t]) {
+        scans[t] = scan_trace(traces[t]);
+        ++scanned;
+      }
+  if (scanned > 0)
+    std::fprintf(stderr, "[bench] scanned %zu trace(s) in %.2f s\n", scanned,
+                 std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - scan_start)
+                     .count());
+
   for (std::size_t f = 0; f < figures.size(); ++f) {
     FigureData data;
-    for (const std::size_t t : plan.scans[f]) data.scans.push_back(&traces[t]);
+    for (const std::size_t t : plan.scans[f]) data.scans.push_back(&*scans[t]);
     for (const std::size_t r : plan.runs[f])
       data.results.push_back(&results[r]);
     figures[f].render(data);

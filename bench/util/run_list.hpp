@@ -9,6 +9,7 @@
 #include "replay/replayer.hpp"
 #include "synth/profile.hpp"
 #include "trace/request.hpp"
+#include "trace/trace_stats.hpp"
 
 namespace pod::bench {
 
@@ -18,16 +19,16 @@ struct Run {
   RunSpec spec;
 };
 
-/// What a render reads: the figure's scanned traces and its runs' results,
-/// each in the order the figure listed them. Both live only while
+/// What a render reads: the scans of the figure's traces and its runs'
+/// results, each in the order the figure listed them. Both live only while
 /// run_figures renders.
 struct FigureData {
-  std::vector<const Trace*> scans;
+  std::vector<const TraceScan*> scans;
   std::vector<const ReplayResult*> results;
 };
 
 struct Figure {
-  /// Traces the render reads directly (characterisation tables).
+  /// Traces whose scan (Table II, Figs. 1 and 2) the render reads.
   std::vector<WorkloadProfile> scans;
   std::vector<Run> runs;
   std::function<void(const FigureData&)> render;
@@ -37,8 +38,9 @@ struct Figure {
 /// name plus parameter hash), runs each distinct replay once (keyed by its
 /// trace plus RunSpec equality, so figures asking for an equal run share
 /// one result) in one longest-first fan-out over bench_jobs() workers,
-/// appends one POD_BENCH_JSON line per replay in run-list order, then
-/// renders the figures in the order given.
+/// appends one POD_BENCH_JSON line per replay in run-list order, scans each
+/// distinct scanned trace once (measured window), then renders the figures
+/// in the order given.
 void run_figures(const std::vector<Figure>& figures);
 
 }  // namespace pod::bench

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                                               profile.measured_requests));
   const Trace trace = TraceGenerator(profile).generate();
 
-  const TraceCharacteristics c = characterize(trace);
+  const TraceCharacteristics c = scan_trace(trace).characteristics;
   std::printf("day-15 segment: %llu I/Os, %.1f%% writes, avg %.1f KB\n\n",
               static_cast<unsigned long long>(c.total_requests),
               100.0 * c.write_ratio, c.avg_request_kb);

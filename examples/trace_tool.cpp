@@ -51,7 +51,8 @@ int cmd_stats(const std::string& path) {
   for (auto [window, label] :
        {std::pair{StatsWindow::kAll, "whole trace"},
         std::pair{StatsWindow::kMeasuredOnly, "measured segment"}}) {
-    const TraceCharacteristics c = characterize(trace, window);
+    const TraceScan scan = scan_trace(trace, window);
+    const TraceCharacteristics& c = scan.characteristics;
     if (c.total_requests == 0) continue;
     std::printf("\n[%s]\n", label);
     std::printf("  requests      : %llu (%.1f%% writes)\n",
@@ -63,7 +64,7 @@ int cmd_stats(const std::string& path) {
                 static_cast<unsigned long long>(c.footprint_blocks),
                 static_cast<double>(c.footprint_blocks) * kBlockSize /
                     (1024.0 * 1024.0));
-    const RedundancyBreakdown b = redundancy_breakdown(trace, window);
+    const RedundancyBreakdown& b = scan.breakdown;
     std::printf("  I/O redundancy: %.1f%%  capacity redundancy: %.1f%%\n",
                 b.io_redundancy_pct(), b.capacity_redundancy_pct());
   }

@@ -25,9 +25,10 @@
 // a table delete happens only when a key loses its last membership. The
 // ghost and spill lists exist only once iCache enables them (enable_ghost,
 // enable_spill): until then evictions leave nothing behind, and a table
-// keeps no side array for them. Only Full-Dedupe's on-disk index sets the
-// on-disk bit; a table nobody puts on disk behaves as if it had three
-// lists.
+// keeps no side array for them. Full-Dedupe's on-disk index sets the
+// on-disk bit, and so does the trace scan (trace/trace_stats.cpp), whose
+// table of fingerprints seen holds nothing else; a table nobody puts on
+// disk behaves as if it had three lists.
 //
 // One PBA per key: a resident entry and the on-disk entry of the same key
 // share the slot's PBA field, so they cannot point at different blocks. A
@@ -70,6 +71,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/ctrl_group.hpp"
@@ -276,6 +278,21 @@ class LruTable {
     const std::uint32_t s = find_or_add(tag, key);
     slots_[s].entry.pba_ = narrow_pba(pba);
     if (!on(kOnDisk, s)) join(kOnDisk, s);
+  }
+
+  /// One probe: a key already in the table answers {its slot, true};
+  /// an absent key joins the on-disk membership at `pba` and answers {its
+  /// new slot, false}. Slots are never recycled while nothing is dropped,
+  /// so a table that only grows this way numbers its keys densely.
+  std::pair<std::uint32_t, bool> find_or_put_on_disk(Tag tag, const K& key,
+                                                     Pba pba) {
+    reserve(live_ + 1);
+    const CtrlProbeResult r = probe(tag, key);
+    if (r.found) return {index_.at(r.pos).slot, true};
+    const std::uint32_t s = add(r.pos, tag, key);
+    slots_[s].entry.pba_ = narrow_pba(pba);
+    join(kOnDisk, s);
+    return {s, false};
   }
 
   /// A freed block: takes the found key off the resident list and off

@@ -1,24 +1,11 @@
 #include "common/histogram.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace pod {
-
-void Pow2Histogram::add(std::uint64_t value, std::uint64_t weight) {
-  const std::size_t bucket =
-      value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value));
-  if (bucket >= counts_.size()) counts_.resize(bucket + 1, 0);
-  counts_[bucket] += weight;
-  total_ += weight;
-}
-
-std::uint64_t Pow2Histogram::bucket(std::size_t i) const {
-  return i < counts_.size() ? counts_[i] : 0;
-}
 
 SizeHistogram::SizeHistogram()
     : SizeHistogram(std::vector<std::uint64_t>{4 * kKiB, 8 * kKiB, 16 * kKiB,

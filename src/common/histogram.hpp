@@ -1,4 +1,4 @@
-// Fixed-bucket and power-of-two histograms.
+// Fixed-bucket histograms.
 //
 // Figure 1 of the paper buckets write requests by request size
 // (4 KB, 8 KB, 16 KB, ..., >=128 KB); SizeHistogram mirrors that bucketing.
@@ -9,21 +9,6 @@
 #include <vector>
 
 namespace pod {
-
-/// Power-of-two bucketed histogram over unsigned values.
-class Pow2Histogram {
- public:
-  void add(std::uint64_t value, std::uint64_t weight = 1);
-
-  std::uint64_t total() const { return total_; }
-  /// Count in the bucket covering [2^i, 2^(i+1)).
-  std::uint64_t bucket(std::size_t i) const;
-  std::size_t num_buckets() const { return counts_.size(); }
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Request-size histogram with the paper's Figure-1 bucket edges:
 /// 4, 8, 16, 32, 64, and >=128 (KB). Values smaller than 4 KB fold into the

@@ -45,97 +45,23 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-std::size_t LatencyRecorder::bucket_index(Duration d) {
-  const std::uint64_t v = d > 0 ? static_cast<std::uint64_t>(d) : 0;
-  if (v < 4) return static_cast<std::size_t>(v);  // exact small buckets
-  const unsigned e = 63u - static_cast<unsigned>(__builtin_clzll(v));
-  const std::uint64_t sub = (v >> (e - 2)) & 3u;
-  return (static_cast<std::size_t>(e) - 1) * 4 + static_cast<std::size_t>(sub);
-}
-
-double LatencyRecorder::bucket_lo(std::size_t idx) {
-  if (idx < 4) return static_cast<double>(idx);
-  const std::size_t e = idx / 4 + 1;
-  const std::size_t sub = idx % 4;
-  return static_cast<double>((std::uint64_t{1} << e) +
-                             sub * (std::uint64_t{1} << (e - 2)));
-}
-
-double LatencyRecorder::bucket_hi(std::size_t idx) {
-  if (idx < 4) return static_cast<double>(idx + 1);
-  const std::size_t e = idx / 4 + 1;
-  return bucket_lo(idx) + static_cast<double>(std::uint64_t{1} << (e - 2));
-}
-
-void LatencyRecorder::fold_into_buckets(Duration d) {
-  ++buckets_[bucket_index(d)];
-}
-
-void LatencyRecorder::set_bucketed() {
-  if (bucketed_) return;
-  bucketed_ = true;
-  buckets_.assign(kNumBuckets, 0);
-  for (const double s : samples_)
-    fold_into_buckets(static_cast<Duration>(s));
-  samples_.clear();
-  samples_.shrink_to_fit();
-}
-
 void LatencyRecorder::add(Duration d) {
   stats_.add(static_cast<double>(d));
-  if (bucketed_) {
-    fold_into_buckets(d);
-    return;
-  }
   samples_.push_back(static_cast<double>(d));
 }
 
 void LatencyRecorder::merge(const LatencyRecorder& other) {
   stats_.merge(other.stats_);
-  if (!bucketed_ && other.bucketed_) set_bucketed();  // modes must agree
-  if (bucketed_) {
-    if (other.bucketed_) {
-      for (std::size_t i = 0; i < kNumBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    } else {
-      for (const double s : other.samples_)
-        fold_into_buckets(static_cast<Duration>(s));
-    }
-    return;
-  }
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
 }
 
 void LatencyRecorder::reset() {
   stats_.reset();
   samples_.clear();
-  if (bucketed_) buckets_.assign(kNumBuckets, 0);
 }
 
 double LatencyRecorder::percentile_ns(double q) const {
   POD_CHECK(q >= 0.0 && q <= 1.0);
-  if (bucketed_) {
-    const std::uint64_t n = stats_.count();
-    if (n == 0) return 0.0;
-    const double rank = q * static_cast<double>(n - 1);
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      const std::uint64_t c = buckets_[i];
-      if (c == 0) continue;
-      if (rank < static_cast<double>(cum + c)) {
-        // Interpolate within the bucket; any value in [lo, hi) is within
-        // the advertised resolution. Clamping to the exact min/max keeps
-        // p0/p100 exact and tightens single-occupancy edge buckets.
-        const double frac =
-            (rank - static_cast<double>(cum) + 0.5) / static_cast<double>(c);
-        const double v = bucket_lo(i) +
-                         (bucket_hi(i) - bucket_lo(i)) * std::min(frac, 1.0);
-        return std::clamp(v, stats_.min(), stats_.max());
-      }
-      cum += c;
-    }
-    return stats_.max();
-  }
   if (samples_.empty()) return 0.0;
   // Select on a copy so concurrent readers never write shared state (see
   // header). nth_element partitions around the low order statistic; the

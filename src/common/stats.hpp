@@ -33,59 +33,30 @@ class OnlineStats {
 };
 
 /// Records individual latency samples (nanoseconds) and reports mean and
-/// percentiles. The default exact mode stores all samples; trace replays
-/// are bounded (< few M requests) so this is cheap and exact. The opt-in
-/// bucketed mode (set_bucketed) keeps only ~2 KB of quarter-octave log
-/// bucket counts — percentiles are then approximate within one bucket
-/// (<= 25% relative width above 4 ns) while count/mean/min/max stay exact
-/// (OnlineStats is maintained in both modes). Built for runs whose sample
-/// count makes the exact store a memory liability (multi-tenant scale
-/// sweeps).
+/// percentiles. It stores all samples; trace replays are bounded (< few M
+/// requests) so this is cheap and exact.
 class LatencyRecorder {
  public:
   void add(Duration d);
   void merge(const LatencyRecorder& other);
   void reset();
 
-  /// Switches to bounded-memory bucketed mode. Existing exact samples are
-  /// folded into buckets; there is no way back to exact for this recorder.
-  void set_bucketed();
-  bool bucketed() const { return bucketed_; }
-
   std::uint64_t count() const { return stats_.count(); }
   double mean_ns() const { return stats_.mean(); }
   double mean_ms() const { return stats_.mean() / kMillisecond; }
   double max_ms() const { return stats_.max() / kMillisecond; }
-  /// Percentile (q in [0,1]): exact in exact mode, within one bucket in
-  /// bucketed mode. Thread-safe for concurrent readers: selects on a
-  /// per-call copy instead of lazily sorting samples_ in place (a
-  /// const-qualified mutation that raced when parallel-replay aggregation
+  /// Exact percentile (q in [0,1]). Thread-safe for concurrent readers:
+  /// selects on a per-call copy instead of lazily sorting samples_ in place
+  /// (a const-qualified mutation that raced when parallel-replay aggregation
   /// asked for percentiles of one recorder from two threads).
   double percentile_ns(double q) const;
   double percentile_ms(double q) const { return percentile_ns(q) / kMillisecond; }
 
   const OnlineStats& stats() const { return stats_; }
 
-  /// Heap bytes the recorder currently holds (the bucketed-mode bound).
-  std::uint64_t memory_bytes() const {
-    return samples_.capacity() * sizeof(double) +
-           buckets_.capacity() * sizeof(std::uint64_t);
-  }
-
  private:
-  /// Quarter-octave log buckets: values [0,4) map exactly to buckets 0-3;
-  /// above that, bucket = (e-1)*4 + top-2-mantissa-bits for exponent
-  /// e = bit_width(v)-1. 63-bit Durations land below index 252.
-  static constexpr std::size_t kNumBuckets = 252;
-  static std::size_t bucket_index(Duration d);
-  static double bucket_lo(std::size_t idx);
-  static double bucket_hi(std::size_t idx);
-  void fold_into_buckets(Duration d);
-
   OnlineStats stats_;
   std::vector<double> samples_;
-  std::vector<std::uint64_t> buckets_;  // sized kNumBuckets when bucketed
-  bool bucketed_ = false;
 };
 
 /// Simple exponentially-weighted moving average, used by the iCache access

@@ -32,7 +32,7 @@ void Pod::submit(const IoRequest& req, Completion done) {
   const SimTime arrival = ptr->arrival;
   sim_->schedule_at(arrival,
                     [this, ptr, arrival, done = std::move(done)]() {
-                      engine_->submit(*ptr, [this, arrival, done]() {
+                      engine_->submit(*ptr, [this, arrival, done](IoStatus) {
                         if (done) done(sim_->now() - arrival);
                       });
                     });

@@ -63,10 +63,6 @@ double HddModel::angle_in_track(std::uint64_t block, std::uint32_t bpt) {
   return static_cast<double>(block % bpt) / static_cast<double>(bpt);
 }
 
-double HddModel::angle_of(std::uint64_t block) const {
-  return angle_in_track(block, blocks_per_track(cylinder_of(block)));
-}
-
 Duration HddModel::seek_time(std::uint64_t from_cyl, std::uint64_t to_cyl) const {
   if (from_cyl == to_cyl) return 0;
   const double dist = from_cyl > to_cyl
@@ -93,10 +89,6 @@ Duration HddModel::transfer_at_density(std::uint32_t bpt,
   const double per_block =
       static_cast<double>(rotation_period_) / static_cast<double>(bpt);
   return static_cast<Duration>(per_block * static_cast<double>(blocks));
-}
-
-Duration HddModel::transfer_time(std::uint64_t block, std::uint64_t blocks) const {
-  return transfer_at_density(blocks_per_track(cylinder_of(block)), blocks);
 }
 
 HddModel::Service HddModel::service(std::uint64_t head_cylinder,

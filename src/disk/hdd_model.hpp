@@ -62,9 +62,6 @@ class HddModel {
   /// interpolation between the outer and inner zone densities).
   std::uint32_t blocks_per_track(std::uint64_t cylinder) const;
 
-  /// Angular position of a block on its track, in [0, 1).
-  double angle_of(std::uint64_t block) const;
-
   /// Seek time between two cylinders (0 when equal; a + b*sqrt(distance)
   /// curve calibrated to hit the track-to-track / average / full-stroke
   /// points of the timing spec).
@@ -73,11 +70,6 @@ class HddModel {
   /// Rotational delay until `target_angle` passes under the head, given the
   /// head angle implied by the absolute time `at`.
   Duration rotational_delay(double target_angle, SimTime at) const;
-
-  /// Media transfer time for `blocks` contiguous blocks starting at `block`
-  /// (track-rate limited; includes implicit head/track switches at track
-  /// boundaries via the rotational continuation being preserved).
-  Duration transfer_time(std::uint64_t block, std::uint64_t blocks) const;
 
   /// Full service-time decomposition of one op.
   struct Service {
@@ -93,8 +85,10 @@ class HddModel {
   /// absolute time `at`. `cylinder` is cylinder_of(block), which the disk
   /// computes once when the op arrives. `sequential_hint` marks an op that
   /// continues the immediately preceding transfer (no seek, no rotation).
-  /// Bit-identical to composing transfer_time, seek_time and
-  /// rotational_delay(angle_of(block), at + seek).
+  /// The transfer is track-rate limited: blocks / blocks_per_track(cylinder)
+  /// revolutions (track switches inside a run keep the rotational
+  /// continuation). Otherwise seek = seek_time(head_cylinder, cylinder) and
+  /// rotation = rotational_delay(angle of block on its track, at + seek).
   Service service(std::uint64_t head_cylinder, std::uint64_t cylinder,
                   std::uint64_t block, std::uint64_t blocks, SimTime at,
                   bool sequential_hint) const;
@@ -103,8 +97,9 @@ class HddModel {
   const HddTiming& timing() const { return timing_; }
 
  private:
-  /// The shared halves of angle_of/transfer_time and service, given the
-  /// block's track density.
+  /// service()'s angle and transfer terms, given the block's track density:
+  /// the block's angular position on its track in [0, 1), and the media
+  /// time of `blocks` blocks.
   static double angle_in_track(std::uint64_t block, std::uint32_t bpt);
   Duration transfer_at_density(std::uint32_t bpt, std::uint64_t blocks) const;
 

@@ -486,12 +486,6 @@ void DedupEngine::execute_plan(const IoRequest& req, IoPlan plan,
   }
 }
 
-void DedupEngine::submit(const IoRequest& req, std::function<void()> done) {
-  IoDoneFn wrapped;
-  if (done) wrapped = [d = std::move(done)](IoStatus) { d(); };
-  submit(req, std::move(wrapped));
-}
-
 void DedupEngine::submit(const IoRequest& req, IoDoneFn done) {
   if (Telemetry* t = sim_.telemetry()) {
     if (!telem_.init) init_telemetry(*t);

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -183,13 +182,6 @@ class DedupEngine {
   /// Timed processing: `done` fires at the simulated completion time with
   /// the request's worst per-op status (kOk when faults are disabled).
   void submit(const IoRequest& req, IoDoneFn done);
-  /// Status-blind convenience overload.
-  void submit(const IoRequest& req, std::function<void()> done);
-  /// A literal nullptr callback is ambiguous between the overloads above;
-  /// resolve it to the status-aware one.
-  void submit(const IoRequest& req, std::nullptr_t) {
-    submit(req, IoDoneFn{});
-  }
 
   /// Functional processing (state only, no simulated time).
   void warm(const IoRequest& req);

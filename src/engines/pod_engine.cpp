@@ -12,9 +12,10 @@ PodEngine::PodEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg,
   icfg.total_bytes = cfg_.memory_bytes;
   icfg.initial_index_fraction = cfg_.index_fraction;
   // Never shrink the Index table far below its initial share: its entries
-  // carry the accumulated dedup knowledge Select-Dedupe depends on, and
-  // POD must detect at least as many redundant writes as fixed-partition
-  // Select-Dedupe (paper §IV-C / Figure 11).
+  // carry the accumulated dedup knowledge Select-Dedupe depends on. The
+  // floor bounds how far POD's detection can fall behind fixed-partition
+  // Select-Dedupe (paper §IV-C / Figure 11); it does not rule that out
+  // (DESIGN.md, divergence 1).
   icfg.min_fraction = std::max(icfg.min_fraction, 0.9 * cfg_.index_fraction);
   icache_ = std::make_unique<ICache>(
       icfg, *index_cache_, read_cache_,

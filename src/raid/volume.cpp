@@ -12,31 +12,6 @@ std::size_t Volume::total_queue_length() const {
   return total;
 }
 
-void Volume::read(Pba block, std::uint64_t nblocks, IoDoneFn done) {
-  submit(VolumeIo{OpType::kRead, block, nblocks, std::move(done)});
-}
-
-void Volume::write(Pba block, std::uint64_t nblocks, IoDoneFn done) {
-  submit(VolumeIo{OpType::kWrite, block, nblocks, std::move(done)});
-}
-
-namespace {
-
-IoDoneFn drop_status(std::function<void()> done) {
-  if (!done) return {};
-  return [d = std::move(done)](IoStatus) { d(); };
-}
-
-}  // namespace
-
-void Volume::read(Pba block, std::uint64_t nblocks, std::function<void()> done) {
-  submit(VolumeIo{OpType::kRead, block, nblocks, drop_status(std::move(done))});
-}
-
-void Volume::write(Pba block, std::uint64_t nblocks, std::function<void()> done) {
-  submit(VolumeIo{OpType::kWrite, block, nblocks, drop_status(std::move(done))});
-}
-
 std::vector<DiskFragment> merge_fragments(std::vector<DiskFragment> frags) {
   std::sort(frags.begin(), frags.end(), [](const DiskFragment& a, const DiskFragment& b) {
     if (a.disk != b.disk) return a.disk < b.disk;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -61,20 +60,6 @@ class Volume {
 
   /// Sum of member-disk queue lengths (in-flight + waiting).
   std::size_t total_queue_length() const;
-
-  /// Convenience wrappers (status-aware and legacy status-blind forms).
-  void read(Pba block, std::uint64_t nblocks, IoDoneFn done);
-  void write(Pba block, std::uint64_t nblocks, IoDoneFn done);
-  void read(Pba block, std::uint64_t nblocks, std::function<void()> done);
-  void write(Pba block, std::uint64_t nblocks, std::function<void()> done);
-  // A literal nullptr callback is ambiguous between the two forms above;
-  // resolve it to the status-aware one.
-  void read(Pba block, std::uint64_t nblocks, std::nullptr_t) {
-    read(block, nblocks, IoDoneFn{});
-  }
-  void write(Pba block, std::uint64_t nblocks, std::nullptr_t) {
-    write(block, nblocks, IoDoneFn{});
-  }
 };
 
 struct ArrayConfig {

@@ -24,8 +24,6 @@ const char* to_string(LatComp c) {
 }
 
 LatencyAnatomy::LatencyAnatomy(const Config& cfg) : cfg_(cfg) {
-  if (cfg_.bucketed)
-    for (LatencyRecorder& r : comp_) r.set_bucketed();
   tail_.reserve(cfg_.tail_k);
 }
 
@@ -47,8 +45,6 @@ std::unique_ptr<LatencyAnatomy> LatencyAnatomy::from_env() {
       enabled = true;
     }
   }
-  if (const char* env = std::getenv("POD_ANATOMY_BUCKETS"))
-    cfg.bucketed = std::strcmp(env, "0") != 0;
   if (!enabled) return nullptr;
   return std::make_unique<LatencyAnatomy>(cfg);
 }
@@ -66,7 +62,6 @@ AnatomyResult::StreamStats& LatencyAnatomy::stream_slot(std::uint32_t stream) {
   }
   streams_.emplace_back();
   streams_.back().stream = stream;
-  if (cfg_.bucketed) streams_.back().latency.set_bucketed();
   last_stream_slot_ = streams_.size() - 1;
   return streams_.back();
 }

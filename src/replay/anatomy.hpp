@@ -150,15 +150,12 @@ class LatencyAnatomy {
   struct Config {
     /// Slowest-request ring capacity (0 = keep no tail entries).
     std::size_t tail_k = 64;
-    /// Use the bounded-memory bucketed LatencyRecorder mode for the
-    /// per-component / per-stream recorders.
-    bool bucketed = false;
   };
 
   explicit LatencyAnatomy(const Config& cfg);
 
-  /// Builds a collector from POD_ANATOMY / POD_TAIL_ANATOMY /
-  /// POD_ANATOMY_BUCKETS, or null when neither enabling variable is set.
+  /// Builds a collector from POD_ANATOMY / POD_TAIL_ANATOMY, or null when
+  /// neither is set.
   /// POD_TAIL_ANATOMY=K implies attribution on with a K-entry tail ring.
   static std::unique_ptr<LatencyAnatomy> from_env();
 

@@ -1,33 +1,101 @@
 #include "trace/trace_stats.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <stdexcept>
+#include <string>
 
-#include "common/check.hpp"
+#include "cache/lru_table.hpp"
+#include "common/mapped.hpp"
+#include "common/packed_pba.hpp"
 
 namespace pod {
 
-TraceCharacteristics characterize(const Trace& trace, StatsWindow window) {
-  TraceCharacteristics c;
-  std::unordered_set<Lba> footprint;
-  double total_kb = 0, write_kb = 0, read_kb = 0;
+namespace {
+
+/// The blocks of per-LBA state the scan keeps: LBAs [0, span). Throws
+/// when a request reaches past the range 32-bit indexes cover.
+std::uint64_t lba_span(const Trace& trace) {
+  std::uint64_t span = 0;
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    const IoRequest& r = trace.requests[i];
+    if (r.lba > kPackedPbaLimit || r.nblocks > kPackedPbaLimit - r.lba)
+      throw std::invalid_argument(
+          "scan_trace: request " + std::to_string(i) + " addresses LBA " +
+          std::to_string(r.lba) + " (+" + std::to_string(r.nblocks) +
+          " blocks), past the " + std::to_string(kPackedPbaLimit) +
+          "-block range of the scan's per-LBA state");
+    if (r.end_lba() > span) span = r.end_lba();
+  }
+  return span;
+}
+
+}  // namespace
+
+TraceScan scan_trace(const Trace& trace, StatsWindow window) {
+  if (trace.requests.size() > kPackedPbaLimit)
+    throw std::invalid_argument(
+        "scan_trace: " + std::to_string(trace.requests.size()) +
+        " requests exceed the " + std::to_string(kPackedPbaLimit) +
+        "-request range of 32-bit request indexes");
+  const std::uint64_t span = lba_span(trace);
   const std::size_t begin =
       window == StatsWindow::kMeasuredOnly ? trace.warmup_count : 0;
-  for (std::size_t i = begin; i < trace.requests.size(); ++i) {
+
+  // Every content written so far, as an on-disk key whose PBA field holds
+  // the index of the request that first wrote it. Its slot number is the
+  // content's dense id.
+  LruTable<Fingerprint, FingerprintHash> seen(0);
+  // Current content of each LBA: its id + 1, 0 while never written.
+  ZeroedArray<std::uint32_t> lba_content(span);
+  // Table II's footprint: one bit per LBA the window touches.
+  ZeroedArray<std::uint64_t> touched((span + 63) / 64);
+
+  TraceScan out;
+  TraceCharacteristics& c = out.characteristics;
+  double total_kb = 0, write_kb = 0, read_kb = 0;
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
     const IoRequest& r = trace.requests[i];
-    ++c.total_requests;
-    const double kb = static_cast<double>(r.bytes()) / kKiB;
-    total_kb += kb;
-    if (r.is_write()) {
-      ++c.write_requests;
-      write_kb += kb;
-    } else {
-      ++c.read_requests;
-      read_kb += kb;
+    const bool measured = i >= begin;
+    if (measured) {
+      ++c.total_requests;
+      const double kb = static_cast<double>(r.bytes()) / kKiB;
+      total_kb += kb;
+      if (r.is_write()) {
+        ++c.write_requests;
+        write_kb += kb;
+      } else {
+        ++c.read_requests;
+        read_kb += kb;
+      }
+      for (Lba lba = r.lba; lba < r.end_lba(); ++lba) {
+        const std::uint64_t bit = std::uint64_t{1} << (lba % 64);
+        std::uint64_t& word = touched[lba / 64];
+        c.footprint_blocks += (word & bit) == 0;
+        word |= bit;
+      }
     }
-    for (std::uint32_t b = 0; b < r.nblocks; ++b) footprint.insert(r.lba + b);
+    if (!r.is_write()) continue;
+
+    std::uint32_t redundant = 0;  // chunks written by an earlier request
+    for (std::uint32_t b = 0; b < r.nblocks; ++b) {
+      const Fingerprint& fp = r.chunks[b];
+      const auto [slot, found] =
+          seen.find_or_put_on_disk(seen.hash_tag(fp), fp, i);
+      std::uint32_t& current = lba_content[r.lba + b];
+      if (measured) {
+        redundant += found && seen.entry(slot).pba() < i;
+        ++out.breakdown.write_blocks;
+        if (current == slot + 1) ++out.breakdown.same_lba_redundant_blocks;
+        else if (found) ++out.breakdown.diff_lba_redundant_blocks;
+      }
+      current = slot + 1;
+    }
+    if (measured) {
+      out.by_size.total.add(r.bytes());
+      if (redundant == r.nblocks) out.by_size.fully_redundant.add(r.bytes());
+      else if (redundant > 0) out.by_size.partially_redundant.add(r.bytes());
+    }
   }
-  c.footprint_blocks = footprint.size();
+
   if (c.total_requests > 0) {
     c.write_ratio = static_cast<double>(c.write_requests) /
                     static_cast<double>(c.total_requests);
@@ -37,79 +105,6 @@ TraceCharacteristics characterize(const Trace& trace, StatsWindow window) {
     c.avg_write_kb = write_kb / static_cast<double>(c.write_requests);
   if (c.read_requests > 0)
     c.avg_read_kb = read_kb / static_cast<double>(c.read_requests);
-  return c;
-}
-
-RedundancyBySize redundancy_by_size(const Trace& trace, StatsWindow window) {
-  RedundancyBySize out;
-  std::unordered_set<Fingerprint, FingerprintHash> seen;
-
-  auto observe = [&seen](const IoRequest& r) {
-    for (const Fingerprint& fp : r.chunks) seen.insert(fp);
-  };
-
-  std::size_t begin = 0;
-  if (window == StatsWindow::kMeasuredOnly) {
-    for (std::size_t i = 0; i < trace.warmup_count; ++i) {
-      if (trace.requests[i].is_write()) observe(trace.requests[i]);
-    }
-    begin = trace.warmup_count;
-  }
-
-  for (std::size_t i = begin; i < trace.requests.size(); ++i) {
-    const IoRequest& r = trace.requests[i];
-    if (!r.is_write()) continue;
-    std::size_t redundant = 0;
-    for (const Fingerprint& fp : r.chunks)
-      if (seen.count(fp)) ++redundant;
-    out.total.add(r.bytes());
-    if (redundant == r.nblocks) out.fully_redundant.add(r.bytes());
-    else if (redundant > 0) out.partially_redundant.add(r.bytes());
-    observe(r);
-  }
-  return out;
-}
-
-RedundancyBreakdown redundancy_breakdown(const Trace& trace, StatsWindow window) {
-  RedundancyBreakdown out;
-  // Content seen anywhere on the write path so far.
-  std::unordered_set<Fingerprint, FingerprintHash> seen;
-  // Current content of each LBA.
-  std::unordered_map<Lba, Fingerprint> lba_content;
-
-  auto observe = [&](const IoRequest& r) {
-    for (std::uint32_t b = 0; b < r.nblocks; ++b) {
-      seen.insert(r.chunks[b]);
-      lba_content[r.lba + b] = r.chunks[b];
-    }
-  };
-
-  std::size_t begin = 0;
-  if (window == StatsWindow::kMeasuredOnly) {
-    for (std::size_t i = 0; i < trace.warmup_count; ++i)
-      if (trace.requests[i].is_write()) observe(trace.requests[i]);
-    begin = trace.warmup_count;
-  }
-
-  for (std::size_t i = begin; i < trace.requests.size(); ++i) {
-    const IoRequest& r = trace.requests[i];
-    if (!r.is_write()) continue;
-    for (std::uint32_t b = 0; b < r.nblocks; ++b) {
-      ++out.write_blocks;
-      const Fingerprint& fp = r.chunks[b];
-      const Lba lba = r.lba + b;
-      const auto cur = lba_content.find(lba);
-      if (cur != lba_content.end() && cur->second == fp) {
-        // Rewriting the same content to the same location: pure I/O
-        // redundancy, contributes nothing to capacity savings.
-        ++out.same_lba_redundant_blocks;
-      } else if (seen.count(fp)) {
-        ++out.diff_lba_redundant_blocks;
-      }
-      seen.insert(fp);
-      lba_content[lba] = fp;
-    }
-  }
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Trace analysis: produces the statistics behind Table II, Figure 1 and
-// Figure 2 of the paper.
+// Figure 2 of the paper, from one pass over a trace (scan_trace).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +59,26 @@ struct RedundancyBreakdown {
 /// Analysis window: whole trace or the measured ("day 15") suffix only.
 enum class StatsWindow { kAll, kMeasuredOnly };
 
-TraceCharacteristics characterize(const Trace& trace,
-                                  StatsWindow window = StatsWindow::kMeasuredOnly);
+/// Table II, Figure 1 and Figure 2 of one trace in one window.
+struct TraceScan {
+  TraceCharacteristics characteristics;
+  RedundancyBySize by_size;
+  RedundancyBreakdown breakdown;
+};
 
-/// Figure-1 pass. Content "seen before" state is primed with the warm-up
-/// prefix when window == kMeasuredOnly (mirroring the paper, which analyses
-/// day 15 after 14 days of history).
-RedundancyBySize redundancy_by_size(const Trace& trace,
-                                    StatsWindow window = StatsWindow::kMeasuredOnly);
-
-/// Figure-2 pass (same priming rule).
-RedundancyBreakdown redundancy_breakdown(const Trace& trace,
-                                         StatsWindow window = StatsWindow::kMeasuredOnly);
+/// Computes all three in one pass over the trace. Window kMeasuredOnly
+/// primes the content state (what was written, and where) with the warm-up
+/// prefix's writes, mirroring the paper, which analyses day 15 after 14
+/// days of history; Table II counts the window's requests only, warm-up
+/// excluded. "Seen before" means two things: Figure 1 counts a chunk
+/// redundant when its content was written by an earlier *request*, Figure 2
+/// when it was written by any earlier *block*, the same request's included.
+/// The per-LBA state is dense, so the scan covers the block range the
+/// simulator's 32-bit block addresses do: it throws std::invalid_argument,
+/// naming the LBA, when the trace addresses a block at or past
+/// kPackedPbaLimit (2^32 - 2), and when it holds more requests than that
+/// (each fingerprint records its first writer's 32-bit request index).
+TraceScan scan_trace(const Trace& trace,
+                     StatsWindow window = StatsWindow::kMeasuredOnly);
 
 }  // namespace pod

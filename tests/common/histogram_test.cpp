@@ -7,33 +7,6 @@
 namespace pod {
 namespace {
 
-TEST(Pow2Histogram, BucketsByBitWidth) {
-  Pow2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(4);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 1u);  // value 0
-  EXPECT_EQ(h.bucket(1), 1u);  // value 1
-  EXPECT_EQ(h.bucket(2), 2u);  // values 2,3
-  EXPECT_EQ(h.bucket(3), 1u);  // value 4
-}
-
-TEST(Pow2Histogram, WeightsAccumulate) {
-  Pow2Histogram h;
-  h.add(8, 10);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_EQ(h.bucket(4), 10u);
-}
-
-TEST(Pow2Histogram, OutOfRangeBucketIsZero) {
-  Pow2Histogram h;
-  h.add(1);
-  EXPECT_EQ(h.bucket(50), 0u);
-}
-
 TEST(SizeHistogram, DefaultPaperBuckets) {
   SizeHistogram h;
   EXPECT_EQ(h.num_buckets(), 6u);

@@ -147,84 +147,6 @@ TEST(LatencyRecorder, ResetClears) {
   EXPECT_DOUBLE_EQ(r.percentile_ms(0.5), 0.0);
 }
 
-TEST(LatencyRecorder, BucketedKeepsExactMoments) {
-  LatencyRecorder exact, bucketed;
-  bucketed.set_bucketed();
-  std::uint64_t seed = 12345;
-  for (int i = 0; i < 5000; ++i) {
-    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-    const Duration d = static_cast<Duration>((seed >> 16) % ms(50)) + 1;
-    exact.add(d);
-    bucketed.add(d);
-  }
-  EXPECT_TRUE(bucketed.bucketed());
-  EXPECT_EQ(bucketed.count(), exact.count());
-  // Moments run through OnlineStats in both modes — exactly equal.
-  EXPECT_DOUBLE_EQ(bucketed.mean_ns(), exact.mean_ns());
-  EXPECT_DOUBLE_EQ(bucketed.stats().min(), exact.stats().min());
-  EXPECT_DOUBLE_EQ(bucketed.stats().max(), exact.stats().max());
-}
-
-TEST(LatencyRecorder, BucketedPercentilesWithinBucketResolution) {
-  LatencyRecorder exact, bucketed;
-  bucketed.set_bucketed();
-  std::uint64_t seed = 99;
-  for (int i = 0; i < 20000; ++i) {
-    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-    const Duration d = static_cast<Duration>((seed >> 16) % ms(200)) + 1;
-    exact.add(d);
-    bucketed.add(d);
-  }
-  // Quarter-octave buckets: <= 25% relative width above 4 ns.
-  for (const double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double pe = exact.percentile_ns(q);
-    const double pb = bucketed.percentile_ns(q);
-    EXPECT_NEAR(pb, pe, pe * 0.25 + 4.0) << "q=" << q;
-  }
-  // Interpolated values stay inside the observed range.
-  EXPECT_GE(bucketed.percentile_ns(0.0), bucketed.stats().min());
-  EXPECT_LE(bucketed.percentile_ns(1.0), bucketed.stats().max());
-}
-
-TEST(LatencyRecorder, SetBucketedFoldsExistingSamples) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 100; ++i) r.add(us(i));
-  const double before = r.percentile_ns(0.5);
-  r.set_bucketed();
-  EXPECT_TRUE(r.bucketed());
-  EXPECT_EQ(r.count(), 100u);
-  EXPECT_NEAR(r.percentile_ns(0.5), before, before * 0.25 + 4.0);
-}
-
-TEST(LatencyRecorder, BucketedMemoryStaysBounded) {
-  LatencyRecorder r;
-  r.set_bucketed();
-  for (int i = 0; i < 100000; ++i) r.add(us(i + 1));
-  // ~2 KB of bucket counts, no per-sample storage.
-  EXPECT_LE(r.memory_bytes(), 4096u);
-}
-
-TEST(LatencyRecorder, MergePromotesToBucketed) {
-  LatencyRecorder exact, bucketed;
-  exact.add(ms(1));
-  exact.add(ms(2));
-  bucketed.set_bucketed();
-  bucketed.add(ms(3));
-  exact.merge(bucketed);
-  EXPECT_TRUE(exact.bucketed());
-  EXPECT_EQ(exact.count(), 3u);
-  EXPECT_DOUBLE_EQ(exact.mean_ms(), 2.0);
-
-  // And the reverse direction: bucketed absorbs an exact recorder.
-  LatencyRecorder b2, e2;
-  b2.set_bucketed();
-  b2.add(ms(1));
-  e2.add(ms(3));
-  b2.merge(e2);
-  EXPECT_EQ(b2.count(), 2u);
-  EXPECT_DOUBLE_EQ(b2.mean_ms(), 2.0);
-}
-
 TEST(Ewma, FirstSampleSeeds) {
   Ewma e(0.5);
   EXPECT_TRUE(e.empty());

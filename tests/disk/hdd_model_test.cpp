@@ -85,10 +85,16 @@ TEST(HddModel, RotationalDelayZeroWhenAligned) {
   EXPECT_EQ(m.rotational_delay(0.0, 0), 0);
 }
 
+// The media time of `blocks` blocks at block 0: a sequential op's service
+// has no seek and no rotation, only transfer and the controller overhead.
+Duration transfer_at_zero(const HddModel& m, std::uint64_t blocks) {
+  return m.service(0, m.cylinder_of(0), 0, blocks, 0, true).transfer;
+}
+
 TEST(HddModel, TransferScalesWithBlocks) {
   HddModel m;
-  const Duration one = m.transfer_time(0, 1);
-  const Duration ten = m.transfer_time(0, 10);
+  const Duration one = transfer_at_zero(m, 1);
+  const Duration ten = transfer_at_zero(m, 10);
   EXPECT_GT(one, 0);
   EXPECT_NEAR(static_cast<double>(ten), 10.0 * static_cast<double>(one),
               static_cast<double>(one) * 0.01);
@@ -97,7 +103,7 @@ TEST(HddModel, TransferScalesWithBlocks) {
 TEST(HddModel, TransferRateRealistic) {
   HddModel m;
   // Outer zone: 256 blocks (1 MiB) per 8.33 ms track -> ~120 MB/s.
-  const double mb_per_s = 1.0 / (to_sec(m.transfer_time(0, 256)));
+  const double mb_per_s = 1.0 / (to_sec(transfer_at_zero(m, 256)));
   EXPECT_GT(mb_per_s, 60.0);
   EXPECT_LT(mb_per_s, 250.0);
 }
@@ -162,8 +168,8 @@ TEST(HddModel, ServiceMatchesComponentFunctionsBitExact) {
       const bool sequential = rng.chance(0.3);
       const auto s =
           m.service(head, m.cylinder_of(block), block, blocks, at, sequential);
-      // The transfer and angle formulas are written out here rather than
-      // taken from transfer_time/angle_of, which share service()'s helpers.
+      // The transfer and angle formulas are written out here, independent
+      // of service()'s private helpers.
       const std::uint32_t bpt = m.blocks_per_track(m.cylinder_of(block));
       const double per_block = static_cast<double>(m.rotation_period()) /
                                static_cast<double>(bpt);
@@ -178,8 +184,6 @@ TEST(HddModel, ServiceMatchesComponentFunctionsBitExact) {
       ASSERT_EQ(s.seek, seek) << i;
       ASSERT_EQ(s.rotation, rotation) << i;
       ASSERT_EQ(s.transfer, transfer) << i;
-      ASSERT_EQ(s.transfer, m.transfer_time(block, blocks)) << i;
-      ASSERT_EQ(angle, m.angle_of(block)) << i;
       ASSERT_EQ(s.overhead, m.timing().controller_overhead) << i;
     }
   }

@@ -46,7 +46,9 @@ EngineHarness::EngineHarness(EngineKind kind, EngineConfig cfg, RaidLevel raid) 
 Duration EngineHarness::run(const IoRequest& req) {
   const SimTime start = sim_.now();
   Duration latency = -1;
-  engine_->submit(req, [this, start, &latency]() { latency = sim_.now() - start; });
+  engine_->submit(req, [this, start, &latency](IoStatus) {
+    latency = sim_.now() - start;
+  });
   sim_.run();
   return latency;
 }

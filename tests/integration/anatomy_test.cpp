@@ -216,36 +216,5 @@ TEST(Anatomy, TailRingRetainsSlowestSorted) {
   }
 }
 
-TEST(Anatomy, BucketedModeKeepsInvariantsAndApproximatesPercentiles) {
-  const Trace trace = small_trace();
-  const RunSpec spec = base_spec(EngineKind::kSelectDedupe);
-  ReplayResult exact;
-  {
-    ScopedEnv on("POD_ANATOMY", "1");
-    exact = run_replay(spec, trace);
-  }
-  ReplayResult bucketed;
-  {
-    ScopedEnv on("POD_ANATOMY", "1");
-    ScopedEnv b("POD_ANATOMY_BUCKETS", "1");
-    bucketed = run_replay(spec, trace);
-  }
-  expect_anatomy_invariants(exact);
-  expect_anatomy_invariants(bucketed);
-  EXPECT_FALSE(exact.anatomy.comp[0].bucketed());
-  EXPECT_TRUE(bucketed.anatomy.comp[0].bucketed());
-  // Count/mean/min/max stay exact in bucketed mode; percentiles agree
-  // within the quarter-octave bucket resolution (<= 25% relative).
-  for (std::size_t c = 0; c < kNumLatComps; ++c) {
-    const LatencyRecorder& e = exact.anatomy.comp[c];
-    const LatencyRecorder& b = bucketed.anatomy.comp[c];
-    EXPECT_EQ(e.count(), b.count());
-    EXPECT_DOUBLE_EQ(e.mean_ns(), b.mean_ns());
-    const double pe = e.percentile_ns(0.95);
-    const double pb = b.percentile_ns(0.95);
-    EXPECT_NEAR(pb, pe, pe * 0.25 + 1.0);
-  }
-}
-
 }  // namespace
 }  // namespace pod

@@ -45,7 +45,7 @@ TEST(Raid0, SmallWriteTouchesOneDisk) {
   Simulator sim;
   Raid0 r(sim, small_array());
   bool done = false;
-  r.write(4, 4, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kWrite, 4, 4, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   int active = 0;
@@ -58,7 +58,8 @@ TEST(Raid0, LargeIoFansOutAcrossDisks) {
   Simulator sim;
   Raid0 r(sim, small_array());
   bool done = false;
-  r.read(0, 64, [&] { done = true; });  // exactly one full row
+  // Exactly one full row.
+  r.submit(VolumeIo{OpType::kRead, 0, 64, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   for (std::size_t d = 0; d < r.num_disks(); ++d) {
@@ -71,7 +72,8 @@ TEST(Raid0, MultiRowFragmentsMergePerDisk) {
   Simulator sim;
   Raid0 r(sim, small_array());
   bool done = false;
-  r.read(0, 128, [&] { done = true; });  // two full rows
+  // Two full rows.
+  r.submit(VolumeIo{OpType::kRead, 0, 128, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   // Rows are adjacent on each disk: one merged 32-block read per disk.
@@ -85,7 +87,8 @@ TEST(Raid0, CompletionAfterAllFragments) {
   Simulator sim;
   Raid0 r(sim, small_array());
   SimTime completion = 0;
-  r.write(0, 64, [&] { completion = sim.now(); });
+  r.submit(VolumeIo{OpType::kWrite, 0, 64,
+                    [&](IoStatus) { completion = sim.now(); }});
   sim.run();
   EXPECT_EQ(completion, sim.now());  // the write was the last event
   EXPECT_GT(completion, 0);
@@ -96,7 +99,7 @@ TEST(Raid0, UnalignedRangeSplitsCorrectly) {
   Raid0 r(sim, small_array());
   bool done = false;
   // Start mid-unit on disk 0, spill into disk 1.
-  r.write(10, 12, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kWrite, 10, 12, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(r.disk(0).stats().blocks_written, 6u);   // blocks 10-15
@@ -108,13 +111,13 @@ TEST(Raid0, ParallelismBeatsSingleDisk) {
   // on a single-disk "array".
   Simulator sim4;
   Raid0 four(sim4, small_array(4));
-  four.read(0, 64, [] {});
+  four.submit(VolumeIo{OpType::kRead, 0, 64, [](IoStatus) {}});
   sim4.run();
 
   Simulator sim1;
   ArrayConfig one_cfg = small_array(1);
   Raid0 one(sim1, one_cfg);
-  one.read(0, 64, [] {});
+  one.submit(VolumeIo{OpType::kRead, 0, 64, [](IoStatus) {}});
   sim1.run();
 
   EXPECT_LT(sim4.now(), sim1.now());
@@ -123,7 +126,7 @@ TEST(Raid0, ParallelismBeatsSingleDisk) {
 TEST(Raid0, QueueLengthAggregates) {
   Simulator sim;
   Raid0 r(sim, small_array());
-  r.write(0, 64, [] {});
+  r.submit(VolumeIo{OpType::kWrite, 0, 64, [](IoStatus) {}});
   EXPECT_EQ(r.total_queue_length(), 4u);
   sim.run();
   EXPECT_EQ(r.total_queue_length(), 0u);
@@ -132,7 +135,9 @@ TEST(Raid0, QueueLengthAggregates) {
 TEST(Raid0DeathTest, OutOfCapacityRejected) {
   Simulator sim;
   Raid0 r(sim, small_array());
-  EXPECT_DEATH(r.read(r.capacity_blocks(), 1, [] {}), "POD_CHECK");
+  EXPECT_DEATH(r.submit(VolumeIo{OpType::kRead, r.capacity_blocks(), 1,
+                                 [](IoStatus) {}}),
+               "POD_CHECK");
 }
 
 }  // namespace

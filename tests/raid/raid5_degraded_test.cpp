@@ -40,7 +40,7 @@ TEST(Raid5Degraded, ReadOnSurvivingDiskUnaffected) {
   Raid5 r(sim, small_array());
   r.fail_disk(3);  // row 0 parity disk; blocks 0..15 live on disk 0
   bool done = false;
-  r.read(0, 8, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kRead, 0, 8, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(r.disk(0).stats().reads, 1u);
@@ -53,7 +53,7 @@ TEST(Raid5Degraded, ReadOnFailedDiskReconstructs) {
   Raid5 r(sim, small_array());
   r.fail_disk(0);  // blocks 0..15 (row 0, col 0) are lost
   bool done = false;
-  r.read(0, 8, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kRead, 0, 8, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   // Reconstruction reads the same range from every surviving member.
@@ -69,13 +69,13 @@ TEST(Raid5Degraded, ReconstructionConsumesMoreDiskResources) {
   // bandwidth — which is what degrades a loaded array.
   Simulator healthy_sim;
   Raid5 healthy(healthy_sim, small_array());
-  healthy.read(0, 8, [] {});
+  healthy.submit(VolumeIo{OpType::kRead, 0, 8, [](IoStatus) {}});
   healthy_sim.run();
 
   Simulator degraded_sim;
   Raid5 degraded(degraded_sim, small_array());
   degraded.fail_disk(0);
-  degraded.read(0, 8, [] {});
+  degraded.submit(VolumeIo{OpType::kRead, 0, 8, [](IoStatus) {}});
   degraded_sim.run();
 
   auto totals = [](const Raid5& r) {
@@ -99,7 +99,7 @@ TEST(Raid5Degraded, WriteToLostParityColumnSkipsParity) {
   Raid5 r(sim, small_array());
   r.fail_disk(3);  // row 0 parity
   bool done = false;
-  r.write(0, 4, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kWrite, 0, 4, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   // Just the data write: no pre-reads, no parity ops.
@@ -114,7 +114,8 @@ TEST(Raid5Degraded, WriteToLostDataColumnReconstructWrites) {
   Raid5 r(sim, small_array());
   r.fail_disk(0);  // row 0 data column 0 lost
   bool done = false;
-  r.write(0, 4, [&] { done = true; });  // targets the lost column
+  // Targets the lost column.
+  r.submit(VolumeIo{OpType::kWrite, 0, 4, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   // Pre-reads from the surviving data columns (1, 2), parity write on 3,
@@ -130,7 +131,8 @@ TEST(Raid5Degraded, WriteElsewhereInDegradedRowIsNormalRmw) {
   Raid5 r(sim, small_array());
   r.fail_disk(0);
   bool done = false;
-  r.write(16, 4, [&] { done = true; });  // row 0 column 1 (disk 1)
+  // Row 0 column 1 (disk 1).
+  r.submit(VolumeIo{OpType::kWrite, 16, 4, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(r.disk(0).stats().reads + r.disk(0).stats().writes, 0u);
@@ -145,7 +147,8 @@ TEST(Raid5Degraded, DegradedFullStripeSkipsFailedMember) {
   Raid5 r(sim, small_array());
   r.fail_disk(1);
   bool done = false;
-  r.write(0, 48, [&] { done = true; });  // full row 0
+  // Full row 0.
+  r.submit(VolumeIo{OpType::kWrite, 0, 48, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(r.disk(1).stats().writes, 0u);
@@ -194,7 +197,7 @@ TEST(Raid5Degraded, CompleteRebuildRestoresHealthy) {
   r.complete_rebuild();
   EXPECT_FALSE(r.degraded());
   // Reads of the recovered column are direct again.
-  r.read(0, 4, [] {});
+  r.submit(VolumeIo{OpType::kRead, 0, 4, [](IoStatus) {}});
   sim.run();
   EXPECT_GT(r.disk(0).stats().reads, 0u);
 }

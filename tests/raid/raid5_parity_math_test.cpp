@@ -156,11 +156,11 @@ TEST(Raid5ParityMath, DegradedReadsAvoidEveryFailedPosition) {
     std::size_t completions = 0;
     const std::uint64_t cap = r.capacity_blocks();
     for (Pba p = 0; p < cap; p += 8)
-      r.read(p, std::min<std::uint64_t>(8, cap - p),
-             [&](IoStatus s) {
-               EXPECT_EQ(s, IoStatus::kOk);
-               ++completions;
-             });
+      r.submit(VolumeIo{OpType::kRead, p, std::min<std::uint64_t>(8, cap - p),
+                        [&](IoStatus s) {
+                          EXPECT_EQ(s, IoStatus::kOk);
+                          ++completions;
+                        }});
     sim.run();
     EXPECT_EQ(completions, (cap + 7) / 8);
     EXPECT_EQ(r.disk(failed).stats().reads, 0u);

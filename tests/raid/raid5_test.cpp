@@ -75,7 +75,7 @@ TEST(Raid5, SmallWriteCostsFourDiskOps) {
   Simulator sim;
   Raid5 r(sim, small_array(4));
   bool done = false;
-  r.write(5, 1, [&] { done = true; });
+  r.submit(VolumeIo{OpType::kWrite, 5, 1, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   std::uint64_t total_ops = 0;
@@ -136,7 +136,8 @@ TEST(Raid5, ReadTouchesOnlyDataDisks) {
   Simulator sim;
   Raid5 r(sim, small_array(4));
   bool done = false;
-  r.read(0, 48, [&] { done = true; });  // full row 0 of data
+  // Full row 0 of data.
+  r.submit(VolumeIo{OpType::kRead, 0, 48, [&](IoStatus) { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(r.disk(3).stats().reads, 0u);  // parity disk untouched
@@ -147,7 +148,8 @@ TEST(Raid5, WriteCompletionAfterBothPhases) {
   Simulator sim;
   Raid5 r(sim, small_array(4));
   SimTime completion = 0;
-  r.write(1, 2, [&] { completion = sim.now(); });
+  r.submit(VolumeIo{OpType::kWrite, 1, 2,
+                    [&](IoStatus) { completion = sim.now(); }});
   sim.run();
   EXPECT_EQ(completion, sim.now());
   // RMW: pre-read phase then write phase, so at least two disk service
@@ -159,13 +161,16 @@ TEST(Raid5, SmallWritesCostMoreThanRaid0) {
   // The RAID5 small-write penalty: same workload, same disks, ~2x the ops.
   Simulator s5;
   Raid5 r5(s5, small_array(4));
-  for (int i = 0; i < 10; ++i) r5.write(static_cast<Pba>(i) * 1000, 1, [] {});
+  for (int i = 0; i < 10; ++i)
+    r5.submit(VolumeIo{OpType::kWrite, static_cast<Pba>(i) * 1000, 1,
+                       [](IoStatus) {}});
   s5.run();
 
   Simulator s0;
   Raid0 r0_equiv(s0, small_array(4));
   for (int i = 0; i < 10; ++i)
-    r0_equiv.write(static_cast<Pba>(i) * 1000, 1, [] {});
+    r0_equiv.submit(VolumeIo{OpType::kWrite, static_cast<Pba>(i) * 1000, 1,
+                             [](IoStatus) {}});
   s0.run();
 
   std::uint64_t ops5 = 0, ops0 = 0;

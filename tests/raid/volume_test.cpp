@@ -59,8 +59,8 @@ TEST(Volume, ConvenienceWrappers) {
   cfg.disk_geometry.total_blocks = 1 << 12;
   Raid0 vol(sim, cfg);
   int completed = 0;
-  vol.read(0, 4, [&] { ++completed; });
-  vol.write(100, 4, [&] { ++completed; });
+  vol.submit(VolumeIo{OpType::kRead, 0, 4, [&](IoStatus) { ++completed; }});
+  vol.submit(VolumeIo{OpType::kWrite, 100, 4, [&](IoStatus) { ++completed; }});
   sim.run();
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(vol.disk(0).stats().reads + vol.disk(1).stats().reads, 1u);
@@ -74,7 +74,8 @@ TEST(Volume, NullDoneCallbackAccepted) {
   cfg.stripe_unit_blocks = 8;
   cfg.disk_geometry.total_blocks = 1 << 12;
   Raid0 vol(sim, cfg);
-  vol.write(0, 8, nullptr);  // fire-and-forget background style
+  // Fire-and-forget background style.
+  vol.submit(VolumeIo{OpType::kWrite, 0, 8, {}});
   sim.run();
   EXPECT_GT(vol.disk(0).stats().writes + vol.disk(1).stats().writes, 0u);
 }
@@ -86,7 +87,8 @@ TEST(Volume, QueueLengthDrainsToZero) {
   cfg.stripe_unit_blocks = 8;
   cfg.disk_geometry.total_blocks = 1 << 12;
   Raid0 vol(sim, cfg);
-  for (int i = 0; i < 6; ++i) vol.write(static_cast<Pba>(i) * 64, 4, nullptr);
+  for (int i = 0; i < 6; ++i)
+    vol.submit(VolumeIo{OpType::kWrite, static_cast<Pba>(i) * 64, 4, {}});
   EXPECT_GT(vol.total_queue_length(), 0u);
   sim.run();
   EXPECT_EQ(vol.total_queue_length(), 0u);

@@ -75,14 +75,14 @@ TEST(Generator, RequestsWithinVolume) {
 TEST(Generator, WriteRatioApproximatesProfile) {
   WorkloadProfile p = bigger_tiny();
   const Trace t = TraceGenerator(p).generate();
-  const auto c = characterize(t, StatsWindow::kAll);
+  const auto c = scan_trace(t, StatsWindow::kAll).characteristics;
   EXPECT_NEAR(c.write_ratio, p.write_ratio, 0.05);
 }
 
 TEST(Generator, RedundancyMatchesMixRoughly) {
   WorkloadProfile p = bigger_tiny();
   const Trace t = TraceGenerator(p).generate();
-  const auto r = redundancy_by_size(t, StatsWindow::kAll);
+  const auto r = scan_trace(t, StatsWindow::kAll).by_size;
   const double full_frac = static_cast<double>(r.fully_redundant.total()) /
                            static_cast<double>(r.total.total());
   // full_dup_seq + full_dup_scatter drive fully redundant writes (scatter
@@ -93,7 +93,7 @@ TEST(Generator, RedundancyMatchesMixRoughly) {
 TEST(Generator, SameLbaOverwritesHappen) {
   WorkloadProfile p = bigger_tiny();
   const Trace t = TraceGenerator(p).generate();
-  const auto b = redundancy_breakdown(t, StatsWindow::kAll);
+  const auto b = scan_trace(t, StatsWindow::kAll).breakdown;
   EXPECT_GT(b.same_lba_redundant_blocks, 0u);
   EXPECT_GT(b.io_redundancy_pct(), b.capacity_redundancy_pct());
 }
@@ -126,7 +126,7 @@ TEST(Generator, SmallWritesCarryMostRedundancy) {
   // writes for the web-vm-like profile.
   WorkloadProfile p = bigger_tiny();
   const Trace t = TraceGenerator(p).generate();
-  const auto r = redundancy_by_size(t, StatsWindow::kAll);
+  const auto r = scan_trace(t, StatsWindow::kAll).by_size;
   const std::uint64_t small =
       r.fully_redundant.count(0) + r.fully_redundant.count(1);
   EXPECT_GT(small, r.fully_redundant.total() / 2);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "common/packed_pba.hpp"
+
 namespace pod {
 namespace {
 
@@ -32,7 +37,7 @@ TEST(Characterize, BasicCounts) {
   add_write(t, 0, 0, {1, 2});
   add_read(t, 1, 0, 2);
   add_write(t, 2, 10, {3});
-  const auto c = characterize(t, StatsWindow::kAll);
+  const auto c = scan_trace(t, StatsWindow::kAll).characteristics;
   EXPECT_EQ(c.total_requests, 3u);
   EXPECT_EQ(c.write_requests, 2u);
   EXPECT_EQ(c.read_requests, 1u);
@@ -49,14 +54,14 @@ TEST(Characterize, MeasuredWindowSkipsWarmup) {
   add_write(t, 0, 0, {1});
   add_write(t, 1, 5, {2});
   t.warmup_count = 1;
-  const auto c = characterize(t);
+  const auto c = scan_trace(t).characteristics;
   EXPECT_EQ(c.total_requests, 1u);
   EXPECT_EQ(c.footprint_blocks, 1u);
 }
 
 TEST(Characterize, EmptyTrace) {
   Trace t;
-  const auto c = characterize(t, StatsWindow::kAll);
+  const auto c = scan_trace(t, StatsWindow::kAll).characteristics;
   EXPECT_EQ(c.total_requests, 0u);
   EXPECT_DOUBLE_EQ(c.write_ratio, 0.0);
   EXPECT_DOUBLE_EQ(c.avg_request_kb, 0.0);
@@ -68,7 +73,7 @@ TEST(RedundancyBySize, DetectsFullAndPartial) {
   add_write(t, 1, 10, {1, 2});   // fully redundant
   add_write(t, 2, 20, {1, 99});  // partially redundant
   add_write(t, 3, 30, {7, 8});   // unique
-  const auto r = redundancy_by_size(t, StatsWindow::kAll);
+  const auto r = scan_trace(t, StatsWindow::kAll).by_size;
   EXPECT_EQ(r.total.total(), 4u);
   EXPECT_EQ(r.fully_redundant.total(), 1u);
   EXPECT_EQ(r.partially_redundant.total(), 1u);
@@ -79,7 +84,7 @@ TEST(RedundancyBySize, BucketsBySize) {
   add_write(t, 0, 0, {1});            // 4 KB
   add_write(t, 1, 10, {1});           // 4 KB, redundant
   add_write(t, 2, 20, {2, 3, 4, 5});  // 16 KB unique
-  const auto r = redundancy_by_size(t, StatsWindow::kAll);
+  const auto r = scan_trace(t, StatsWindow::kAll).by_size;
   EXPECT_EQ(r.total.count(0), 2u);            // the 4 KB bucket
   EXPECT_EQ(r.total.count(2), 1u);            // the 16 KB bucket
   EXPECT_EQ(r.fully_redundant.count(0), 1u);
@@ -92,7 +97,7 @@ TEST(RedundancyBySize, WarmupPrimesContent) {
   add_write(t, 1, 10, {1});
   t.warmup_count = 1;
   // With priming, the single measured request is redundant.
-  const auto r = redundancy_by_size(t);
+  const auto r = scan_trace(t).by_size;
   EXPECT_EQ(r.total.total(), 1u);
   EXPECT_EQ(r.fully_redundant.total(), 1u);
 }
@@ -103,7 +108,7 @@ TEST(RedundancyBreakdown, SameVsDifferentLba) {
   add_write(t, 1, 0, {1});    // same LBA, same content -> I/O redundancy
   add_write(t, 2, 50, {1});   // different LBA, same content -> capacity
   add_write(t, 3, 60, {9});   // unique
-  const auto b = redundancy_breakdown(t, StatsWindow::kAll);
+  const auto b = scan_trace(t, StatsWindow::kAll).breakdown;
   EXPECT_EQ(b.write_blocks, 4u);
   EXPECT_EQ(b.same_lba_redundant_blocks, 1u);
   EXPECT_EQ(b.diff_lba_redundant_blocks, 1u);
@@ -118,7 +123,7 @@ TEST(RedundancyBreakdown, IoAlwaysAtLeastCapacity) {
     add_write(t, i, static_cast<Lba>(i % 7) * 4,
               {static_cast<std::uint64_t>(i % 5)});
   }
-  const auto b = redundancy_breakdown(t, StatsWindow::kAll);
+  const auto b = scan_trace(t, StatsWindow::kAll).breakdown;
   EXPECT_GE(b.io_redundancy_pct(), b.capacity_redundancy_pct());
 }
 
@@ -128,16 +133,50 @@ TEST(RedundancyBreakdown, OverwriteChangesCurrent) {
   add_write(t, 1, 0, {2});  // overwrites lba 0 with new content
   add_write(t, 2, 0, {1});  // content 1 seen before, but lba 0 now holds 2:
                             // counts as diff-lba (capacity) redundancy
-  const auto b = redundancy_breakdown(t, StatsWindow::kAll);
+  const auto b = scan_trace(t, StatsWindow::kAll).breakdown;
   EXPECT_EQ(b.same_lba_redundant_blocks, 0u);
   EXPECT_EQ(b.diff_lba_redundant_blocks, 1u);
 }
 
 TEST(RedundancyBreakdown, EmptyIsZero) {
   Trace t;
-  const auto b = redundancy_breakdown(t, StatsWindow::kAll);
+  const auto b = scan_trace(t, StatsWindow::kAll).breakdown;
   EXPECT_DOUBLE_EQ(b.io_redundancy_pct(), 0.0);
   EXPECT_DOUBLE_EQ(b.capacity_redundancy_pct(), 0.0);
+}
+
+// Figure 1 asks whether a chunk's content was written before its request,
+// Figure 2 whether it was written before its block: a fresh chunk written
+// twice in one request is redundant for Figure 2 only.
+TEST(ScanTrace, SameChunkTwiceInOneRequest) {
+  Trace t;
+  add_write(t, 0, 0, {5, 5});
+  const TraceScan s = scan_trace(t, StatsWindow::kAll);
+  EXPECT_EQ(s.by_size.fully_redundant.total(), 0u);
+  EXPECT_EQ(s.by_size.partially_redundant.total(), 0u);
+  EXPECT_EQ(s.breakdown.write_blocks, 2u);
+  EXPECT_EQ(s.breakdown.same_lba_redundant_blocks, 0u);
+  EXPECT_EQ(s.breakdown.diff_lba_redundant_blocks, 1u);
+}
+
+// The scan keeps dense per-LBA state; a block past what it can index is
+// refused with the LBA named, never truncated into range.
+TEST(ScanTrace, RefusesLbaPastDenseRange) {
+  Trace t;
+  add_write(t, 0, 0, {1});
+  const Lba lba = kPackedPbaLimit - 1;  // its second block is out of range
+  add_read(t, 1, lba, 2);
+  try {
+    (void)scan_trace(t, StatsWindow::kAll);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(lba)),
+              std::string::npos)
+        << e.what();
+  }
+  Trace far;
+  add_write(far, 0, Lba{1} << 40, {1});
+  EXPECT_THROW((void)scan_trace(far, StatsWindow::kAll), std::invalid_argument);
 }
 
 }  // namespace

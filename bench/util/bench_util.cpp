@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "common/thread_pool.hpp"
@@ -60,7 +61,13 @@ std::size_t bench_jobs() {
   // request at hardware concurrency; tests construct ParallelRunner with
   // explicit job counts and keep the right to oversubscribe (interleaving
   // coverage under TSan).
-  const std::size_t jobs = ThreadPool::jobs_from_env();
+  std::size_t jobs = 0;
+  try {
+    jobs = ThreadPool::jobs_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "[bench] %s; aborting\n", e.what());
+    std::exit(2);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t cap = hw > 0 ? hw : 1;
   return jobs > cap ? cap : jobs;

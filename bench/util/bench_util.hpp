@@ -14,14 +14,17 @@
 //                seven ablations keep their fixed traces.
 //   POD_JOBS   — parallel replay jobs; default = hardware concurrency.
 //                Per-run results are byte-identical to serial (each run
-//                owns its simulator); only wall-clock changes.
+//                owns its simulator); only wall-clock changes. A
+//                malformed value exits with status 2.
 //   POD_TRACE_CACHE — directory for the persistent trace cache; when set,
 //                generated traces are stored there in binary PODTRC form
 //                and later runs bulk-load them instead of regenerating.
 //   POD_BENCH_JSON  — file to append per-run replay counters to, one JSON
 //                object per line (mean latency, events scheduled, peak
 //                event-heap depth, peak RSS, plus host execution context
-//                (hardware threads), per-disk breakdowns, RAID5 parity
+//                (hardware threads, whether the DES had a helper thread,
+//                and each replay phase's wall and thread-CPU seconds),
+//                per-disk breakdowns, RAID5 parity
 //                write modes, iCache adaptation state, and — when
 //                telemetry is on — the metrics-registry snapshot; when
 //                latency anatomy is on, an "anatomy" object with
@@ -57,7 +60,8 @@ RunSpec paper_spec(EngineKind engine, const WorkloadProfile& profile,
 
 /// Parallel job count from POD_JOBS (default: hardware concurrency),
 /// capped at hardware concurrency — oversubscribing CPU-bound replays
-/// only adds scheduling overhead.
+/// only adds scheduling overhead. Exits with status 2, naming the value,
+/// when POD_JOBS is malformed.
 std::size_t bench_jobs();
 
 /// Prints a figure's title banner.

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "replay/parallel_runner.hpp"
@@ -103,9 +104,21 @@ void emit_replay_counters_json(const std::vector<ReplayResult>& results) {
         static_cast<unsigned long long>(r.batch_probes),
         static_cast<unsigned long long>(r.scratch_bytes));
     // Host execution context: makes a JSON line interpretable on its own
-    // (how many hardware threads the host had).
+    // (how many hardware threads the host had, whether the DES had its
+    // own thread, and each replay phase's wall seconds and the CPU
+    // seconds of the thread that ran it).
     const unsigned hw = std::thread::hardware_concurrency();
-    std::fprintf(f, ",\"host\":{\"hw_threads\":%u}", hw > 0 ? hw : 1);
+    std::fprintf(f, ",\"host\":{\"hw_threads\":%u,\"des_helper\":%s",
+                 hw > 0 ? hw : 1, r.des_helper ? "true" : "false");
+    const std::pair<const char*, const HostTime*> phases[] = {
+        {"warmup", &r.host_warmup},
+        {"policy", &r.host_policy},
+        {"des", &r.host_des},
+    };
+    for (const auto& [name, t] : phases)
+      std::fprintf(f, ",\"%s_wall_s\":%.6f,\"%s_cpu_s\":%.6f", name,
+                   t->wall_s, name, t->cpu_s);
+    std::fprintf(f, "}");
     std::fprintf(
         f,
         ",\"full_stripe_writes\":%llu,\"rmw_writes\":%llu,"

@@ -23,17 +23,22 @@ namespace {
 constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 }  // namespace
 
-void* os_zeroed_pages(std::size_t bytes) {
+void* os_zeroed_pages(std::size_t bytes, bool huge) {
   if (bytes == 0) return nullptr;
 #ifdef POD_HAVE_MMAP
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
 #ifdef MADV_HUGEPAGE
-  if (bytes >= kHugePageBytes) ::madvise(p, bytes, MADV_HUGEPAGE);
+  // A small-page array says so too, in case huge pages are the default.
+  if (bytes >= kHugePageBytes)
+    ::madvise(p, bytes, huge ? MADV_HUGEPAGE : MADV_NOHUGEPAGE);
+#else
+  (void)huge;
 #endif
   return p;
 #else
+  (void)huge;
   void* p = std::calloc(bytes, 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;

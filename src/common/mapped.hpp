@@ -9,7 +9,9 @@
 // again, and freed heap memory stays in the process between passes.
 // Arrays of 2 MB and more ask for transparent huge pages: the replay then
 // takes one fault per 2 MB instead of per 4 KB, and its random probes
-// into these arrays miss the TLB far less. resize() copies the contents
+// into these arrays miss the TLB far less. A sparse array (one that
+// touches a few scattered entries of a large range) opts out with
+// Pages::kSmall, so each touch zeroes 4 KB, not 2 MB. resize() copies the contents
 // into a fresh zeroed array. T must be trivially copyable, and its
 // all-zero byte pattern must be its value-initialised state (integers,
 // Fingerprint).
@@ -39,12 +41,16 @@
 namespace pod {
 
 namespace detail {
-/// `bytes` of zero-filled, page-aligned anonymous memory (nullptr for 0).
-/// Throws std::bad_alloc when the OS refuses.
-void* os_zeroed_pages(std::size_t bytes);
+/// `bytes` of zero-filled, page-aligned anonymous memory (nullptr for 0),
+/// asking for transparent huge pages from 2 MB up when `huge`. Throws
+/// std::bad_alloc when the OS refuses.
+void* os_zeroed_pages(std::size_t bytes, bool huge = true);
 /// Returns memory from os_zeroed_pages (no-op for nullptr).
 void os_release_pages(void* p, std::size_t bytes) noexcept;
 }  // namespace detail
+
+/// The page size a ZeroedArray asks for (see the header comment).
+enum class Pages { kHuge, kSmall };
 
 template <typename T>
 class ZeroedArray {
@@ -53,8 +59,9 @@ class ZeroedArray {
 
  public:
   ZeroedArray() = default;
-  explicit ZeroedArray(std::size_t n)
-      : data_(static_cast<T*>(detail::os_zeroed_pages(bytes_for(n)))),
+  explicit ZeroedArray(std::size_t n, Pages pages = Pages::kHuge)
+      : data_(static_cast<T*>(
+            detail::os_zeroed_pages(bytes_for(n), pages == Pages::kHuge))),
         size_(n) {}
   ~ZeroedArray() { detail::os_release_pages(data_, size_ * sizeof(T)); }
 

@@ -1,6 +1,10 @@
 #include "common/thread_pool.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace pod {
 
@@ -65,9 +69,14 @@ std::size_t ThreadPool::jobs_from_env(std::size_t fallback) {
     fallback = hw > 0 ? hw : 1;
   }
   const char* env = std::getenv("POD_JOBS");
-  if (env == nullptr || *env == '\0') return fallback;
-  const long v = std::atol(env);
-  return v > 0 ? static_cast<std::size_t>(v) : fallback;
+  if (env == nullptr) return fallback;
+  std::size_t v = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc{} || ptr != end || v == 0)
+    throw std::invalid_argument("POD_JOBS='" + std::string(env) +
+                                "' is not a positive integer");
+  return v;
 }
 
 }  // namespace pod

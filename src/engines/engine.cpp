@@ -150,9 +150,11 @@ std::uint64_t DedupEngine::state_digest() const {
     d.add(index_cache_->hits());
     d.add(index_cache_->misses());
   }
+  // Chunk counters move inside process_write, so warm() keeps them too;
+  // the per-request counters (writes_eliminated and the rest) are
+  // prepare()'s accounting, which warm() skips, and stay out.
   d.add(stats_.chunks_deduped);
   d.add(stats_.chunks_written);
-  d.add(stats_.writes_eliminated);
   return d.value();
 }
 
@@ -224,7 +226,8 @@ DedupEngine::IoPlan DedupEngine::build_read_plan(const IoRequest& req) {
   return plan;
 }
 
-DedupEngine::IoPlan DedupEngine::process_read(const IoRequest& req) {
+DedupEngine::IoPlan DedupEngine::process_read(const IoRequest& req,
+                                              SimTime /*now*/) {
   return build_read_plan(req);
 }
 
@@ -361,8 +364,16 @@ void DedupEngine::write_remaining_chunks(const IoRequest& req, WriteScratch& s,
 
 void DedupEngine::issue_background(OpType type, Pba block, std::uint64_t nblocks) {
   if (warming_) return;
-  POD_CHECK(block + nblocks <= volume_.capacity_blocks());
-  volume_.submit(VolumeIo{type, block, nblocks, /*done=*/nullptr});
+  if (background_ != nullptr) {
+    background_->push_back(OpSpec{type, block, nblocks});
+    return;
+  }
+  submit_background(OpSpec{type, block, nblocks});
+}
+
+void DedupEngine::submit_background(const OpSpec& op) {
+  POD_CHECK(op.block + op.nblocks <= volume_.capacity_blocks());
+  volume_.submit(VolumeIo{op.type, op.block, op.nblocks, /*done=*/nullptr});
 }
 
 DedupEngine::RequestState* DedupEngine::acquire_state() {
@@ -455,11 +466,49 @@ void DedupEngine::stage_op_done(RequestState* st, const OpSpec& op, IoStatus s,
 
 void DedupEngine::start_io(RequestState* st) { issue_stage(st, /*stage1=*/true); }
 
-void DedupEngine::execute_plan(const IoRequest& req, IoPlan plan,
-                               IoDoneFn done, std::uint64_t dedup_hits) {
+DedupEngine::Prepared DedupEngine::prepare(const IoRequest& req, SimTime now) {
+  if (Telemetry* t = sim_.telemetry()) {
+    if (!telem_.init) init_telemetry(*t);
+  }
+  Prepared p;
+  p.req = &req;
+  background_ = &p.background;
+  // Per-request dedup-hit delta for per-stream accounting (one counter
+  // load/subtract, gated like every other attribution site).
+  const bool anatomy_on = sim_.anatomy() != nullptr;
+  const std::uint64_t deduped_before = anatomy_on ? stats_.chunks_deduped : 0;
+  if (req.is_write()) {
+    ++stats_.write_requests;
+    stats_.write_blocks += req.nblocks;
+    p.plan = process_write(req, now);
+    // A write counts as eliminated when no *data* write reaches the disks
+    // (stage2); index-lookup reads in stage1 do not resurrect it.
+    if (p.plan.stage2.empty()) {
+      ++stats_.writes_eliminated;
+      if (req.nblocks <= kSmallWriteBlocks) ++stats_.small_writes_eliminated;
+    }
+  } else {
+    ++stats_.read_requests;
+    stats_.read_blocks += req.nblocks;
+    p.plan = process_read(req, now);
+    stats_.read_ops_issued += p.plan.stage1.size() + p.plan.stage2.size();
+  }
+  background_ = nullptr;
+  POD_CHECK(store_.freed().empty());  // the write tail drained every block
+  if (anatomy_on) p.dedup_hits = stats_.chunks_deduped - deduped_before;
+  return p;
+}
+
+void DedupEngine::execute(const Prepared& p, IoDoneFn done) {
+  // Background ops enter the volume before the plan, as the policy issued
+  // them inside the request.
+  for (const OpSpec& op : p.background) submit_background(op);
+
+  const IoRequest& req = *p.req;
+  const IoPlan& plan = p.plan;
   RequestState* st = acquire_state();
-  st->stage1 = std::move(plan.stage1);
-  st->stage2 = std::move(plan.stage2);
+  st->stage1 = plan.stage1;
+  st->stage2 = plan.stage2;
   st->done = std::move(done);
   st->trace = telem_.init ? telem_.trace : nullptr;
   st->req_id = req.id;
@@ -468,7 +517,7 @@ void DedupEngine::execute_plan(const IoRequest& req, IoPlan plan,
     // The classify/hash CPU span is dedup bookkeeping by definition.
     st->anatomy[LatComp::kDedupMeta] = plan.cpu;
     st->submit_time = sim_.now();
-    st->dedup_hits = dedup_hits;
+    st->dedup_hits = p.dedup_hits;
     st->stream = req.stream;
     st->nblocks = req.nblocks;
     st->type = req.type;
@@ -487,41 +536,20 @@ void DedupEngine::execute_plan(const IoRequest& req, IoPlan plan,
 }
 
 void DedupEngine::submit(const IoRequest& req, IoDoneFn done) {
-  if (Telemetry* t = sim_.telemetry()) {
-    if (!telem_.init) init_telemetry(*t);
-  }
-  IoPlan plan;
-  // Per-request dedup-hit delta for per-stream accounting (one counter
-  // load/subtract, gated like every other attribution site).
-  const bool anatomy_on = sim_.anatomy() != nullptr;
-  const std::uint64_t deduped_before = anatomy_on ? stats_.chunks_deduped : 0;
-  if (req.is_write()) {
-    ++stats_.write_requests;
-    stats_.write_blocks += req.nblocks;
-    plan = process_write(req);
-    // A write counts as eliminated when no *data* write reaches the disks
-    // (stage2); index-lookup reads in stage1 do not resurrect it.
-    if (plan.stage2.empty()) {
-      ++stats_.writes_eliminated;
-      if (req.nblocks <= kSmallWriteBlocks) ++stats_.small_writes_eliminated;
-    }
-  } else {
-    ++stats_.read_requests;
-    stats_.read_blocks += req.nblocks;
-    plan = process_read(req);
-    stats_.read_ops_issued += plan.stage1.size() + plan.stage2.size();
-  }
-  POD_CHECK(store_.freed().empty());  // the write tail drained every block
-  execute_plan(req, std::move(plan), std::move(done),
-               anatomy_on ? stats_.chunks_deduped - deduped_before : 0);
+  Prepared p = prepare(req, sim_.now());
+  execute(p, std::move(done));
+}
+
+bool DedupEngine::can_prepare_ahead() const {
+  return sim_.telemetry() == nullptr && volume_.fault_injector() == nullptr;
 }
 
 void DedupEngine::warm(const IoRequest& req) {
   warming_ = true;
   if (req.is_write()) {
-    (void)process_write(req);
+    (void)process_write(req, sim_.now());
   } else {
-    (void)process_read(req);
+    (void)process_read(req, sim_.now());
   }
   POD_CHECK(store_.freed().empty());
   warming_ = false;

@@ -6,7 +6,9 @@
 // processing modes:
 //   * submit(): full discrete-event execution — the request's CPU delay and
 //     disk operations play out on the simulator and the completion callback
-//     fires at the simulated finish time;
+//     fires at the simulated finish time. It is prepare() (all of the
+//     policy, given the admission time) followed by execute() (the
+//     simulator half); a replay may run the two on different threads;
 //   * warm(): functional execution — identical state updates (caches,
 //     index, map table, allocation) with all timing dropped. Used for the
 //     paper's 14-day warm-up phase at a fraction of the cost.
@@ -179,9 +181,59 @@ class DedupEngine {
 
   virtual const char* name() const = 0;
 
+  /// One volume operation an engine wants executed.
+  struct OpSpec {
+    OpType type = OpType::kRead;
+    Pba block = 0;
+    std::uint64_t nblocks = 1;
+  };
+
+  /// Op list sized for the common case: after coalescing, nearly every
+  /// request needs a handful of extents, so plans carry their ops inline
+  /// and only pathological scatter spills to the heap.
+  using OpList = InlineVec<OpSpec, 8>;
+
+  /// The timing plan for a request: a CPU delay, then stage1 ops (all in
+  /// parallel), then — once stage1 completes — stage2 ops.
+  struct IoPlan {
+    Duration cpu = 0;
+    OpList stage1;
+    OpList stage2;
+    bool empty() const { return stage1.empty() && stage2.empty(); }
+  };
+
+  /// A request whose policy has run: everything execute() needs to play it
+  /// out on the simulator, and nothing that reads policy state.
+  struct Prepared {
+    const IoRequest* req = nullptr;
+    IoPlan plan;
+    /// The fire-and-forget ops the policy issued (iCache swap I/O,
+    /// Full-Dedupe index writes, post-process scrub reads), in issue order.
+    OpList background;
+    /// Chunks this request deduplicated (anatomy runs only, else 0).
+    std::uint64_t dedup_hits = 0;
+  };
+
   /// Timed processing: `done` fires at the simulated completion time with
   /// the request's worst per-op status (kOk when faults are disabled).
+  /// Exactly execute(prepare(req, sim.now()), done).
   void submit(const IoRequest& req, IoDoneFn done);
+
+  /// The policy half of submit(): updates the request counters and every
+  /// cache, index and Map-table structure as of admission time `now`, and
+  /// returns the request's plan. Reads no simulator state but the constant
+  /// telemetry and anatomy pointers, so it may run ahead of the clock.
+  Prepared prepare(const IoRequest& req, SimTime now);
+
+  /// The simulator half of submit(), at the current simulated time: submits
+  /// `p`'s background ops, then starts its plan. Only reads `p`, and
+  /// touches no policy state unless a fault injector reports a failed op.
+  void execute(const Prepared& p, IoDoneFn done);
+
+  /// Whether prepare() may run on another thread than execute(): false
+  /// when an observer reads policy state from the simulator side (the
+  /// telemetry sampler's probes, the media-error blast radius).
+  bool can_prepare_ahead() const;
 
   /// Functional processing (state only, no simulated time).
   void warm(const IoRequest& req);
@@ -228,27 +280,6 @@ class DedupEngine {
   virtual std::uint64_t state_digest() const;
 
  protected:
-  /// One volume operation an engine wants executed.
-  struct OpSpec {
-    OpType type = OpType::kRead;
-    Pba block = 0;
-    std::uint64_t nblocks = 1;
-  };
-
-  /// Op list sized for the common case: after coalescing, nearly every
-  /// request needs a handful of extents, so plans carry their ops inline
-  /// and only pathological scatter spills to the heap.
-  using OpList = InlineVec<OpSpec, 8>;
-
-  /// The timing plan for a request: a CPU delay, then stage1 ops (all in
-  /// parallel), then — once stage1 completes — stage2 ops.
-  struct IoPlan {
-    Duration cpu = 0;
-    OpList stage1;
-    OpList stage2;
-    bool empty() const { return stage1.empty() && stage2.empty(); }
-  };
-
   /// Reusable per-engine request scratch. Every buffer the write/read path
   /// needs lives here, sized once to the largest request seen and reset per
   /// request, so steady-state request processing performs no allocation.
@@ -315,9 +346,10 @@ class DedupEngine {
     }
   };
 
-  /// Engine policy: updates all state and returns the plan.
-  virtual IoPlan process_write(const IoRequest& req) = 0;
-  virtual IoPlan process_read(const IoRequest& req);
+  /// Engine policy: updates all state and returns the plan. `now` is the
+  /// request's admission time; the policy reads no other clock.
+  virtual IoPlan process_write(const IoRequest& req, SimTime now) = 0;
+  virtual IoPlan process_read(const IoRequest& req, SimTime now);
 
   // ---- shared helpers -------------------------------------------------
 
@@ -400,6 +432,8 @@ class DedupEngine {
   }
 
   /// Fire-and-forget background op (index maintenance, iCache swaps).
+  /// Dropped while warming, recorded into the request's Prepared inside
+  /// prepare(), and submitted at once otherwise (a direct scrub_pass()).
   void issue_background(OpType type, Pba block, std::uint64_t nblocks);
 
   Simulator& sim_;
@@ -420,6 +454,8 @@ class DedupEngine {
   /// True while processing a warm() call: plans are built but not executed,
   /// and background I/O is suppressed.
   bool warming_ = false;
+  /// Where issue_background records ops while prepare() runs, else null.
+  OpList* background_ = nullptr;
 
  private:
   /// In-flight request state, pooled and recycled through a freelist. The
@@ -439,7 +475,7 @@ class DedupEngine {
     RequestState* next_free = nullptr;
     // ---- latency-anatomy fields, written only while a collector is
     // attached to the simulator (see replay/anatomy.hpp) ----------------
-    /// Component accumulator: CPU at execute_plan, each stage's critical
+    /// Component accumulator: CPU at execute, each stage's critical
     /// volume-op breakdown at stage_op_done.
     LatBreakdown anatomy;
     SimTime submit_time = 0;
@@ -448,9 +484,6 @@ class DedupEngine {
     std::uint32_t nblocks = 0;
     OpType type = OpType::kRead;
   };
-
-  void execute_plan(const IoRequest& req, IoPlan plan, IoDoneFn done,
-                    std::uint64_t dedup_hits = 0);
 
   RequestState* acquire_state();
   void release_state(RequestState* st);
@@ -475,6 +508,13 @@ class DedupEngine {
   /// may be attached to the simulator after engine construction).
   void init_telemetry(Telemetry& t);
 
+  /// Submits one background op a Prepared carried.
+  void submit_background(const OpSpec& op);
+
+  // ---- state execute() reads and writes, after everything prepare()
+  // writes and on cache lines of its own, so a policy running ahead on
+  // another thread shares none of them --------------------------------
+
   /// Telemetry handles; `init` doubles as the bound-once sentinel. All
   /// null/false when telemetry is off — each hot-path site costs a single
   /// branch on sim_.telemetry().
@@ -483,7 +523,8 @@ class DedupEngine {
     MetricCounter* batch_probes = nullptr;
     MetricCounter* batch_probe_hits = nullptr;
     TraceEventWriter* trace = nullptr;
-  } telem_;
+  };
+  alignas(64) Telem telem_;
 
   /// Request-state pool (see RequestState).
   std::vector<std::unique_ptr<RequestState>> request_pool_;

@@ -34,7 +34,8 @@ FullDedupeEngine::FullDedupeEngine(Simulator& sim, Volume& volume,
   ondisk_.set_journal(metadata_journal());
 }
 
-DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req,
+                                                    SimTime /*now*/) {
   IoPlan plan;
   plan.cpu = hash_.latency_for_chunks(req.nblocks);
   hash_.note_chunks_hashed(req.nblocks);

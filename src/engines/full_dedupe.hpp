@@ -25,7 +25,7 @@ class FullDedupeEngine : public DedupEngine {
   const OnDiskIndex& ondisk_index() const { return ondisk_; }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
 
  private:
   OnDiskIndex ondisk_;

@@ -9,7 +9,8 @@ IDedupEngine::IDedupEngine(Simulator& sim, Volume& volume, const EngineConfig& c
   POD_CHECK(index_cache_ != nullptr);
 }
 
-DedupEngine::IoPlan IDedupEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan IDedupEngine::process_write(const IoRequest& req,
+                                                SimTime /*now*/) {
   IoPlan plan;
   WriteScratch& s = scratch_;
   s.reset_write(req.nblocks);

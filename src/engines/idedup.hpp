@@ -22,7 +22,7 @@ class IDedupEngine : public DedupEngine {
   std::uint64_t bypassed_requests() const { return bypassed_; }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
 
  private:
   std::uint64_t bypassed_ = 0;

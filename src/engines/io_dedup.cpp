@@ -28,7 +28,8 @@ std::uint64_t IoDedupEngine::state_digest() const {
   return d.value();
 }
 
-DedupEngine::IoPlan IoDedupEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan IoDedupEngine::process_write(const IoRequest& req,
+                                                 SimTime /*now*/) {
   IoPlan plan;
   // Koller & Rangaswami compute content signatures *out of band* (in the
   // background, off the critical path), so unlike the inline dedup engines
@@ -39,7 +40,8 @@ DedupEngine::IoPlan IoDedupEngine::process_write(const IoRequest& req) {
   return plan;
 }
 
-DedupEngine::IoPlan IoDedupEngine::process_read(const IoRequest& req) {
+DedupEngine::IoPlan IoDedupEngine::process_read(const IoRequest& req,
+                                                SimTime /*now*/) {
   IoPlan plan;
   WriteScratch& s = scratch_;
   s.aux_runs.clear();

@@ -28,8 +28,8 @@ class IoDedupEngine : public DedupEngine {
   std::uint64_t state_digest() const override;
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
-  IoPlan process_read(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
+  IoPlan process_read(const IoRequest& req, SimTime now) override;
 
  private:
   /// Content-addressed cache, a resident list only: key = fingerprint

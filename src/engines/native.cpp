@@ -13,7 +13,8 @@ NativeEngine::NativeEngine(Simulator& sim, Volume& volume, EngineConfig cfg)
     : DedupEngine(sim, volume, all_memory_to_read_cache(std::move(cfg)),
                   /*keep_fingerprints=*/false) {}
 
-DedupEngine::IoPlan NativeEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan NativeEngine::process_write(const IoRequest& req,
+                                                SimTime /*now*/) {
   IoPlan plan;
   // No hashing, no dedup decision: place every chunk (home locations are
   // always available since nothing is ever shared) and write.

@@ -16,7 +16,7 @@ class NativeEngine : public DedupEngine {
   const char* name() const override { return "native"; }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
 };
 
 }  // namespace pod

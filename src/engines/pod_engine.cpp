@@ -23,6 +23,8 @@ PodEngine::PodEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg,
   icache_->repartition_hook = [this](std::uint64_t old_bytes,
                                      std::uint64_t new_bytes) {
     if (warming_) return;  // warm-up runs at no simulated time
+    // Only a telemetry run reads the clock here, and telemetry keeps the
+    // replay inline, where sim_.now() is this request's admission time.
     Telemetry* t = sim_.telemetry();
     if (t == nullptr) return;
     // Repartitions are rare (one per adaptation interval at most), so the
@@ -55,13 +57,15 @@ void PodEngine::swap_io(OpType type, std::uint64_t blocks) {
   swap_cursor_ += blocks;
 }
 
-DedupEngine::IoPlan PodEngine::process_write(const IoRequest& req) {
-  icache_->maybe_adapt(sim_.now());
+DedupEngine::IoPlan PodEngine::process_write(const IoRequest& req,
+                                             SimTime now) {
+  icache_->maybe_adapt(now);
   return select_dedupe_write(req);
 }
 
-DedupEngine::IoPlan PodEngine::process_read(const IoRequest& req) {
-  icache_->maybe_adapt(sim_.now());
+DedupEngine::IoPlan PodEngine::process_read(const IoRequest& req,
+                                            SimTime now) {
+  icache_->maybe_adapt(now);
   return build_read_plan(req);
 }
 

@@ -32,8 +32,8 @@ class PodEngine : public SelectDedupeEngine {
   const ICache* adaptive_cache() const override { return icache_.get(); }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
-  IoPlan process_read(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
+  IoPlan process_read(const IoRequest& req, SimTime now) override;
 
  private:
   void swap_io(OpType type, std::uint64_t blocks);

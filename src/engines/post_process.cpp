@@ -27,7 +27,8 @@ PostProcessEngine::PostProcessEngine(Simulator& sim, Volume& volume,
 
 void PostProcessEngine::begin_measured() { measured_ = true; }
 
-DedupEngine::IoPlan PostProcessEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan PostProcessEngine::process_write(const IoRequest& req,
+                                                     SimTime now) {
   // Foreground path identical to Native: no fingerprinting, no lookups.
   IoPlan plan;
   scratch_.reset_write(req.nblocks);
@@ -43,8 +44,8 @@ DedupEngine::IoPlan PostProcessEngine::process_write(const IoRequest& req) {
   // alive forever.
   if (measured_) {
     // Run at most one pass per scan_interval of simulated time.
-    if (sim_.now() >= next_pass_due_) {
-      next_pass_due_ = sim_.now() + opts_.scan_interval;
+    if (now >= next_pass_due_) {
+      next_pass_due_ = now + opts_.scan_interval;
       scrub_pass();
     }
   }

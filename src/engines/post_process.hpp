@@ -50,7 +50,7 @@ class PostProcessEngine : public DedupEngine {
   std::uint64_t scrub_passes() const { return passes_; }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
 
  private:
   void schedule_next_pass();

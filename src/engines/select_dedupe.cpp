@@ -10,7 +10,8 @@ SelectDedupeEngine::SelectDedupeEngine(Simulator& sim, Volume& volume,
   POD_CHECK(index_cache_ != nullptr);
 }
 
-DedupEngine::IoPlan SelectDedupeEngine::process_write(const IoRequest& req) {
+DedupEngine::IoPlan SelectDedupeEngine::process_write(const IoRequest& req,
+                                                      SimTime /*now*/) {
   return select_dedupe_write(req);
 }
 

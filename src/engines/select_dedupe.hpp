@@ -21,7 +21,7 @@ class SelectDedupeEngine : public DedupEngine {
   const char* name() const override { return "select-dedupe"; }
 
  protected:
-  IoPlan process_write(const IoRequest& req) override;
+  IoPlan process_write(const IoRequest& req, SimTime now) override;
 
   /// Shared with PodEngine: the full Select-Dedupe write path.
   IoPlan select_dedupe_write(const IoRequest& req);

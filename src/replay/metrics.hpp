@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/resource.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "engines/engine.hpp"
@@ -104,6 +105,19 @@ struct ReplayResult {
   /// the run — flat across request counts once the largest request has
   /// been seen (the zero-steady-state-allocation tripwire).
   std::uint64_t scratch_bytes = 0;
+
+  /// Host time per phase, each read on the thread that did the work.
+  /// They describe the host, not the simulation: result files carry them,
+  /// stdout never does. The functional warm-up (calling thread) …
+  HostTime host_warmup;
+  /// … the measured phase's engine policy (DedupEngine::prepare on the
+  /// calling thread; zero for an inline replay, where it runs interleaved
+  /// with the DES and is counted in host_des) …
+  HostTime host_policy;
+  /// … and the measured phase's DES: admission, DedupEngine::execute and
+  /// Simulator::step, on the helper thread when des_helper is set.
+  HostTime host_des;
+  bool des_helper = false;
 
   double mean_ms() const { return all.mean_ms(); }
   double read_mean_ms() const { return reads.mean_ms(); }

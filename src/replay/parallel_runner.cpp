@@ -66,11 +66,15 @@ std::vector<ReplayResult> ParallelRunner::run(
                      return items[a].trace->requests.size() >
                             items[b].trace->requests.size();
                    });
+  // Each replay takes a DES helper thread only while the jobs leave two
+  // hardware threads per replay.
+  const DesThread des = des_thread_for_jobs(jobs);
   ThreadPool pool(jobs);
   for (const std::size_t i : order) {
     pool.submit([&, i] {
       try {
-        results[i] = run_replay(items[i].spec, *items[i].trace);
+        results[i] = run_replay(items[i].spec, *items[i].trace,
+                                AdmissionMode::kStreaming, des);
       } catch (...) {
         errors[i] = std::current_exception();
       }

@@ -28,6 +28,8 @@ class ParallelRunner {
   };
 
   /// @param jobs  worker threads; <= 1 executes serially on this thread.
+  /// Each run also takes a DES helper thread when 2 x jobs (clamped to the
+  /// item count) fits the hardware threads (des_thread_for_jobs).
   explicit ParallelRunner(std::size_t jobs) : jobs_(jobs) {}
 
   /// Executes every item and returns results in input order. Items start

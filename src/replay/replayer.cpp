@@ -1,10 +1,13 @@
 #include "replay/replayer.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/resource.hpp"
+#include "common/spsc_ring.hpp"
 #include "engines/full_dedupe.hpp"
 #include "engines/idedup.hpp"
 #include "engines/io_dedup.hpp"
@@ -29,6 +32,54 @@ const char* to_string(EngineKind kind) {
   return "?";
 }
 
+DesThread des_thread_for_jobs(std::size_t jobs) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return 2 * jobs <= hw ? DesThread::kHelper : DesThread::kInline;
+}
+
+namespace {
+
+/// The streaming-admission loop: the next arrival is admitted as soon as
+/// it is not later than every pending simulation event (ties admit the
+/// arrival first — see AdmissionMode::kStreaming for why this matches the
+/// prescheduled order exactly); otherwise one event runs. Trace arrivals
+/// never enter the event heap at all. `take(req, arrival)` yields the
+/// request's prepared form (null ends the loop: its producer stopped) and
+/// `release()` returns it once executed.
+template <typename Take, typename Release, typename Admit, typename Record>
+void stream_measured(Simulator& sim, DedupEngine& engine, const Trace& trace,
+                     SimTime t0, Take&& take, Release&& release,
+                     const Admit& admit, const Record& record) {
+  const std::size_t total = trace.requests.size();
+  std::size_t next = trace.warmup_count;
+  SimTime last_arrival = 0;
+  while (true) {
+    if (next < total) {
+      const IoRequest& req = trace.requests[next];
+      const SimTime arrival = req.arrival - t0;
+      if (arrival < last_arrival)
+        throw std::runtime_error("streaming replay: trace \"" + trace.name +
+                                 "\" is not time-ordered");
+      if (sim.idle() || arrival <= sim.next_event_time()) {
+        sim.advance_to(arrival);
+        last_arrival = arrival;
+        // Before prepare: an inline run's telemetry samples the engine as
+        // it stood when the request arrived.
+        admit(req, arrival);
+        DedupEngine::Prepared* p = take(req, arrival);
+        if (p == nullptr) return;
+        engine.execute(*p, record(arrival, req.type, req.id));
+        release();
+        ++next;
+        continue;
+      }
+    }
+    if (!sim.step()) break;
+  }
+}
+
+}  // namespace
+
 ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
                               const Trace& trace) {
   ReplayResult result;
@@ -36,8 +87,10 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
   result.trace_name = trace.name;
 
   // Phase 1: functional warm-up.
+  const HostTimer warm_timer;
   for (std::size_t i = 0; i < trace.warmup_count; ++i)
     engine.warm(trace.requests[i]);
+  result.host_warmup = warm_timer.elapsed();
 
   // Phase 2: timed replay of the measured suffix, arrivals rebased to 0.
   const EngineStats before = engine.stats();
@@ -86,6 +139,7 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
   };
 
   if (mode_ == AdmissionMode::kPrescheduled) {
+    const HostTimer des_timer;
     for (std::size_t i = first; i < total; ++i) {
       const IoRequest& req = trace.requests[i];
       const SimTime arrival = req.arrival - t0;
@@ -96,32 +150,61 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
       });
     }
     sim.run();
-  } else {
-    // Streaming admission: the next arrival is submitted as soon as it is
-    // not later than every pending simulation event (ties admit the
-    // arrival first — see AdmissionMode::kStreaming for why this matches
-    // the prescheduled order exactly). Trace arrivals never enter the
-    // event heap at all.
-    std::size_t next = first;
-    SimTime last_arrival = 0;
-    while (true) {
-      if (next < total) {
-        const IoRequest& req = trace.requests[next];
-        const SimTime arrival = req.arrival - t0;
-        if (arrival < last_arrival)
-          throw std::runtime_error("streaming replay: trace \"" + trace.name +
-                                   "\" is not time-ordered");
-        if (sim.idle() || arrival <= sim.next_event_time()) {
-          sim.advance_to(arrival);
-          last_arrival = arrival;
-          admit(req, arrival);
-          engine.submit(req, record(arrival, req.type, req.id));
-          ++next;
-          continue;
-        }
+    result.host_des = des_timer.elapsed();
+  } else if (des_ == DesThread::kHelper && engine.can_prepare_ahead()) {
+    // Pipelined: this thread prepares every measured request in trace
+    // order (the policy never waits for a completion, so it can run ahead
+    // of the clock); the helper admits, executes and steps.
+    SpscRing<DedupEngine::Prepared> ring(ring_slots_, ring_slots_ / 16);
+    std::exception_ptr des_error;
+    std::thread des([&] {
+      const HostTimer des_timer;
+      try {
+        stream_measured(
+            sim, engine, trace, t0,
+            [&ring](const IoRequest&, SimTime) { return ring.front(); },
+            [&ring] { ring.pop(); }, admit, record);
+      } catch (...) {
+        des_error = std::current_exception();
       }
-      if (!sim.step()) break;
+      // Empty the ring to its end, so the producer never waits on a
+      // consumer that has stopped.
+      while (ring.front() != nullptr) ring.pop();
+      result.host_des = des_timer.elapsed();
+    });
+    const HostTimer policy_timer;
+    try {
+      SimTime last_arrival = 0;
+      for (std::size_t i = first; i < total; ++i) {
+        const IoRequest& req = trace.requests[i];
+        const SimTime arrival = req.arrival - t0;
+        // The helper throws when it reaches an out-of-order arrival.
+        if (arrival < last_arrival) break;
+        last_arrival = arrival;
+        ring.claim() = engine.prepare(req, arrival);
+        ring.push();
+      }
+    } catch (...) {
+      ring.close();
+      des.join();
+      throw;
     }
+    ring.close();
+    result.host_policy = policy_timer.elapsed();
+    des.join();
+    result.des_helper = true;
+    if (des_error) std::rethrow_exception(des_error);
+  } else {
+    const HostTimer des_timer;
+    DedupEngine::Prepared p;
+    stream_measured(
+        sim, engine, trace, t0,
+        [&engine, &p](const IoRequest& req, SimTime arrival) {
+          p = engine.prepare(req, arrival);
+          return &p;
+        },
+        [] {}, admit, record);
+    result.host_des = des_timer.elapsed();
   }
 
   result.measured = EngineStats::delta(engine.stats(), before);
@@ -223,7 +306,7 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
 }
 
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode) {
+                        AdmissionMode mode, DesThread des) {
   Simulator sim;
   // Built (or skipped) from POD_TRACE_EVENTS / POD_TELEMETRY_CSV; attached
   // before the volume so member disks observe it from their first op.
@@ -239,7 +322,7 @@ ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
   if (telemetry && telemetry->sampler() != nullptr)
     register_sampler_probes(*telemetry->sampler(), *volume, *engine);
 
-  Replayer replayer(mode);
+  Replayer replayer(mode, des);
   ReplayResult result = replayer.replay(sim, *engine, trace);
   result.peak_rss_bytes = current_peak_rss_bytes();
 

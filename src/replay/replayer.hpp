@@ -3,6 +3,7 @@
 // "replayed at the block level", evaluating "user response times").
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "engines/engine.hpp"
@@ -32,10 +33,33 @@ enum class AdmissionMode {
   kPrescheduled,
 };
 
+/// Which thread runs a streaming replay's discrete-event simulation.
+enum class DesThread {
+  /// One thread: each admission runs DedupEngine::prepare, then execute.
+  kInline,
+  /// The DES (admission, DedupEngine::execute, Simulator::step) runs on one
+  /// helper thread, while the calling thread runs DedupEngine::prepare for
+  /// every measured request in trace order, ahead of the clock, and hands
+  /// the prepared requests over a bounded ring. Falls back to kInline when
+  /// the engine cannot prepare ahead (DedupEngine::can_prepare_ahead) and
+  /// in kPrescheduled mode. Results are identical to kInline.
+  kHelper,
+};
+
+/// The helper rule: with `jobs` replays running at once, each takes a
+/// helper thread when the host has two hardware threads per replay.
+DesThread des_thread_for_jobs(std::size_t jobs);
+
 class Replayer {
  public:
-  explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming)
-      : mode_(mode) {}
+  /// Prepared requests the ring holds in a pipelined replay (tests pass
+  /// smaller rings to reach its full and empty ends often).
+  static constexpr std::size_t kRingSlots = 1024;
+
+  explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming,
+                    DesThread des = DesThread::kInline,
+                    std::size_t ring_slots = kRingSlots)
+      : mode_(mode), des_(des), ring_slots_(ring_slots) {}
 
   /// Replays `trace` against `engine`:
   ///  1. the warm-up prefix runs functionally (state only, no timing) —
@@ -46,6 +70,8 @@ class Replayer {
 
  private:
   AdmissionMode mode_;
+  DesThread des_;
+  std::size_t ring_slots_;
 };
 
 /// Which engine to build for a run.
@@ -86,7 +112,10 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
                                          const RunSpec& spec);
 
 /// One-stop: fresh simulator + volume + engine, replay, return results.
+/// By default the DES takes a helper thread when the host has two hardware
+/// threads (des_thread_for_jobs(1)).
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode = AdmissionMode::kStreaming);
+                        AdmissionMode mode = AdmissionMode::kStreaming,
+                        DesThread des = des_thread_for_jobs(1));
 
 }  // namespace pod

@@ -45,9 +45,12 @@ TraceScan scan_trace(const Trace& trace, StatsWindow window) {
   // content's dense id.
   LruTable<Fingerprint, FingerprintHash> seen(0);
   // Current content of each LBA: its id + 1, 0 while never written.
-  ZeroedArray<std::uint32_t> lba_content(span);
+  // Both per-LBA arrays are sized by the LBA span but touched only where
+  // the trace goes, so they take small pages: a sparse trace then zeroes
+  // 4 KB per touched region, not 2 MB.
+  ZeroedArray<std::uint32_t> lba_content(span, Pages::kSmall);
   // Table II's footprint: one bit per LBA the window touches.
-  ZeroedArray<std::uint64_t> touched((span + 63) / 64);
+  ZeroedArray<std::uint64_t> touched((span + 63) / 64, Pages::kSmall);
 
   TraceScan out;
   TraceCharacteristics& c = out.characteristics;

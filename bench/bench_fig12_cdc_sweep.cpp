@@ -15,12 +15,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/bench_util.hpp"
+#include "util/knobs.hpp"
 #include "common/rng.hpp"
 #include "dedup/cdc_store.hpp"
 
@@ -116,11 +116,10 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
   return r;
 }
 
-void emit_json(const SweepPoint& point, const SweepResult& r,
-               bool scalar_probes) {
-  const char* path = std::getenv("POD_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
+void emit_json(const std::string& path, const SweepPoint& point,
+               const SweepResult& r, bool scalar_probes) {
+  if (path.empty()) return;
+  std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) return;
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(
@@ -149,29 +148,14 @@ void emit_json(const SweepPoint& point, const SweepResult& r,
   std::fclose(f);
 }
 
-std::uint64_t corpus_mb_from_env() {
-  const char* env = std::getenv("POD_CDC_SWEEP_MB");
-  if (env == nullptr || *env == '\0') return 24;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) {
-    std::fprintf(stderr, "[bench] POD_CDC_SWEEP_MB='%s' invalid; aborting\n",
-                 env);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main() {
-  const bool scalar_probes = []() {
-    const char* env = std::getenv("POD_SCALAR_PROBES");
-    return env != nullptr && std::strcmp(env, "0") != 0;
-  }();
+  const pod::bench::Knobs knobs = pod::bench::knobs_from_env();
+  const bool scalar_probes = knobs.scalar_probes;
 
   // Corpus: total ~POD_CDC_SWEEP_MB across 12 versions of one object.
-  const std::uint64_t total_mb = corpus_mb_from_env();
+  const std::uint64_t total_mb = knobs.cdc_sweep_mb;
   const int versions = 12;
   const std::uint64_t base_bytes = total_mb * 1000 * 1000 / versions;
   Rng rng(0x0DC0FFEE);
@@ -223,7 +207,7 @@ int main() {
                 r.stats.dedup_ratio(), pad_pct);
     std::fprintf(stderr, "[bench] %s ingest %.1f MB/s (wall clock)\n",
                  point.label.c_str(), r.ingest_mb_s);
-    emit_json(point, r, scalar_probes);
+    emit_json(knobs.bench_json, point, r, scalar_probes);
   }
   return 0;
 }

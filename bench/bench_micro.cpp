@@ -3,10 +3,10 @@
 // and trace generation.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -434,15 +434,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(16)->Arg(1024);
 
-// Telemetry-off overhead tripwire: with no POD_* variable set, every
-// instrumentation site reduces to one branch on a null pointer, so a full
-// replay must cost what it did before the telemetry subsystem existed.
-// Compare against BM_ReplayTelemetryOn for the enabled cost.
-void BM_ReplayTelemetryOff(benchmark::State& state) {
-  unsetenv("POD_TRACE_EVENTS");
-  unsetenv("POD_TELEMETRY_CSV");
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
+/// Replays POD over a small synthetic trace with the given telemetry and
+/// anatomy choices: the telemetry and anatomy overhead pairs below.
+void replay_small_pod(benchmark::State& state, const TelemetryConfig& telemetry,
+                      std::optional<LatencyAnatomy::Config> anatomy) {
   WorkloadProfile p = tiny_test_profile();
   p.warmup_requests = 500;
   p.measured_requests = 2000;
@@ -451,8 +446,18 @@ void BM_ReplayTelemetryOff(benchmark::State& state) {
   spec.engine = EngineKind::kPod;
   spec.engine_cfg.logical_blocks = p.volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
+  spec.telemetry = telemetry;
+  spec.anatomy = anatomy;
   for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+}
+
+// Telemetry-off overhead tripwire: with no sink configured, every
+// instrumentation site reduces to one branch on a null pointer, so a full
+// replay must cost what it did before the telemetry subsystem existed.
+// Compare against BM_ReplayTelemetryOn for the enabled cost.
+void BM_ReplayTelemetryOff(benchmark::State& state) {
+  replay_small_pod(state, {}, std::nullopt);
 }
 BENCHMARK(BM_ReplayTelemetryOff);
 
@@ -460,20 +465,10 @@ void BM_ReplayTelemetryOn(benchmark::State& state) {
   const std::string dir =
       std::filesystem::temp_directory_path() / "pod_bench_telemetry";
   std::filesystem::create_directories(dir);
-  setenv("POD_TRACE_EVENTS", (dir + "/trace.json").c_str(), 1);
-  setenv("POD_TELEMETRY_CSV", (dir + "/series.csv").c_str(), 1);
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
-  RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
-  unsetenv("POD_TRACE_EVENTS");
-  unsetenv("POD_TELEMETRY_CSV");
+  TelemetryConfig telemetry;
+  telemetry.trace_events_path = dir + "/trace.json";
+  telemetry.timeseries_path = dir + "/series.csv";
+  replay_small_pod(state, telemetry, std::nullopt);
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ReplayTelemetryOn);
@@ -482,36 +477,12 @@ BENCHMARK(BM_ReplayTelemetryOn);
 // contract, so the off path must again be one null-pointer branch per
 // charge site. Compare Off vs On for the enabled attribution cost.
 void BM_ReplayAnatomyOff(benchmark::State& state) {
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
-  RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  replay_small_pod(state, {}, std::nullopt);
 }
 BENCHMARK(BM_ReplayAnatomyOff);
 
 void BM_ReplayAnatomyOn(benchmark::State& state) {
-  setenv("POD_ANATOMY", "1", 1);
-  setenv("POD_TAIL_ANATOMY", "64", 1);
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
-  RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
+  replay_small_pod(state, {}, LatencyAnatomy::Config{64});
 }
 BENCHMARK(BM_ReplayAnatomyOn);
 

@@ -17,7 +17,7 @@ Figure ablation_threshold(const PaperSetup& setup) {
   const WorkloadProfile profile = web_vm_profile(setup.scale);
   std::vector<Run> runs;
   for (const std::size_t threshold : kThresholds) {
-    RunSpec spec = paper_spec(EngineKind::kSelectDedupe, profile, setup.scale);
+    RunSpec spec = setup.spec(EngineKind::kSelectDedupe, profile);
     spec.engine_cfg.select_threshold = threshold;
     runs.push_back({profile, spec});
   }
@@ -47,7 +47,7 @@ Figure ablation_idedup(const PaperSetup& setup) {
   const WorkloadProfile profile = mail_profile(setup.scale);
   std::vector<Run> runs;
   for (const auto& [bypass, threshold] : kGrid) {
-    RunSpec spec = paper_spec(EngineKind::kIDedup, profile, setup.scale);
+    RunSpec spec = setup.spec(EngineKind::kIDedup, profile);
     spec.engine_cfg.idedup_bypass_blocks = bypass;
     spec.engine_cfg.idedup_seq_threshold = threshold;
     runs.push_back({profile, spec});
@@ -81,7 +81,7 @@ Figure ablation_raid(const PaperSetup& setup) {
   for (const RaidLevel raid : {RaidLevel::kRaid5, RaidLevel::kRaid0}) {
     for (const EngineKind k :
          {EngineKind::kNative, EngineKind::kSelectDedupe, EngineKind::kPod}) {
-      RunSpec spec = paper_spec(k, profile, setup.scale);
+      RunSpec spec = setup.spec(k, profile);
       spec.raid = raid;
       runs.push_back({profile, spec});
     }
@@ -119,7 +119,7 @@ Figure ablation_scheduler(const PaperSetup& setup) {
        {SchedulerKind::kFcfs, SchedulerKind::kSstf, SchedulerKind::kScan}) {
     for (const EngineKind k :
          {EngineKind::kNative, EngineKind::kSelectDedupe}) {
-      RunSpec spec = paper_spec(k, profile, setup.scale);
+      RunSpec spec = setup.spec(k, profile);
       spec.array_cfg.scheduler = sched;
       runs.push_back({profile, spec});
     }
@@ -156,7 +156,7 @@ Figure ablation_bloom(const PaperSetup& setup) {
   const WorkloadProfile profile = homes_profile(setup.scale);
   std::vector<Run> runs;
   for (const bool bloom : kBloom) {
-    RunSpec spec = paper_spec(EngineKind::kFullDedupe, profile, setup.scale);
+    RunSpec spec = setup.spec(EngineKind::kFullDedupe, profile);
     spec.engine_cfg.full_dedupe_bloom = bloom;
     runs.push_back({profile, spec});
   }
@@ -190,11 +190,11 @@ Figure ablation_icache(const PaperSetup& setup) {
   // index cache eviction-bound — the regime iCache is designed for.
   const std::uint64_t memory =
       paper_memory_bytes(profile.name, setup.scale) / 4;
-  RunSpec select = paper_spec(EngineKind::kSelectDedupe, profile, setup.scale);
+  RunSpec select = setup.spec(EngineKind::kSelectDedupe, profile);
   select.engine_cfg.memory_bytes = memory;
   std::vector<Run> runs{{profile, select}};
   for (const Duration interval : kIntervals) {
-    RunSpec spec = paper_spec(EngineKind::kPod, profile, setup.scale);
+    RunSpec spec = setup.spec(EngineKind::kPod, profile);
     spec.engine_cfg.memory_bytes = memory;
     spec.pod.icache.interval = interval;
     runs.push_back({profile, spec});
@@ -230,7 +230,7 @@ Figure ablation_degraded(const PaperSetup& setup) {
   for (const bool degraded : {false, true}) {
     for (const EngineKind k :
          {EngineKind::kNative, EngineKind::kSelectDedupe, EngineKind::kPod}) {
-      RunSpec spec = paper_spec(k, profile, setup.scale);
+      RunSpec spec = setup.spec(k, profile);
       if (degraded) {
         // Member 1 is dead from the first timed request, with no spare.
         FaultConfig& fault = spec.array_cfg.fault;

@@ -11,10 +11,25 @@
 
 namespace pod::bench {
 
-/// The knobs every builder reads, parsed once: POD_SCALE and POD_TRACE.
+/// What every builder reads: the knobs, parsed once, and the traces
+/// POD_TRACE selects.
 struct PaperSetup {
-  double scale;
-  std::vector<WorkloadProfile> profiles;  // selected_profiles(scale)
+  explicit PaperSetup(const Knobs& k)
+      : knobs(k),
+        scale(k.scale),
+        profiles(selected_profiles(k.scale, k.trace)) {}
+
+  Knobs knobs;
+  double scale;  // knobs.scale
+  std::vector<WorkloadProfile> profiles;
+
+  /// paper_spec plus what the knobs set on every run (fault injection,
+  /// probe mode, telemetry, anatomy); a figure's own overrides come after.
+  RunSpec spec(EngineKind engine, const WorkloadProfile& profile) const {
+    RunSpec s = paper_spec(engine, profile, knobs.scale);
+    knobs.apply(s);
+    return s;
+  }
 };
 
 // Trace characterisation (scans only).

@@ -5,10 +5,10 @@
 
 int main() {
   using namespace pod::bench;
-  const double scale = scale_from_env();
-  const PaperSetup setup{scale, selected_profiles(scale)};
+  const Knobs knobs = knobs_from_env();
+  const PaperSetup setup(knobs);
 #ifdef POD_BENCH_FIGURE
-  run_figures({POD_BENCH_FIGURE(setup)});
+  run_figures({POD_BENCH_FIGURE(setup)}, knobs);
 #else
   // DESIGN.md's experiment-index order.
   run_figures({
@@ -29,7 +29,7 @@ int main() {
       ablation_bloom(setup),
       ablation_icache(setup),
       ablation_degraded(setup),
-  });
+  }, knobs);
 #endif
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 
 #include "paper/figures.hpp"
@@ -29,7 +28,7 @@ std::vector<Run> engine_grid(const std::vector<EngineKind>& engines,
   std::vector<Run> runs;
   for (const WorkloadProfile& profile : setup.profiles)
     for (const EngineKind kind : engines)
-      runs.push_back({profile, paper_spec(kind, profile, setup.scale)});
+      runs.push_back({profile, setup.spec(kind, profile)});
   return runs;
 }
 
@@ -41,11 +40,12 @@ std::vector<const ReplayResult*> grid_row(const FigureData& data,
 }
 
 /// Prints the per-engine latency-component breakdown of one trace's runs
-/// and — when POD_TAIL_ANATOMY is set — the tail-anatomy table (slowest
-/// requests with their full decompositions). No-op when attribution was
-/// off.
+/// and — when `tail` (POD_TAIL_ANATOMY is set) — the tail-anatomy table
+/// (slowest requests with their full decompositions). No-op when
+/// attribution was off.
 void print_anatomy_tables(const std::string& trace_name,
-                          const std::vector<const ReplayResult*>& results) {
+                          const std::vector<const ReplayResult*>& results,
+                          bool tail) {
   const bool any_enabled =
       std::any_of(results.begin(), results.end(),
                   [](const ReplayResult* r) { return r->anatomy.enabled; });
@@ -69,7 +69,7 @@ void print_anatomy_tables(const std::string& trace_name,
 
   // Tail anatomy: opt-in via POD_TAIL_ANATOMY — the forensic view of the
   // slowest retained requests, decomposed.
-  if (std::getenv("POD_TAIL_ANATOMY") == nullptr) return;
+  if (!tail) return;
   constexpr std::size_t kPrintTail = 5;
   for (const ReplayResult* r : results) {
     const AnatomyResult& a = r->anatomy;
@@ -117,7 +117,7 @@ Figure fig03_cache_partition_sweep(const PaperSetup& setup) {
       paper_memory_bytes(profile.name, setup.scale) / 4;
   std::vector<Run> runs;
   for (const double share : kShares) {
-    RunSpec spec = paper_spec(EngineKind::kFullDedupe, profile, setup.scale);
+    RunSpec spec = setup.spec(EngineKind::kFullDedupe, profile);
     spec.engine_cfg.memory_bytes = memory;
     spec.engine_cfg.index_fraction = share;
     runs.push_back({profile, spec});
@@ -198,7 +198,7 @@ Figure fig08_overall_response_time(const PaperSetup& setup) {
 
       // Latency anatomy (POD_ANATOMY / POD_TAIL_ANATOMY set): per-component
       // breakdown and the slowest-request forensics table.
-      print_anatomy_tables(name, row);
+      print_anatomy_tables(name, row, setup.knobs.tail_anatomy.has_value());
     }
     std::printf("\npaper: Select-Dedupe improvement 53.9%% (web-vm), 21.2%% "
                 "(homes), 88.6%% (mail); Full-Dedupe degrades homes; iDedup "
@@ -358,9 +358,9 @@ Figure table1_scheme_comparison(const PaperSetup& setup) {
       EngineKind::kPod};
   const WorkloadProfile profile = web_vm_profile(setup.scale);
   std::vector<Run> runs{
-      {profile, paper_spec(EngineKind::kNative, profile, setup.scale)}};
+      {profile, setup.spec(EngineKind::kNative, profile)}};
   for (const EngineKind kind : kSchemes)
-    runs.push_back({profile, paper_spec(kind, profile, setup.scale)});
+    runs.push_back({profile, setup.spec(kind, profile)});
   return {{profile}, std::move(runs), [scale = setup.scale](
                                           const FigureData& data) {
     const auto mark = [](bool b) { return b ? "yes" : "-"; };

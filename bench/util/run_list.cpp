@@ -2,13 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "bench_util.hpp"
 #include "replay/parallel_runner.hpp"
 #include "trace/trace_cache.hpp"
 
@@ -78,14 +76,15 @@ void emit_anatomy_json(std::FILE* f, const AnatomyResult& a) {
   std::fprintf(f, "]}");
 }
 
-/// Appends one JSON line per run to POD_BENCH_JSON, in order (no-op when
-/// unset).
-void emit_replay_counters_json(const std::vector<ReplayResult>& results) {
-  const char* path = std::getenv("POD_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
+/// Appends one JSON line per run to `path` (POD_BENCH_JSON), in order
+/// (no-op when empty).
+void emit_replay_counters_json(const std::string& path,
+                               const std::vector<ReplayResult>& results) {
+  if (path.empty()) return;
+  std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot append to POD_BENCH_JSON=%s\n", path);
+    std::fprintf(stderr, "[bench] cannot append to POD_BENCH_JSON=%s\n",
+                 path.c_str());
     return;
   }
   for (const ReplayResult& r : results) {
@@ -192,7 +191,7 @@ struct RunPlan {
 
 }  // namespace
 
-void run_figures(const std::vector<Figure>& figures) {
+void run_figures(const std::vector<Figure>& figures, const Knobs& knobs) {
   RunPlan plan;
   std::size_t requested = 0;
   for (const Figure& figure : figures) {
@@ -207,12 +206,13 @@ void run_figures(const std::vector<Figure>& figures) {
                "[bench] %zu figure(s): %zu runs, %zu distinct, %zu trace(s)\n",
                figures.size(), requested, plan.items.size(),
                plan.traces.size());
-  const std::vector<Trace> traces = obtain_traces(plan.traces, bench_jobs());
+  const std::vector<Trace> traces =
+      obtain_traces(plan.traces, knobs.jobs, knobs.trace_cache);
   for (std::size_t i = 0; i < plan.items.size(); ++i)
     plan.items[i].trace = &traces[plan.item_trace[i]];
   const std::vector<ReplayResult> results =
-      ParallelRunner(bench_jobs()).run(plan.items);
-  emit_replay_counters_json(results);
+      ParallelRunner(knobs.jobs).run(plan.items);
+  emit_replay_counters_json(knobs.bench_json, results);
 
   // One scan per distinct scanned trace; figures sharing a trace share it.
   const auto scan_start = std::chrono::steady_clock::now();

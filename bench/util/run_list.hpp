@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "knobs.hpp"
 #include "replay/replayer.hpp"
 #include "synth/profile.hpp"
 #include "trace/request.hpp"
@@ -37,10 +38,10 @@ struct Figure {
 /// Loads every trace the figures name once (keyed by its cache key: profile
 /// name plus parameter hash), runs each distinct replay once (keyed by its
 /// trace plus RunSpec equality, so figures asking for an equal run share
-/// one result) in one longest-first fan-out over bench_jobs() workers,
+/// one result) in one longest-first fan-out over `knobs.jobs` workers,
 /// appends one POD_BENCH_JSON line per replay in run-list order, scans each
 /// distinct scanned trace once (measured window), then renders the figures
 /// in the order given.
-void run_figures(const std::vector<Figure>& figures);
+void run_figures(const std::vector<Figure>& figures, const Knobs& knobs);
 
 }  // namespace pod::bench

@@ -1,11 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
 namespace pod {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -61,22 +55,6 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
     }
   }
-}
-
-std::size_t ThreadPool::jobs_from_env(std::size_t fallback) {
-  if (fallback == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    fallback = hw > 0 ? hw : 1;
-  }
-  const char* env = std::getenv("POD_JOBS");
-  if (env == nullptr) return fallback;
-  std::size_t v = 0;
-  const char* end = env + std::strlen(env);
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc{} || ptr != end || v == 0)
-    throw std::invalid_argument("POD_JOBS='" + std::string(env) +
-                                "' is not a positive integer");
-  return v;
 }
 
 }  // namespace pod

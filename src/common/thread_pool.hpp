@@ -38,12 +38,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
 
-  /// Parses the POD_JOBS environment knob: a positive integer caps the
-  /// job count; unset means `fallback` (which defaults to the hardware
-  /// concurrency, minimum 1). Anything else — empty, 0, negative, junk,
-  /// trailing garbage — throws std::invalid_argument naming the value.
-  static std::size_t jobs_from_env(std::size_t fallback = 0);
-
  private:
   void worker_loop();
 

@@ -11,11 +11,6 @@
 
 namespace pod {
 
-bool scalar_probes_from_env() {
-  const char* env = std::getenv("POD_SCALAR_PROBES");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
 std::uint64_t required_volume_blocks(const EngineConfig& cfg) {
   const std::uint64_t pool = std::max<std::uint64_t>(
       1024, static_cast<std::uint64_t>(static_cast<double>(cfg.logical_blocks) *
@@ -238,36 +233,37 @@ void DedupEngine::init_telemetry(Telemetry& t) {
   telem_.batch_probe_hits = &m.counter("engine.batch_probe_hits");
   telem_.trace = t.trace();
   // Cumulative decision counters already accumulate in EngineStats; export
-  // them as pull probes so snapshots see them without hot-path writes.
-  m.probe("engine.write_requests",
-          [this] { return static_cast<double>(stats_.write_requests); });
-  m.probe("engine.read_requests",
-          [this] { return static_cast<double>(stats_.read_requests); });
+  // them as pull probes so snapshots see them without hot-path writes. Each
+  // counts the measured phase only, like ReplayResult::measured.
+  const auto measured = [this](std::uint64_t EngineStats::*field) {
+    return [this, field] {
+      return static_cast<double>(stats_.*field - measured_from_.*field);
+    };
+  };
+  m.probe("engine.write_requests", measured(&EngineStats::write_requests));
+  m.probe("engine.read_requests", measured(&EngineStats::read_requests));
   m.probe("engine.writes_eliminated",
-          [this] { return static_cast<double>(stats_.writes_eliminated); });
-  m.probe("engine.chunks_deduped",
-          [this] { return static_cast<double>(stats_.chunks_deduped); });
-  m.probe("engine.chunks_written",
-          [this] { return static_cast<double>(stats_.chunks_written); });
-  m.probe("engine.dedup_ratio", [this] { return stats_.dedup_ratio(); });
-  m.probe("engine.index_disk_reads",
-          [this] { return static_cast<double>(stats_.index_disk_reads); });
+          measured(&EngineStats::writes_eliminated));
+  m.probe("engine.chunks_deduped", measured(&EngineStats::chunks_deduped));
+  m.probe("engine.chunks_written", measured(&EngineStats::chunks_written));
+  m.probe("engine.dedup_ratio",
+          [this] { return measured_stats().dedup_ratio(); });
+  m.probe("engine.index_disk_reads", measured(&EngineStats::index_disk_reads));
   m.probe("engine.index_disk_writes",
-          [this] { return static_cast<double>(stats_.index_disk_writes); });
-  m.probe("engine.media_error_ops",
-          [this] { return static_cast<double>(stats_.media_error_ops); });
-  m.probe("engine.damaged_physical_blocks", [this] {
-    return static_cast<double>(stats_.damaged_physical_blocks);
-  });
-  m.probe("engine.damaged_logical_blocks", [this] {
-    return static_cast<double>(stats_.damaged_logical_blocks);
-  });
-  m.probe("engine.failed_requests",
-          [this] { return static_cast<double>(stats_.failed_requests); });
+          measured(&EngineStats::index_disk_writes));
+  m.probe("engine.media_error_ops", measured(&EngineStats::media_error_ops));
+  m.probe("engine.damaged_physical_blocks",
+          measured(&EngineStats::damaged_physical_blocks));
+  m.probe("engine.damaged_logical_blocks",
+          measured(&EngineStats::damaged_logical_blocks));
+  m.probe("engine.failed_requests", measured(&EngineStats::failed_requests));
   for (int c = 0; c < 4; ++c) {
     m.probe(std::string("engine.category.") +
                 to_string(static_cast<WriteCategory>(c)),
-            [this, c] { return static_cast<double>(stats_.category_counts[c]); });
+            [this, c] {
+              return static_cast<double>(stats_.category_counts[c] -
+                                         measured_from_.category_counts[c]);
+            });
   }
 }
 

@@ -47,10 +47,6 @@ class Telemetry;
 class TraceEventWriter;
 class MetricCounter;
 
-/// POD_SCALAR_PROBES env default for EngineConfig::scalar_probes: unset or
-/// "0" → false, anything else → true.
-bool scalar_probes_from_env();
-
 struct EngineConfig {
   /// Total DRAM budget split between index cache and read cache.
   std::uint64_t memory_bytes = 64 * kMiB;
@@ -89,10 +85,8 @@ struct EngineConfig {
   /// lookup (IndexCache::lookup_fused and the tagged read-plan loop) and
   /// the request-scoped bulk inserts. Replay output is asserted
   /// byte-identical between the two (batch_equivalence_test); this switch
-  /// exists so that assertion has a reference to compare against. Defaults
-  /// to POD_SCALAR_PROBES when set (so CI can force whole suites onto the
-  /// reference path), else false.
-  bool scalar_probes = scalar_probes_from_env();
+  /// exists so that assertion has a reference to compare against.
+  bool scalar_probes = false;
 
   /// Record every dedup-metadata mutation (Map-table binds/unbinds, index
   /// puts/dels) in a write-ahead journal for crash-recovery simulation.
@@ -238,10 +232,16 @@ class DedupEngine {
   /// Functional processing (state only, no simulated time).
   void warm(const IoRequest& req);
 
-  /// Called by the replayer when the measured phase begins.
-  virtual void begin_measured() {}
+  /// Called by the replayer when the measured phase begins: measured_stats()
+  /// counts from here.
+  virtual void begin_measured() { measured_from_ = stats_; }
 
   const EngineStats& stats() const { return stats_; }
+  /// The counters since begin_measured(). warm() skips the request counters
+  /// but not the chunk counters, so only this delta is one request set.
+  EngineStats measured_stats() const {
+    return EngineStats::delta(stats_, measured_from_);
+  }
   const BlockStore& store() const { return store_; }
   const HashEngine& hash_engine() const { return hash_; }
   ReadCache& read_cache() { return read_cache_; }
@@ -449,6 +449,8 @@ class DedupEngine {
   /// freed block's on-disk index deletion here.
   std::unique_ptr<MetadataJournal> journal_;
   EngineStats stats_;
+  /// stats_ when the measured phase began (zero until then).
+  EngineStats measured_from_;
   /// Request-path scratch arena (see WriteScratch).
   WriteScratch scratch_;
   /// True while processing a warm() call: plans are built but not executed,

@@ -25,7 +25,10 @@ PostProcessEngine::PostProcessEngine(Simulator& sim, Volume& volume,
   POD_CHECK(opts_.read_batch_blocks > 0);
 }
 
-void PostProcessEngine::begin_measured() { measured_ = true; }
+void PostProcessEngine::begin_measured() {
+  DedupEngine::begin_measured();
+  measured_ = true;
+}
 
 DedupEngine::IoPlan PostProcessEngine::process_write(const IoRequest& req,
                                                      SimTime now) {

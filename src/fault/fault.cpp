@@ -1,8 +1,5 @@
 #include "fault/fault.hpp"
 
-#include <cstdlib>
-#include <string>
-
 namespace pod {
 
 const char* to_string(IoStatus s) {
@@ -13,48 +10,6 @@ const char* to_string(IoStatus s) {
     case IoStatus::kFailedDevice: return "failed_device";
   }
   return "unknown";
-}
-
-namespace {
-
-bool env_set(const char* name, const char** out = nullptr) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  if (out != nullptr) *out = v;
-  return true;
-}
-
-}  // namespace
-
-FaultConfig FaultConfig::from_env() {
-  FaultConfig cfg;
-  const char* v = nullptr;
-  if (env_set("POD_FAULT_SEED", &v)) {
-    cfg.enabled = true;
-    cfg.seed = std::stoull(v);
-  }
-  if (env_set("POD_FAULT_MEDIA_RATE", &v)) {
-    cfg.enabled = true;
-    cfg.media_error_rate = std::stod(v);
-  }
-  if (env_set("POD_FAULT_TRANSIENT_RATE", &v)) {
-    cfg.enabled = true;
-    cfg.transient_rate = std::stod(v);
-  }
-  if (env_set("POD_FAULT_FAIL_DISK", &v)) {
-    cfg.enabled = true;
-    cfg.fail_disk = std::stoull(v);
-    if (cfg.fail_at < 0) cfg.fail_at = 0;
-  }
-  if (env_set("POD_FAULT_FAIL_AT_MS", &v)) {
-    cfg.enabled = true;
-    cfg.fail_at = ms(std::stod(v));
-  }
-  if (env_set("POD_FAULT_REBUILD", &v)) {
-    cfg.enabled = true;
-    cfg.auto_rebuild = std::stoull(v) != 0;
-  }
-  return cfg;
 }
 
 FaultInjector::FaultInjector(const FaultConfig& cfg) : cfg_(cfg) {}

@@ -72,10 +72,6 @@ struct FaultConfig {
   /// Pacing delay between rebuild batches (lets foreground I/O breathe).
   Duration rebuild_interval = ms(2);
 
-  /// Builds a config from POD_FAULT_* environment variables (see
-  /// DESIGN.md "Fault model"); enabled iff any variable is set.
-  static FaultConfig from_env();
-
   bool operator==(const FaultConfig&) const = default;
 };
 

@@ -11,8 +11,6 @@
 //   * raid_reconstruct  volume ops that RAID5 served degraded (parity
 //                       reconstruction reads, reconstruct-writes)
 //   * fault_retry       FaultInjector retry ladders and dead-device stalls
-//   * journal           reserved for the metadata journal (charges no sim
-//                       time today; the slot proves it stays free)
 //
 // The decomposition follows the critical path: a request is its CPU delay
 // plus the spans of its (at most two) I/O stages; a stage's span equals the
@@ -38,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -55,10 +52,9 @@ enum class LatComp : std::uint8_t {
   kDedupMeta,
   kRaidReconstruct,
   kFaultRetry,
-  kJournal,
 };
 
-inline constexpr std::size_t kNumLatComps = 8;
+inline constexpr std::size_t kNumLatComps = 7;
 
 const char* to_string(LatComp c);
 
@@ -150,14 +146,11 @@ class LatencyAnatomy {
   struct Config {
     /// Slowest-request ring capacity (0 = keep no tail entries).
     std::size_t tail_k = 64;
+
+    bool operator==(const Config&) const = default;
   };
 
   explicit LatencyAnatomy(const Config& cfg);
-
-  /// Builds a collector from POD_ANATOMY / POD_TAIL_ANATOMY, or null when
-  /// neither is set.
-  /// POD_TAIL_ANATOMY=K implies attribution on with a K-entry tail ring.
-  static std::unique_ptr<LatencyAnatomy> from_env();
 
   // ---- hand-off registers (see file comment) --------------------------
   void publish_disk_op(const LatBreakdown& b) { disk_reg_ = b; }

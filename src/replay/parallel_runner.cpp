@@ -51,8 +51,7 @@ std::vector<ReplayResult> ParallelRunner::run(
   std::vector<ReplayResult> results(items.size());
   std::vector<std::exception_ptr> errors(items.size());
 
-  // Clamp to [1, items]: a ParallelRunner(0) — e.g. a caller forwarding a
-  // user-supplied POD_JOBS without validation — must degrade to serial
+  // Clamp to [1, items]: a ParallelRunner(0) must degrade to serial
   // execution, not submit work to a pool that nothing drains.
   std::size_t jobs = jobs_ > items.size() ? items.size() : jobs_;
   if (jobs == 0) jobs = 1;
@@ -73,8 +72,7 @@ std::vector<ReplayResult> ParallelRunner::run(
   for (const std::size_t i : order) {
     pool.submit([&, i] {
       try {
-        results[i] = run_replay(items[i].spec, *items[i].trace,
-                                AdmissionMode::kStreaming, des);
+        results[i] = run_replay(items[i].spec, *items[i].trace, des);
       } catch (...) {
         errors[i] = std::current_exception();
       }

@@ -41,9 +41,9 @@ namespace {
 
 /// The streaming-admission loop: the next arrival is admitted as soon as
 /// it is not later than every pending simulation event (ties admit the
-/// arrival first — see AdmissionMode::kStreaming for why this matches the
-/// prescheduled order exactly); otherwise one event runs. Trace arrivals
-/// never enter the event heap at all. `take(req, arrival)` yields the
+/// arrival first: a prescheduled arrival would carry a smaller sequence
+/// number than any event scheduled during the run); otherwise one event
+/// runs. Trace arrivals never enter the event heap at all. `take(req, arrival)` yields the
 /// request's prepared form (null ends the loop: its producer stopped) and
 /// `release()` returns it once executed.
 template <typename Take, typename Release, typename Admit, typename Record>
@@ -93,7 +93,6 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
   result.host_warmup = warm_timer.elapsed();
 
   // Phase 2: timed replay of the measured suffix, arrivals rebased to 0.
-  const EngineStats before = engine.stats();
   engine.begin_measured();
 
   const std::size_t first = trace.warmup_count;
@@ -138,20 +137,7 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
     };
   };
 
-  if (mode_ == AdmissionMode::kPrescheduled) {
-    const HostTimer des_timer;
-    for (std::size_t i = first; i < total; ++i) {
-      const IoRequest& req = trace.requests[i];
-      const SimTime arrival = req.arrival - t0;
-      POD_CHECK(arrival >= 0);
-      sim.schedule_at(arrival, [&engine, &req, arrival, record, admit]() {
-        admit(req, arrival);
-        engine.submit(req, record(arrival, req.type, req.id));
-      });
-    }
-    sim.run();
-    result.host_des = des_timer.elapsed();
-  } else if (des_ == DesThread::kHelper && engine.can_prepare_ahead()) {
+  if (des_ == DesThread::kHelper && engine.can_prepare_ahead()) {
     // Pipelined: this thread prepares every measured request in trace
     // order (the policy never waits for a completion, so it can run ahead
     // of the clock); the helper admits, executes and steps.
@@ -207,7 +193,7 @@ ReplayResult Replayer::replay(Simulator& sim, DedupEngine& engine,
     result.host_des = des_timer.elapsed();
   }
 
-  result.measured = EngineStats::delta(engine.stats(), before);
+  result.measured = engine.measured_stats();
   result.events_scheduled = sim.events_scheduled() - scheduled_before;
   result.peak_event_depth = sim.peak_event_depth();
   result.physical_blocks_used = engine.physical_blocks_used();
@@ -257,14 +243,18 @@ static void register_sampler_probes(TimeSeriesSampler& s, const Volume& volume,
       return static_cast<double>(ac->stats().adaptations);
     });
   }
-  const EngineStats& es = engine.stats();
-  s.add_probe("engine.write_requests",
-              [&es] { return static_cast<double>(es.write_requests); });
-  s.add_probe("engine.read_requests",
-              [&es] { return static_cast<double>(es.read_requests); });
-  s.add_probe("engine.writes_eliminated",
-              [&es] { return static_cast<double>(es.writes_eliminated); });
-  s.add_probe("engine.dedup_ratio", [&es] { return es.dedup_ratio(); });
+  // Measured phase only, like ReplayResult::measured.
+  s.add_probe("engine.write_requests", [&engine] {
+    return static_cast<double>(engine.measured_stats().write_requests);
+  });
+  s.add_probe("engine.read_requests", [&engine] {
+    return static_cast<double>(engine.measured_stats().read_requests);
+  });
+  s.add_probe("engine.writes_eliminated", [&engine] {
+    return static_cast<double>(engine.measured_stats().writes_eliminated);
+  });
+  s.add_probe("engine.dedup_ratio",
+              [&engine] { return engine.measured_stats().dedup_ratio(); });
 }
 
 std::unique_ptr<Volume> make_volume(Simulator& sim, const RunSpec& spec) {
@@ -306,23 +296,27 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
 }
 
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode, DesThread des) {
+                        DesThread des) {
   Simulator sim;
-  // Built (or skipped) from POD_TRACE_EVENTS / POD_TELEMETRY_CSV; attached
-  // before the volume so member disks observe it from their first op.
-  std::unique_ptr<Telemetry> telemetry =
-      Telemetry::from_env(trace.name + "-" + to_string(spec.engine));
+  // Null unless the spec names a sink: the null is what makes the disabled
+  // path free. Attached before the volume so member disks observe it from
+  // their first op.
+  std::unique_ptr<Telemetry> telemetry;
+  if (spec.telemetry.any())
+    telemetry = std::make_unique<Telemetry>(
+        spec.telemetry, trace.name + "-" + to_string(spec.engine));
   sim.set_telemetry(telemetry.get());
-  // Latency attribution (POD_ANATOMY / POD_TAIL_ANATOMY): per-run like
-  // telemetry, so ParallelRunner workers never share a collector.
-  std::unique_ptr<LatencyAnatomy> anatomy = LatencyAnatomy::from_env();
+  // Latency attribution: per-run like telemetry, so ParallelRunner workers
+  // never share a collector.
+  std::unique_ptr<LatencyAnatomy> anatomy;
+  if (spec.anatomy) anatomy = std::make_unique<LatencyAnatomy>(*spec.anatomy);
   sim.set_anatomy(anatomy.get());
   std::unique_ptr<Volume> volume = make_volume(sim, spec);
   std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
   if (telemetry && telemetry->sampler() != nullptr)
     register_sampler_probes(*telemetry->sampler(), *volume, *engine);
 
-  Replayer replayer(mode, des);
+  Replayer replayer(des);
   ReplayResult result = replayer.replay(sim, *engine, trace);
   result.peak_rss_bytes = current_peak_rss_bytes();
 

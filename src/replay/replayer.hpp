@@ -5,35 +5,21 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 
 #include "engines/engine.hpp"
 #include "engines/pod_engine.hpp"
 #include "engines/post_process.hpp"
 #include "raid/volume.hpp"
+#include "replay/anatomy.hpp"
 #include "replay/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/request.hpp"
 
 namespace pod {
 
-/// How measured-phase arrivals enter the simulator.
-enum class AdmissionMode {
-  /// Arrivals are pulled from the trace one at a time, each submitted the
-  /// moment simulated time reaches it: the event heap only ever holds
-  /// in-flight simulation events (O(outstanding I/O)), not the whole trace.
-  /// Event ordering — and therefore every result byte — is identical to
-  /// kPrescheduled: an arrival is admitted iff its time is <= the earliest
-  /// pending event, which reproduces exactly the (time, seq) order the
-  /// prescheduled heap produces (all arrival events carry smaller sequence
-  /// numbers than any event scheduled during the run, so at equal times
-  /// arrivals fire first, in trace order).
-  kStreaming,
-  /// Legacy: schedule every measured request up front, then run. Heap depth
-  /// equals the remaining trace size. Kept as the equivalence baseline.
-  kPrescheduled,
-};
-
-/// Which thread runs a streaming replay's discrete-event simulation.
+/// Which thread runs a replay's discrete-event simulation.
 enum class DesThread {
   /// One thread: each admission runs DedupEngine::prepare, then execute.
   kInline,
@@ -41,8 +27,8 @@ enum class DesThread {
   /// helper thread, while the calling thread runs DedupEngine::prepare for
   /// every measured request in trace order, ahead of the clock, and hands
   /// the prepared requests over a bounded ring. Falls back to kInline when
-  /// the engine cannot prepare ahead (DedupEngine::can_prepare_ahead) and
-  /// in kPrescheduled mode. Results are identical to kInline.
+  /// the engine cannot prepare ahead (DedupEngine::can_prepare_ahead).
+  /// Results are identical to kInline.
   kHelper,
 };
 
@@ -56,20 +42,24 @@ class Replayer {
   /// smaller rings to reach its full and empty ends often).
   static constexpr std::size_t kRingSlots = 1024;
 
-  explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming,
-                    DesThread des = DesThread::kInline,
+  explicit Replayer(DesThread des = DesThread::kInline,
                     std::size_t ring_slots = kRingSlots)
-      : mode_(mode), des_(des), ring_slots_(ring_slots) {}
+      : des_(des), ring_slots_(ring_slots) {}
 
   /// Replays `trace` against `engine`:
   ///  1. the warm-up prefix runs functionally (state only, no timing) —
   ///     the paper's "cache ... warmed up by the first 14 days";
   ///  2. the measured suffix runs on the simulator at original (rebased)
   ///     arrival times; response time = completion - arrival.
+  /// Measured arrivals stream in: each is admitted the moment simulated
+  /// time reaches it (its time is <= the earliest pending event, ties to
+  /// the arrival), so the event heap holds only in-flight I/O, never the
+  /// trace. That is the (time, seq) order a heap with every arrival
+  /// scheduled up front would produce; the tests keep that prescheduled
+  /// replay as the oracle.
   ReplayResult replay(Simulator& sim, DedupEngine& engine, const Trace& trace);
 
  private:
-  AdmissionMode mode_;
   DesThread des_;
   std::size_t ring_slots_;
 };
@@ -97,6 +87,12 @@ struct RunSpec {
   ArrayConfig array_cfg;  // disk_geometry.total_blocks is sized automatically
   PodEngineOptions pod;
   PostProcessOptions post_process;
+  /// Sim-time telemetry sinks; off unless a path is set. Observation only:
+  /// simulated results are the same either way.
+  TelemetryConfig telemetry;
+  /// Latency attribution (LatencyAnatomy); off when empty. Observation
+  /// only, like telemetry.
+  std::optional<LatencyAnatomy::Config> anatomy;
 
   /// Member-wise: two specs are equal iff every nested config field is,
   /// so a run list can key replays on the whole spec.
@@ -111,11 +107,11 @@ std::unique_ptr<Volume> make_volume(Simulator& sim, const RunSpec& spec);
 std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
                                          const RunSpec& spec);
 
-/// One-stop: fresh simulator + volume + engine, replay, return results.
-/// By default the DES takes a helper thread when the host has two hardware
-/// threads (des_thread_for_jobs(1)).
+/// One-stop: fresh simulator + volume + engine (with the spec's telemetry
+/// and anatomy attached), replay, return results. By default the DES takes
+/// a helper thread when the host has two hardware threads
+/// (des_thread_for_jobs(1)).
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode = AdmissionMode::kStreaming,
                         DesThread des = des_thread_for_jobs(1));
 
 }  // namespace pod

@@ -1,9 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
 #include <atomic>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hpp"
 
@@ -15,44 +12,7 @@ namespace {
 /// suffix.
 std::atomic<std::uint64_t> g_run_seq{0};
 
-double env_double(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  double v = 0.0;
-  const char* end = env + std::strlen(env);
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc{} || ptr != end || !(v > 0.0)) {
-    std::fprintf(stderr, "[pod] %s='%s' is not a positive number; aborting\n",
-                 name, env);
-    std::exit(2);
-  }
-  return v;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  std::uint64_t v = 0;
-  const char* end = env + std::strlen(env);
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "[pod] %s='%s' is not a non-negative integer; "
-                 "aborting\n", name, env);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
-
-TelemetryConfig TelemetryConfig::from_env() {
-  TelemetryConfig cfg;
-  if (const char* p = std::getenv("POD_TRACE_EVENTS")) cfg.trace_events_path = p;
-  if (const char* p = std::getenv("POD_TELEMETRY_CSV")) cfg.timeseries_path = p;
-  cfg.sample_interval = ms(env_double("POD_TELEMETRY_INTERVAL_MS", 100.0));
-  cfg.trace_event_limit = env_u64("POD_TRACE_LIMIT", cfg.trace_event_limit);
-  return cfg;
-}
 
 std::string telemetry_run_path(const std::string& base, std::uint64_t seq,
                                const std::string& label) {
@@ -148,12 +108,6 @@ void Telemetry::finish(SimTime now) {
     metrics_.counter("trace.events_dropped").inc(trace_->events_dropped());
     trace_->close();
   }
-}
-
-std::unique_ptr<Telemetry> Telemetry::from_env(const std::string& run_label) {
-  const TelemetryConfig cfg = TelemetryConfig::from_env();
-  if (!cfg.any()) return nullptr;
-  return std::make_unique<Telemetry>(cfg, run_label);
 }
 
 }  // namespace pod

@@ -3,26 +3,17 @@
 // Bundles the three sinks of the sim-time telemetry subsystem:
 //   * a MetricsRegistry of counters/gauges/histograms (always present when
 //     telemetry is on; snapshot exported into ReplayResult);
-//   * an optional Chrome/Perfetto trace_event writer (POD_TRACE_EVENTS);
-//   * an optional sim-time periodic sampler (POD_TELEMETRY_CSV).
+//   * an optional Chrome/Perfetto trace_event writer;
+//   * an optional sim-time periodic sampler.
 //
-// Overhead contract: when no telemetry environment variable is set,
+// Overhead contract: when the run's TelemetryConfig names no sink,
 // Simulator::telemetry() stays null and every instrumentation site in the
 // engines/disks/RAID/replayer is a single branch on that null pointer —
 // nothing is allocated, formatted or counted. ParallelRunner safety comes
 // from per-run ownership: each run builds its own Telemetry, and file sinks
 // are suffixed with a process-wide run sequence number plus the run's
-// engine/trace label, so concurrent runs never share a FILE*.
-//
-// Environment:
-//   POD_TRACE_EVENTS        — base path for trace-event JSON (one file per
-//                             run: base.<seq>-<label>.json)
-//   POD_TELEMETRY_CSV       — base path for the sampled time series; a
-//                             .jsonl extension selects JSON-lines rows
-//   POD_TELEMETRY_INTERVAL_MS — sampling period in simulated ms (default
-//                             100)
-//   POD_TRACE_LIMIT         — cap on trace events per run (default 500000;
-//                             0 = unlimited)
+// engine/trace label, so concurrent runs never share a FILE*. A run's
+// TelemetryConfig comes from its RunSpec.
 #pragma once
 
 #include <cstdint>
@@ -45,18 +36,21 @@ inline constexpr int kTracePidDisks = 2;
 inline constexpr const char* kTraceCatRequest = "req";
 
 struct TelemetryConfig {
-  std::string trace_events_path;  ///< empty = span tracing off
-  std::string timeseries_path;    ///< empty = sampling off
+  /// Base path for trace-event JSON, one file per run
+  /// (base.<seq>-<label>.json); empty = span tracing off.
+  std::string trace_events_path;
+  /// Base path for the sampled time series (a .jsonl extension selects
+  /// JSON-lines rows); empty = sampling off.
+  std::string timeseries_path;
   Duration sample_interval = ms(100);
+  /// Cap on trace events per run (0 = unlimited).
   std::uint64_t trace_event_limit = 500'000;
 
   bool any() const {
     return !trace_events_path.empty() || !timeseries_path.empty();
   }
 
-  /// Reads the POD_* environment (see header comment). Malformed numeric
-  /// values abort, mirroring POD_SCALE handling.
-  static TelemetryConfig from_env();
+  bool operator==(const TelemetryConfig&) const = default;
 };
 
 class Telemetry {
@@ -68,10 +62,6 @@ class Telemetry {
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
-
-  /// Builds a Telemetry from the environment, or null when no telemetry
-  /// variable is set — the null is what makes the disabled path free.
-  static std::unique_ptr<Telemetry> from_env(const std::string& run_label);
 
   MetricsRegistry& metrics() { return metrics_; }
   /// Null when span tracing is disabled: callers branch once and skip all

@@ -1,7 +1,6 @@
 #include "trace/trace_cache.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <sstream>
@@ -84,11 +83,6 @@ std::string hex16(std::uint64_t v) {
 
 }  // namespace
 
-std::string trace_cache_dir() {
-  const char* env = std::getenv("POD_TRACE_CACHE");
-  return env == nullptr ? std::string{} : std::string{env};
-}
-
 std::string trace_cache_key(const WorkloadProfile& profile,
                             int format_version) {
   const std::string canon = canonical_profile(profile, format_version);
@@ -147,8 +141,7 @@ bool store_cached_trace(const std::string& dir,
   return true;
 }
 
-Trace obtain_trace(const WorkloadProfile& profile) {
-  const std::string dir = trace_cache_dir();
+Trace obtain_trace(const WorkloadProfile& profile, const std::string& dir) {
   if (std::optional<Trace> cached = try_load_cached_trace(dir, profile))
     return std::move(*cached);
   Trace trace = TraceGenerator(profile).generate();
@@ -157,11 +150,11 @@ Trace obtain_trace(const WorkloadProfile& profile) {
 }
 
 std::vector<Trace> obtain_traces(const std::vector<WorkloadProfile>& profiles,
-                                 std::size_t jobs) {
+                                 std::size_t jobs, const std::string& dir) {
   std::vector<Trace> out(profiles.size());
   if (profiles.size() <= 1 || jobs <= 1) {
     for (std::size_t i = 0; i < profiles.size(); ++i)
-      out[i] = obtain_trace(profiles[i]);
+      out[i] = obtain_trace(profiles[i], dir);
     return out;
   }
   std::vector<std::exception_ptr> errors(profiles.size());
@@ -169,7 +162,7 @@ std::vector<Trace> obtain_traces(const std::vector<WorkloadProfile>& profiles,
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     pool.submit([&, i] {
       try {
-        out[i] = obtain_trace(profiles[i]);
+        out[i] = obtain_trace(profiles[i], dir);
       } catch (...) {
         errors[i] = std::current_exception();
       }

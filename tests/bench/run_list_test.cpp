@@ -45,7 +45,8 @@ Figure recording_figure(std::vector<bench::Run> runs, std::vector<Seen>& seen) {
 TEST(RunList, EqualRunAcrossFiguresRunsOnceWithOneResult) {
   std::vector<Seen> a, b;
   run_figures({recording_figure({tiny_run(EngineKind::kSelectDedupe)}, a),
-               recording_figure({tiny_run(EngineKind::kSelectDedupe)}, b)});
+               recording_figure({tiny_run(EngineKind::kSelectDedupe)}, b)},
+              Knobs{});
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].address, b[0].address);
@@ -66,7 +67,7 @@ TEST(RunList, OneNestedFieldApartStaysDistinct) {
   runs.push_back(base);
 
   std::vector<Seen> seen;
-  run_figures({recording_figure(runs, seen)});
+  run_figures({recording_figure(runs, seen)}, Knobs{});
   ASSERT_EQ(seen.size(), 9u);
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = 0; j < i; ++j)
@@ -83,7 +84,8 @@ TEST(RunList, EachFigureGetsResultsInItsOwnOrder) {
        recording_figure({tiny_run(EngineKind::kSelectDedupe),
                          tiny_run(EngineKind::kPod),
                          tiny_run(EngineKind::kNative)},
-                        b)});
+                        b)},
+      Knobs{});
   ASSERT_EQ(a.size(), 2u);
   ASSERT_EQ(b.size(), 3u);
   EXPECT_EQ(a[0].engine, "native");

@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,36 +67,6 @@ TEST(ThreadPool, DestructorDrainsQueue) {
     for (int i = 0; i < 50; ++i) pool.submit([&] { ++count; });
   }
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, JobsFromEnvParsesPositive) {
-  setenv("POD_JOBS", "3", 1);
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 3u);
-  unsetenv("POD_JOBS");
-}
-
-TEST(ThreadPool, JobsFromEnvFallsBack) {
-  // Only an unset POD_JOBS falls back; malformed values are refused below.
-  unsetenv("POD_JOBS");
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 8u);
-  // Default fallback is the hardware concurrency, at least 1.
-  EXPECT_GE(ThreadPool::jobs_from_env(), 1u);
-}
-
-TEST(ThreadPool, JobsFromEnvRefusesMalformed) {
-  for (const char* bad : {"0", "-2", "junk", "4x", " 4", "", "1.5"}) {
-    SCOPED_TRACE(bad);
-    setenv("POD_JOBS", bad, 1);
-    try {
-      (void)ThreadPool::jobs_from_env(8);
-      ADD_FAILURE() << "accepted POD_JOBS='" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  unsetenv("POD_JOBS");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 namespace pod {
@@ -96,31 +95,6 @@ TEST(FaultInjector, DiskFailureTimeline) {
   // The hot spare absorbs the dead slot: I/O to it succeeds again.
   inj.attach_spare();
   EXPECT_FALSE(inj.disk_dead(2, ms(20)));
-}
-
-TEST(FaultInjector, FromEnvDisabledByDefault) {
-  unsetenv("POD_FAULT_SEED");
-  unsetenv("POD_FAULT_MEDIA_RATE");
-  unsetenv("POD_FAULT_TRANSIENT_RATE");
-  unsetenv("POD_FAULT_FAIL_DISK");
-  unsetenv("POD_FAULT_FAIL_AT_MS");
-  unsetenv("POD_FAULT_REBUILD");
-  EXPECT_FALSE(FaultConfig::from_env().enabled);
-}
-
-TEST(FaultInjector, FromEnvParsesRatesAndFailure) {
-  setenv("POD_FAULT_MEDIA_RATE", "0.001", 1);
-  setenv("POD_FAULT_FAIL_DISK", "1", 1);
-  setenv("POD_FAULT_FAIL_AT_MS", "250", 1);
-  const FaultConfig cfg = FaultConfig::from_env();
-  unsetenv("POD_FAULT_MEDIA_RATE");
-  unsetenv("POD_FAULT_FAIL_DISK");
-  unsetenv("POD_FAULT_FAIL_AT_MS");
-
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_DOUBLE_EQ(cfg.media_error_rate, 0.001);
-  EXPECT_EQ(cfg.fail_disk, 1u);
-  EXPECT_EQ(cfg.fail_at, ms(250));
 }
 
 TEST(FaultInjector, StatusCombineIsWorstOf) {

@@ -9,7 +9,6 @@
 //   * the tail ring retains the K slowest requests, sorted, decomposed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -18,28 +17,6 @@
 
 namespace pod {
 namespace {
-
-/// Sets an environment variable for one scope, restoring on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) ::setenv(name_, old_.c_str(), 1);
-    else ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_ = false;
-};
 
 Trace small_trace() {
   WorkloadProfile p = tiny_test_profile();
@@ -54,6 +31,12 @@ RunSpec base_spec(EngineKind kind) {
   spec.raid = RaidLevel::kRaid5;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
+  return spec;
+}
+
+/// `spec` with latency attribution on and a `tail_k`-entry tail ring.
+RunSpec attributed(RunSpec spec, std::size_t tail_k = 64) {
+  spec.anatomy = LatencyAnatomy::Config{tail_k};
   return spec;
 }
 
@@ -77,8 +60,6 @@ void expect_anatomy_invariants(const ReplayResult& r) {
   const double lat_sum = r.all.stats().sum();
   EXPECT_NEAR(static_cast<double>(a.total_all()), lat_sum,
               lat_sum * 1e-9 + 1.0);
-  // The journal charges no simulated time; the slot proves it stays free.
-  EXPECT_EQ(comp_total(a, LatComp::kJournal), 0);
 
   // Per-stream totals reconcile with the global measured counters.
   std::uint64_t reads = 0, writes = 0, failed = 0, hits = 0, samples = 0;
@@ -104,7 +85,6 @@ TEST(Anatomy, DisabledByDefault) {
 }
 
 TEST(Anatomy, SumInvariantPerEngine) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
   const std::vector<EngineKind> kinds = {
       EngineKind::kNative,       EngineKind::kFullDedupe,
@@ -113,7 +93,7 @@ TEST(Anatomy, SumInvariantPerEngine) {
       EngineKind::kPostProcess};
   for (EngineKind kind : kinds) {
     SCOPED_TRACE(to_string(kind));
-    const ReplayResult r = run_replay(base_spec(kind), trace);
+    const ReplayResult r = run_replay(attributed(base_spec(kind)), trace);
     expect_anatomy_invariants(r);
     // No faults injected: nothing may be charged to the fault ladder or to
     // reconstruction.
@@ -124,9 +104,8 @@ TEST(Anatomy, SumInvariantPerEngine) {
 }
 
 TEST(Anatomy, SumInvariantWithFaultRetries) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
-  RunSpec spec = base_spec(EngineKind::kSelectDedupe);
+  RunSpec spec = attributed(base_spec(EngineKind::kSelectDedupe));
   spec.array_cfg.fault.enabled = true;
   spec.array_cfg.fault.seed = 99;
   spec.array_cfg.fault.transient_rate = 0.05;
@@ -138,13 +117,13 @@ TEST(Anatomy, SumInvariantWithFaultRetries) {
 }
 
 TEST(Anatomy, SumInvariantDegradedRaid) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
   // Baseline run to size fail_at mid-replay.
-  const ReplayResult clean = run_replay(base_spec(EngineKind::kNative), trace);
+  const ReplayResult clean =
+      run_replay(attributed(base_spec(EngineKind::kNative)), trace);
   expect_anatomy_invariants(clean);
 
-  RunSpec spec = base_spec(EngineKind::kNative);
+  RunSpec spec = attributed(base_spec(EngineKind::kNative));
   spec.array_cfg.fault.enabled = true;
   spec.array_cfg.fault.fail_disk = 1;
   spec.array_cfg.fault.fail_at = clean.makespan / 4;
@@ -163,11 +142,7 @@ TEST(Anatomy, ReplayByteIdenticalOnOrOff) {
   for (EngineKind kind : kinds) {
     SCOPED_TRACE(to_string(kind));
     const ReplayResult off = run_replay(base_spec(kind), trace);
-    ReplayResult with;
-    {
-      ScopedEnv on("POD_ANATOMY", "1");
-      with = run_replay(base_spec(kind), trace);
-    }
+    const ReplayResult with = run_replay(attributed(base_spec(kind)), trace);
     EXPECT_FALSE(off.anatomy.enabled);
     EXPECT_TRUE(with.anatomy.enabled);
     EXPECT_EQ(off.all.count(), with.all.count());
@@ -183,12 +158,12 @@ TEST(Anatomy, ReplayByteIdenticalOnOrOff) {
 }
 
 TEST(Anatomy, PerStreamAccountingSplitsByStreamId) {
-  ScopedEnv on("POD_ANATOMY", "1");
   Trace trace = small_trace();
   // Tag the trace with three tenants round-robin.
   for (IoRequest& r : trace.requests)
     r.stream = static_cast<std::uint32_t>(r.id % 3);
-  const ReplayResult r = run_replay(base_spec(EngineKind::kFullDedupe), trace);
+  const ReplayResult r =
+      run_replay(attributed(base_spec(EngineKind::kFullDedupe)), trace);
   expect_anatomy_invariants(r);
   ASSERT_EQ(r.anatomy.streams.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -198,10 +173,9 @@ TEST(Anatomy, PerStreamAccountingSplitsByStreamId) {
 }
 
 TEST(Anatomy, TailRingRetainsSlowestSorted) {
-  ScopedEnv on("POD_ANATOMY", "1");
-  ScopedEnv k("POD_TAIL_ANATOMY", "4");
   const Trace trace = small_trace();
-  const ReplayResult r = run_replay(base_spec(EngineKind::kNative), trace);
+  const ReplayResult r =
+      run_replay(attributed(base_spec(EngineKind::kNative), 4), trace);
   expect_anatomy_invariants(r);
   const AnatomyResult& a = r.anatomy;
   EXPECT_EQ(a.tail_k, 4u);

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "prescheduled_replay.hpp"
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -133,8 +134,7 @@ SplitRun replay(const RunSpec& spec, const Trace& t, DesThread des,
       std::make_unique<RecordingVolume>(sim, make_volume(sim, spec));
   std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
   SplitRun run;
-  run.result = Replayer(AdmissionMode::kStreaming, des, ring)
-                   .replay(sim, *engine, t);
+  run.result = Replayer(des, ring).replay(sim, *engine, t);
   run.submits = std::move(volume->log);
   run.digest = engine->state_digest();
   run.events_executed = sim.events_executed();
@@ -288,8 +288,9 @@ TEST(ReplaySplit, BackgroundOpsPrecedeThePlan) {
 }
 
 TEST(ReplaySplit, SubmitIsPrepareThenExecute) {
-  // The outside-driven form: submit() at each admission equals the
-  // pipelined replay (perfbench's traced replay relies on this).
+  // The outside-driven form: submit() at each admission, here from the
+  // prescheduled oracle's arrival events, equals the pipelined replay
+  // (perfbench's traced replay relies on this).
   const Trace t = random_trace(3);
   for (const EngineKind kind : kEngines) {
     SCOPED_TRACE(to_string(kind));
@@ -300,8 +301,7 @@ TEST(ReplaySplit, SubmitIsPrepareThenExecute) {
       std::unique_ptr<Volume> volume = make_volume(sim, spec);
       std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
       SplitRun run;
-      run.result = Replayer(AdmissionMode::kPrescheduled, DesThread::kHelper)
-                       .replay(sim, *engine, t);
+      run.result = prescheduled_replay(sim, *engine, t);
       run.digest = engine->state_digest();
       return run;
     }();
@@ -320,9 +320,7 @@ TEST(ReplaySplit, ObserversOfPolicyStateKeepTheReplayInline) {
   RunSpec faulty = spec_for(EngineKind::kSelectDedupe, t, 5);
   faulty.array_cfg.fault.enabled = true;
   faulty.array_cfg.fault.media_error_rate = 0.01;
-  EXPECT_FALSE(run_replay(faulty, t, AdmissionMode::kStreaming,
-                          DesThread::kHelper)
-                   .des_helper);
+  EXPECT_FALSE(run_replay(faulty, t, DesThread::kHelper).des_helper);
   // So do the telemetry sampler's probes.
   const RunSpec spec = spec_for(EngineKind::kPod, t, 5);
   Simulator sim;
@@ -331,9 +329,8 @@ TEST(ReplaySplit, ObserversOfPolicyStateKeepTheReplayInline) {
   std::unique_ptr<Volume> volume = make_volume(sim, spec);
   std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
   EXPECT_FALSE(engine->can_prepare_ahead());
-  EXPECT_FALSE(Replayer(AdmissionMode::kStreaming, DesThread::kHelper)
-                   .replay(sim, *engine, t)
-                   .des_helper);
+  EXPECT_FALSE(
+      Replayer(DesThread::kHelper).replay(sim, *engine, t).des_helper);
 }
 
 TEST(ReplaySplit, HelperRuleNeedsTwoHardwareThreadsPerJob) {
@@ -355,8 +352,7 @@ TEST(ReplaySplit, PipelinedReplayRejectsUnorderedTrace) {
     const RunSpec spec = spec_for(EngineKind::kNative, t, 1);
     std::unique_ptr<Volume> volume = make_volume(sim, spec);
     std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
-    EXPECT_THROW(Replayer(AdmissionMode::kStreaming, DesThread::kHelper, ring)
-                     .replay(sim, *engine, t),
+    EXPECT_THROW(Replayer(DesThread::kHelper, ring).replay(sim, *engine, t),
                  std::runtime_error);
   }
 }

@@ -1,12 +1,13 @@
 // Streaming admission must be observationally identical to pre-scheduling
-// the whole trace: same latencies, same makespan, same engine and disk
-// state for every engine. The modes may only differ in host-side cost
-// (heap depth, events pushed).
+// the whole trace (the oracle in prescheduled_replay.hpp): same latencies,
+// same makespan, same engine and disk state for every engine. The two may
+// only differ in host-side cost (heap depth, events pushed).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <utility>
 
+#include "prescheduled_replay.hpp"
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
 
@@ -37,10 +38,8 @@ const std::vector<EngineKind> kAllEngines = {
 TEST(StreamingAdmission, MatchesPrescheduledForEveryEngine) {
   const Trace t = small_trace();
   for (EngineKind kind : kAllEngines) {
-    const ReplayResult s =
-        run_replay(spec_for(kind), t, AdmissionMode::kStreaming);
-    const ReplayResult p =
-        run_replay(spec_for(kind), t, AdmissionMode::kPrescheduled);
+    const ReplayResult s = run_replay(spec_for(kind), t);
+    const ReplayResult p = prescheduled_replay(spec_for(kind), t);
     SCOPED_TRACE(to_string(kind));
     EXPECT_EQ(s.all.count(), p.all.count());
     EXPECT_DOUBLE_EQ(s.mean_ms(), p.mean_ms());
@@ -58,10 +57,8 @@ TEST(StreamingAdmission, MatchesPrescheduledForEveryEngine) {
 
 TEST(StreamingAdmission, KeepsEventHeapShallow) {
   const Trace t = small_trace();
-  const ReplayResult s =
-      run_replay(spec_for(EngineKind::kNative), t, AdmissionMode::kStreaming);
-  const ReplayResult p = run_replay(spec_for(EngineKind::kNative), t,
-                                    AdmissionMode::kPrescheduled);
+  const ReplayResult s = run_replay(spec_for(EngineKind::kNative), t);
+  const ReplayResult p = prescheduled_replay(spec_for(EngineKind::kNative), t);
   // Pre-scheduling puts every measured arrival on the heap up front (the
   // warm-up prefix replays functionally), so its peak is at least the
   // measured count; streaming keeps it at O(in-flight I/O).
@@ -72,10 +69,13 @@ TEST(StreamingAdmission, KeepsEventHeapShallow) {
 }
 
 TEST(StreamingAdmission, DefaultModeIsStreaming) {
+  // run_replay's default (a DES helper thread when the host has two
+  // hardware threads) streams like the one-thread replay.
   const Trace t = small_trace();
   const ReplayResult def = run_replay(spec_for(EngineKind::kNative), t);
   const ReplayResult s =
-      run_replay(spec_for(EngineKind::kNative), t, AdmissionMode::kStreaming);
+      run_replay(spec_for(EngineKind::kNative), t, DesThread::kInline);
+  EXPECT_LT(def.peak_event_depth, t.measured_count() / 10);
   EXPECT_EQ(def.events_scheduled, s.events_scheduled);
   EXPECT_EQ(def.peak_event_depth, s.peak_event_depth);
   EXPECT_DOUBLE_EQ(def.mean_ms(), s.mean_ms());
@@ -90,8 +90,7 @@ TEST(StreamingAdmission, RejectsUnorderedTrace) {
   std::swap(t.requests[4].arrival, t.requests[5].arrival);
   if (t.requests[4].arrival == t.requests[5].arrival)
     t.requests[5].arrival = t.requests[4].arrival - 1;
-  EXPECT_THROW(run_replay(spec_for(EngineKind::kNative), t,
-                          AdmissionMode::kStreaming),
+  EXPECT_THROW(run_replay(spec_for(EngineKind::kNative), t),
                std::runtime_error);
 }
 

@@ -8,7 +8,6 @@
 //   * per-run file suffixing keeps parallel runs from sharing sinks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -51,22 +50,22 @@ RunSpec spec_for(EngineKind kind) {
   return spec;
 }
 
-/// Scoped POD_* telemetry environment pointing into a fresh temp dir.
-class TelemetryEnv {
+/// A fresh temp dir for one test's telemetry sinks.
+class TelemetryDir {
  public:
-  explicit TelemetryEnv(const std::string& tag) {
+  explicit TelemetryDir(const std::string& tag) {
     dir_ = testing::TempDir() + "pod_telemetry_" + tag;
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    setenv("POD_TRACE_EVENTS", (dir_ + "/trace.json").c_str(), 1);
-    setenv("POD_TELEMETRY_CSV", (dir_ + "/series.csv").c_str(), 1);
-    setenv("POD_TELEMETRY_INTERVAL_MS", "50", 1);
   }
-  ~TelemetryEnv() {
-    unsetenv("POD_TRACE_EVENTS");
-    unsetenv("POD_TELEMETRY_CSV");
-    unsetenv("POD_TELEMETRY_INTERVAL_MS");
-    fs::remove_all(dir_);
+  ~TelemetryDir() { fs::remove_all(dir_); }
+
+  /// `spec` with both sinks pointing into the dir, sampling every 50 ms.
+  RunSpec on(RunSpec spec) const {
+    spec.telemetry.trace_events_path = dir_ + "/trace.json";
+    spec.telemetry.timeseries_path = dir_ + "/series.csv";
+    spec.telemetry.sample_interval = ms(50);
+    return spec;
   }
 
   std::vector<std::string> files_matching(const std::string& prefix) const {
@@ -95,8 +94,8 @@ TEST(TelemetryReplay, ResultsAreIdenticalWithTelemetryOnAndOff) {
     const ReplayResult off = run_replay(spec_for(kind), t);
     ReplayResult on;
     {
-      TelemetryEnv env(std::string("equiv_") + to_string(kind));
-      on = run_replay(spec_for(kind), t);
+      TelemetryDir dir(std::string("equiv_") + to_string(kind));
+      on = run_replay(dir.on(spec_for(kind)), t);
     }
 
     // Latency recorders: identical sample streams.
@@ -138,8 +137,9 @@ TEST(TelemetryReplay, ResultsAreIdenticalWithTelemetryOnAndOff) {
 
 TEST(TelemetryReplay, TraceEventsCarrySpansLanesAndSamplerHasSchema) {
   const Trace t = small_trace();
-  TelemetryEnv env("outputs");
-  const ReplayResult r = run_replay(spec_for(EngineKind::kSelectDedupe), t);
+  TelemetryDir env("outputs");
+  const ReplayResult r =
+      run_replay(env.on(spec_for(EngineKind::kSelectDedupe)), t);
   ASSERT_GT(r.all.count(), 0u);
 
   const std::vector<std::string> traces = env.files_matching("trace.");
@@ -198,6 +198,65 @@ TEST(TelemetryReplay, TraceEventsCarrySpansLanesAndSamplerHasSchema) {
   EXPECT_GE(rows, 1u);  // finish() flushes at least the end-of-run row
 }
 
+TEST(TelemetryReplay, EngineSeriesCountTheMeasuredPhaseOnly) {
+  // warm() skips the request counters but not the chunk counters, so every
+  // engine.* value must be a measured-phase delta to describe one request
+  // set. The final sampler row is taken at the end of the run, where the
+  // delta is ReplayResult::measured (EngineStats::delta).
+  const Trace t = small_trace();
+  TelemetryDir env("measured");
+  const ReplayResult r =
+      run_replay(env.on(spec_for(EngineKind::kSelectDedupe)), t);
+  const EngineStats& m = r.measured;
+  ASSERT_GT(m.chunks_deduped, 0u);
+
+  const std::vector<std::string> series = env.files_matching("series.");
+  ASSERT_EQ(series.size(), 1u);
+  std::istringstream csv(slurp(series[0]));
+  std::string header, line, last;
+  ASSERT_TRUE(std::getline(csv, header));
+  while (std::getline(csv, line))
+    if (!line.empty()) last = line;
+  ASSERT_FALSE(last.empty());
+  const auto split = [](const std::string& row) {
+    std::vector<std::string> out;
+    std::istringstream in(row);
+    for (std::string cell; std::getline(in, cell, ',');) out.push_back(cell);
+    return out;
+  };
+  const std::vector<std::string> names = split(header);
+  const std::vector<std::string> cells = split(last);
+  ASSERT_EQ(names.size(), cells.size());
+  const auto column = [&](const std::string& name) {
+    for (std::size_t i = 0; i < names.size(); ++i)
+      if (names[i] == name) return std::stod(cells[i]);
+    ADD_FAILURE() << "no column " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(column("engine.write_requests"),
+            static_cast<double>(m.write_requests));
+  EXPECT_EQ(column("engine.read_requests"),
+            static_cast<double>(m.read_requests));
+  EXPECT_EQ(column("engine.writes_eliminated"),
+            static_cast<double>(m.writes_eliminated));
+  EXPECT_NEAR(column("engine.dedup_ratio"), m.dedup_ratio(), 1e-5);
+
+  // The registry's engine.* probes count the same phase.
+  const auto counter = [&](const std::string& name) {
+    for (const auto& [key, value] : r.telemetry_counters)
+      if (key == name) return value;
+    ADD_FAILURE() << "no counter " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(counter("engine.chunks_deduped"),
+            static_cast<double>(m.chunks_deduped));
+  EXPECT_EQ(counter("engine.chunks_written"),
+            static_cast<double>(m.chunks_written));
+  EXPECT_EQ(counter("engine.write_requests"),
+            static_cast<double>(m.write_requests));
+  EXPECT_DOUBLE_EQ(counter("engine.dedup_ratio"), m.dedup_ratio());
+}
+
 TEST(TelemetryReplay, PodEmitsRepartitionInstantsWhenICacheAdapts) {
   // Drive a PodEngine directly with the index-pressure burst that reliably
   // forces repartitions (same shape as PodEngine.WriteBurstGrowsIndexCache),
@@ -251,9 +310,9 @@ TEST(TelemetryReplay, PodEmitsRepartitionInstantsWhenICacheAdapts) {
 
 TEST(TelemetryReplay, ParallelRunsGetDistinctSuffixedFiles) {
   const Trace t = small_trace(600);
-  TelemetryEnv env("parallel");
-  (void)run_replay(spec_for(EngineKind::kNative), t);
-  (void)run_replay(spec_for(EngineKind::kNative), t);
+  TelemetryDir env("parallel");
+  (void)run_replay(env.on(spec_for(EngineKind::kNative)), t);
+  (void)run_replay(env.on(spec_for(EngineKind::kNative)), t);
   // Same label twice: the process-wide run sequence still separates them.
   EXPECT_EQ(env.files_matching("trace.").size(), 2u);
   EXPECT_EQ(env.files_matching("series.").size(), 2u);

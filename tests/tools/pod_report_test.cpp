@@ -34,9 +34,9 @@ constexpr const char* kGolden = R"(# POD bench report
 
 Mean milliseconds per request by component (rows sum to the engine's mean response time):
 
-| engine | queue_wait | seek | rotation | transfer | dedup_meta | raid_reconstruct | fault_retry | journal |
-|---|---|---|---|---|---|---|---|---|
-| native | 1.000 | 0.500 | 0.250 | 0.250 | - | - | - | - |
+| engine | queue_wait | seek | rotation | transfer | dedup_meta | raid_reconstruct | fault_retry |
+|---|---|---|---|---|---|---|---|
+| native | 1.000 | 0.500 | 0.250 | 0.250 | - | - | - |
 
 Per-stream accounting — native:
 
@@ -46,9 +46,9 @@ Per-stream accounting — native:
 
 Tail anatomy — native (slowest 1 of 1 retained):
 
-| req | op | blocks | stream | latency ms | queue_wait | seek | rotation | transfer | dedup_meta | raid_reconstruct | fault_retry | journal |
-|---|---|---|---|---|---|---|---|---|---|---|---|---|
-| 7 | W | 8 | 0 | 4.000 | 3.000 | 0.500 | 0.250 | 0.250 | - | - | - | - |
+| req | op | blocks | stream | latency ms | queue_wait | seek | rotation | transfer | dedup_meta | raid_reconstruct | fault_retry |
+|---|---|---|---|---|---|---|---|---|---|---|---|
+| 7 | W | 8 | 0 | 4.000 | 3.000 | 0.500 | 0.250 | 0.250 | - | - | - |
 
 )";
 

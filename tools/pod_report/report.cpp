@@ -16,8 +16,8 @@ namespace {
 /// Component column order; mirrors LatComp reporting order. Components
 /// absent from a capture (older files) simply render as missing columns.
 constexpr const char* kComponents[] = {
-    "queue_wait", "seek",        "rotation",    "transfer",
-    "dedup_meta", "raid_reconstruct", "fault_retry", "journal",
+    "queue_wait", "seek",             "rotation",    "transfer",
+    "dedup_meta", "raid_reconstruct", "fault_retry",
 };
 
 std::string fmt(double v) {
